@@ -5,7 +5,7 @@ closure search used to enumerate regular subgroups of a holomorph.  That
 kernel exists twice, once in Cython (holoscreen._kernel._fiber) and once in
 plain Python (holoscreen._kernel.pure).  If the extension cannot be built the
 install still succeeds and the package falls back to the pure version at
-import time.  Run benchmarks/bench_kernel.py to compare the two.
+import time.  The traced direct-o60 run of perfbench/run.py compares the two.
 """
 
 import os

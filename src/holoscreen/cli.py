@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Exit codes are shared by all subcommands: 0 means the requested property
-holds (or the command simply succeeded), 1 is an error, 2 means the
-verdict holds conditionally on a smaller order, and 3 means undecided
-(budget or cap exhausted, needs-screening classification, or an
-incomplete corpus preventing an order-level claim).  A verdict of
-``holds`` is never emitted when any budget or cap was exhausted.
+holds (or the command simply succeeded), 1 is an error (bad usage
+included), 2 means the verdict holds conditionally on a smaller order,
+and 3 means undecided (budget or cap exhausted, needs-screening
+classification, or an incomplete corpus preventing an order-level
+claim).  A verdict of ``holds`` is never emitted when any budget or cap
+was exhausted.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -36,25 +36,22 @@ EXIT_CONDITIONAL = 2
 EXIT_UNDECIDED = 3
 
 
-@dataclass
-class Config:
-    """Caps and run settings shared by the corpus-driven commands."""
+def positive_int(text: str) -> int:
+    """The argparse type of every job count, cap and budget."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
 
-    subgroup_cap: int = SUBGROUP_CAP
-    aut_cap: int = AUT_TABLE_CAP
-    order_cap: int = HOL_ORDER_CAP
-    node_budget: int = DEFAULT_NODE_BUDGET
-    jobs: int = 1
-    text_out: str | None = None
-    json_out: str | None = None
-    timings: bool = False
 
-    def __post_init__(self) -> None:
-        for name in ("subgroup_cap", "aut_cap", "order_cap", "node_budget"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as exit 1, since exit 2 means "holds
+    conditionally"; --help and --version still exit 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise HoloscreenError(message)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -73,16 +70,13 @@ def _load_target(target: str):
 
 
 def cmd_screen(args) -> int:
-    config = Config(subgroup_cap=args.subgroup_cap, aut_cap=args.aut_cap,
-                    jobs=args.jobs, text_out=args.out, json_out=args.json,
-                    timings=args.timings)
-    report = screen_order(args.corpus, args.order, jobs=config.jobs,
+    report = screen_order(args.corpus, args.order, jobs=args.jobs,
                           skip_outer=args.skip_outer,
-                          subgroup_cap=config.subgroup_cap,
-                          aut_cap=config.aut_cap, timings=config.timings)
-    _emit(render_report(report), config.text_out)
-    if config.json_out:
-        Path(config.json_out).write_text(report.to_json())
+                          subgroup_cap=args.subgroup_cap,
+                          aut_cap=args.aut_cap, timings=args.timings)
+    _emit(render_report(report), args.out)
+    if args.json:
+        Path(args.json).write_text(report.to_json())
     if report.verdict == "holds":
         return EXIT_HOLDS
     if report.verdict.startswith("holds-conditional-on"):
@@ -105,8 +99,6 @@ def _pick_backend(name: str):
 
 
 def cmd_direct(args) -> int:
-    config = Config(order_cap=args.order_cap, node_budget=args.budget,
-                    json_out=args.json, timings=args.timings)
     backend = _pick_backend(args.backend)
     manifest = load_manifest(args.corpus)
     if args.order is not None and args.order != manifest.order:
@@ -126,8 +118,8 @@ def cmd_direct(args) -> int:
             doc["groups"].append({"name": record.name, "skipped": True})
             continue
         hol = holomorph(record.table)
-        enum = enumerate_regular_subgroups(hol, node_budget=config.node_budget,
-                                           order_cap=config.order_cap,
+        enum = enumerate_regular_subgroups(hol, node_budget=args.budget,
+                                           order_cap=args.order_cap,
                                            backend=backend)
         enum.classify()
         bad = enum.insolvable_records()
@@ -163,8 +155,8 @@ def cmd_direct(args) -> int:
     lines.append(f"verdict: {verdict}")
     doc["verdict"] = verdict
     _emit("\n".join(lines) + "\n", None)
-    if config.json_out:
-        Path(config.json_out).write_text(json.dumps(doc, indent=2) + "\n")
+    if args.json:
+        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
     return code
 
 
@@ -256,9 +248,10 @@ def cmd_group(args) -> int:
         return EXIT_HOLDS
     if args.group_command == "hol":
         hol = holomorph(table)
+        # Hol(N) = N x| Aut(N) is solvable exactly when N and Aut(N) are.
+        solvable = table.is_solvable() and hol.aut.is_solvable()
         print(f"|Hol| = {hol.order} (= {table.n} * {hol.aut.order})")
-        print(f"Hol solvable: "
-              f"{'yes' if hol.perm_group.is_solvable() else 'no'}")
+        print(f"Hol solvable: {'yes' if solvable else 'no'}")
         return EXIT_HOLDS
     if args.group_command == "regulars":
         hol = holomorph(table)
@@ -298,7 +291,7 @@ def cmd_corpus(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holoscreen",
         description="Screen group orders for insolvable regular subgroups "
                     "of holomorphs of solvable groups.")
@@ -309,11 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("screen", help="run the screening pipeline on a corpus")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--jobs", type=int, default=max(os.cpu_count() or 1, 1))
+    p.add_argument("--jobs", type=positive_int,
+                   default=max(os.cpu_count() or 1, 1))
     p.add_argument("--skip-outer", action="store_true",
                    help="skip the gcd(n, |Out|) filter")
-    p.add_argument("--subgroup-cap", type=int, default=SUBGROUP_CAP)
-    p.add_argument("--aut-cap", type=int, default=AUT_TABLE_CAP)
+    p.add_argument("--subgroup-cap", type=positive_int, default=SUBGROUP_CAP)
+    p.add_argument("--aut-cap", type=positive_int, default=AUT_TABLE_CAP)
     p.add_argument("--out", default=None, help="also write the text report here")
     p.add_argument("--json", default=None, help="write a JSON report here")
     p.add_argument("--timings", action="store_true",
@@ -324,12 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate regular subgroups of each holomorph")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--order-cap", type=int, default=HOL_ORDER_CAP)
+    p.add_argument("--budget", type=positive_int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--order-cap", type=positive_int, default=HOL_ORDER_CAP)
     p.add_argument("--backend", choices=["auto", "pure", "compiled"],
                    default="auto")
     p.add_argument("--json", default=None)
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_direct)
 
     p = sub.add_parser("classify", help="arithmetic classification of an order")
@@ -358,10 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("target",
                        help="a .grp file or a constructor expression")
         if name == "aut":
-            q.add_argument("--aut-cap", type=int, default=AUT_TABLE_CAP)
+            q.add_argument("--aut-cap", type=positive_int,
+                           default=AUT_TABLE_CAP)
         if name == "regulars":
-            q.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-            q.add_argument("--order-cap", type=int, default=HOL_ORDER_CAP)
+            q.add_argument("--budget", type=positive_int,
+                           default=DEFAULT_NODE_BUDGET)
+            q.add_argument("--order-cap", type=positive_int,
+                           default=HOL_ORDER_CAP)
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("corpus", help="corpus handling")
@@ -376,9 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (HoloscreenError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,14 +83,6 @@ class HolomorphGroup:
         self.act = np.fromiter(
             (v for p in aut.elements for v in p), dtype=np.int32, count=na * n)
         self._orders: list[int] | None = None
-        self.perm_group = PermutationGroup(
-            n,
-            [right_translation(base, g) for g in base.generating_sequence()]
-            + list(aut.generators))
-        if self.perm_group.order() != self.order:
-            raise RuntimeError(
-                "holomorph order %d does not match |N|*|Aut| = %d"
-                % (self.perm_group.order(), self.order))
 
     # -- coded pairs -----------------------------------------------------
 

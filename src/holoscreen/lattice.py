@@ -103,27 +103,12 @@ def all_subgroups(G: GroupTable, *, cap: int = SUBGROUP_CAP) -> list[Subgroup]:
     return [G.subgroup(e) for e in subs]
 
 
-def normal_subgroups(G: GroupTable, *, cap: int = SUBGROUP_CAP) -> list[Subgroup]:
+def normal_subgroups(G: GroupTable) -> list[Subgroup]:
     """All normal subgroups, sorted by (order, elements).
 
-    Filters the full lattice for small groups; for larger ones builds the
-    normal lattice directly as joins of conjugacy-class closures.
-    """
-    if G.n <= 200:
-        out = []
-        for s in all_subgroups(G, cap=cap):
-            if s.is_normal():
-                out.append(s)
-        return out
-    return normal_subgroups_by_class_joins(G)
-
-
-def normal_subgroups_by_class_joins(G: GroupTable) -> list[Subgroup]:
-    """Normal subgroups as the join-closure of conjugacy-class closures.
-
-    Independent of the lattice enumeration; every normal subgroup is a union
-    of conjugacy classes and therefore the join of the class closures it
-    contains.
+    Builds the normal lattice as the join-closure of conjugacy-class
+    closures: every normal subgroup is a union of conjugacy classes and
+    therefore the join of the class closures it contains.
     """
     seeds = {frozenset((0,)): (0,)}
     for cls in G.conjugacy_classes:

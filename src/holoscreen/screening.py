@@ -3,24 +3,25 @@
 For a fixed order n, ask whether some insolvable group G of order n could
 be a regular subgroup of the holomorph of a solvable group N of order n.
 Several necessary conditions depend only on N and on subgroup orders of
-the insolvable groups, so candidates N can be discarded wholesale:
+the insolvable groups, so candidates N can be discarded wholesale.  They
+are the rows of ``STAGES``, run cheapest first:
 
-* a regular embedding forces a solvable subgroup of G whose order is
-  |Fit(N)|, the order of the Fitting subgroup of N;
-* if Aut(N) is solvable the whole holomorph is solvable and contains no
-  insolvable subgroup at all;
-* every characteristic subgroup order of N must occur among the subgroup
-  orders of some insolvable G;
-* a characteristic subgroup of index two would force an index-two, hence
-  insolvable, subgroup of G of order n/2, reducing the question to n/2;
-* gcd(n, |Out(N)|) must be a non-solvable number.
+* fitting: a regular embedding forces a solvable subgroup of G whose
+  order is |Fit(N)|, the order of the Fitting subgroup of N;
+* aut: if Aut(N) is solvable the whole holomorph is solvable and
+  contains no insolvable subgroup at all;
+* half-index: a characteristic subgroup of index two would force an
+  index-two, hence insolvable, subgroup of G of order n/2, reducing the
+  question to n/2;
+* char-orders: every characteristic subgroup order of N must occur among
+  the subgroup orders of some insolvable G;
+* outer-gcd: gcd(n, |Out(N)|) must be a non-solvable number.
 
-The filters run cheapest first (Fitting, then Aut, then the
-characteristic-subgroup and outer-order tests).  A verdict of ``holds``
-means no solvable N survives the unconditional tests; the index-two
-reduction yields ``holds-conditional-on(n/2)``; anything else, including
-any cap violation, is ``undecided``.  Corpus completeness is a recorded
-claim that the report repeats; it is never proven here.
+A verdict of ``holds`` means no solvable N survives the unconditional
+tests; the index-two reduction yields ``holds-conditional-on(n/2)``;
+anything else, including any cap violation, is ``undecided``.  Corpus
+completeness is a recorded claim that the report repeats; it is never
+proven here.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 from .automorphisms import (AUT_TABLE_CAP, automorphism_group,
                             characteristic_subgroups, inner_and_outer)
@@ -41,12 +44,10 @@ from .numbers import default_table, is_solvable_number
 __all__ = [
     "SubgroupOrderSets",
     "build_order_sets",
-    "fitting_filter",
-    "aut_filter",
-    "half_index_filter",
-    "char_orders_filter",
-    "outer_gcd_filter",
-    "characteristic_orders",
+    "Stage",
+    "STAGES",
+    "get_stage",
+    "Candidate",
     "GroupTrace",
     "ScreenReport",
     "screen_order",
@@ -114,50 +115,30 @@ def build_order_sets(records, n: int | None = None, *,
     return sets
 
 
-def fitting_filter(record: GroupRecord, sets: SubgroupOrderSets) -> bool:
-    """Keep N only if |Fit(N)| occurs as a solvable subgroup order."""
-    return fitting_subgroup(record.table).order in sets.solvable_orders
+@dataclass
+class Candidate:
+    """A solvable N under screening; Aut(N) and the characteristic orders
+    are computed once, and only if a stage asks for them."""
 
+    record: GroupRecord
+    sets: SubgroupOrderSets | None = None
+    aut_cap: int = AUT_TABLE_CAP
 
-def aut_filter(record: GroupRecord, aut=None) -> bool:
-    """Keep N only if Aut(N) is insolvable."""
-    aut = aut if aut is not None else automorphism_group(record.table)
-    return not aut.is_solvable()
+    @cached_property
+    def aut(self):
+        return automorphism_group(self.record.table, cap=self.aut_cap)
 
-
-def characteristic_orders(record: GroupRecord, aut=None) -> tuple[int, ...]:
-    aut = aut if aut is not None else automorphism_group(record.table)
-    subs = characteristic_subgroups(record.table, aut)
-    return tuple(sorted({sub.order for sub in subs}))
-
-
-def half_index_filter(record: GroupRecord, aut=None) -> bool:
-    """Keep N only if no characteristic subgroup has index two."""
-    n = record.order
-    if n % 2:
-        return True
-    return n // 2 not in characteristic_orders(record, aut)
-
-
-def char_orders_filter(record: GroupRecord, sets: SubgroupOrderSets,
-                       aut=None) -> bool:
-    """Keep N only if its characteristic subgroup orders all lie in the
-    subgroup orders of the insolvable groups."""
-    return set(characteristic_orders(record, aut)) <= sets.all_orders
-
-
-def outer_gcd_filter(record: GroupRecord, aut=None) -> bool:
-    """Keep N only if gcd(n, |Out(N)|) is a non-solvable number."""
-    aut = aut if aut is not None else automorphism_group(record.table)
-    _, outer = inner_and_outer(record.table, aut)
-    return not is_solvable_number(math.gcd(record.order, outer))
+    @cached_property
+    def char_orders(self) -> tuple[int, ...]:
+        subs = characteristic_subgroups(self.record.table, self.aut)
+        return tuple(sorted({sub.order for sub in subs}))
 
 
 @dataclass
 class GroupTrace:
-    """Filter-by-filter outcome for one solvable group.
+    """Stage-by-stage outcome for one solvable group; see ``STAGES``.
 
-    Later fields are None when an earlier filter already dropped the
+    Later fields are None when an earlier stage already dropped the
     group, when the outer test was skipped, or when an error occurred.
     """
 
@@ -174,34 +155,94 @@ class GroupTrace:
     seconds: float | None = None
     error: str | None = None
 
-    @property
-    def in_stage2(self) -> bool:
-        return bool(self.passed_fitting) and bool(self.aut_insolvable)
+
+@dataclass(frozen=True)
+class Stage:
+    """One necessary condition on N, as a row of ``STAGES``.
+
+    ``test(candidate, measure(candidate))`` decides whether N survives.
+    Traces record the value under ``value_key`` and the outcome under
+    ``passed_key``; text reports show ``label=value`` and, for a stage
+    without ``drop``, ``name=yes/no``.  Failing a stage with a ``drop``
+    reason ends the trace.  Failing a ``conditional`` stage reduces the
+    question to order n/2.  ``skippable`` stages are left out under
+    skip_outer.  Stages with a ``pair_reason(G, N, value)`` run in
+    ``pair_test``.
+    """
+
+    name: str
+    value_key: str | None
+    passed_key: str
+    label: str | None
+    measure: Callable
+    test: Callable
+    drop: str | None = None
+    conditional: bool = False
+    skippable: bool = False
+    pair_reason: Callable | None = None
+
+    def evaluate(self, candidate: Candidate) -> tuple[object, bool]:
+        """(value, whether N survives) for ``candidate``."""
+        value = self.measure(candidate)
+        return value, self.test(candidate, value)
+
+
+STAGES = (
+    Stage("fitting", "fitting_order", "passed_fitting", "fit",
+          lambda c: fitting_subgroup(c.record.table).order,
+          lambda c, fit: fit in c.sets.solvable_orders,
+          drop="fitting order not a solvable subgroup order",
+          pair_reason=lambda g, n, fit: (
+              f"{g} has no solvable subgroup of order |Fit({n})| = {fit}")),
+    Stage("aut", "aut_order", "aut_insolvable", "|Aut|",
+          lambda c: c.aut.order,
+          lambda c, _: not c.aut.is_solvable(),
+          drop="Aut solvable"),
+    Stage("half-index", "char_orders", "passed_half_index", "char orders",
+          lambda c: c.char_orders,
+          lambda c, char: all(2 * k != c.record.order for k in char),
+          conditional=True),
+    Stage("char-orders", None, "passed_char_orders", None,
+          lambda c: sorted(set(c.char_orders) - c.sets.all_orders),
+          lambda c, missing: not missing,
+          pair_reason=lambda g, n, missing: (
+              f"characteristic subgroup orders {missing} of {n} are not "
+              f"subgroup orders of {g}")),
+    Stage("outer-gcd", "outer_order", "passed_outer_gcd", "|Out|",
+          lambda c: inner_and_outer(c.record.table, c.aut)[1],
+          lambda c, outer: not is_solvable_number(
+              math.gcd(c.record.order, outer)),
+          skippable=True),
+)
+
+
+# The JSON keys of a trace entry, between "name" and "error".
+TRACE_KEYS = tuple(key for s in STAGES for key in (s.value_key, s.passed_key)
+                   if key)
+
+
+def get_stage(name: str) -> Stage:
+    for entry in STAGES:
+        if entry.name == name:
+            return entry
+    raise ValueError(f"unknown stage {name!r}")
 
 
 def _trace_one(args) -> GroupTrace:
     record, sets, skip_outer, aut_cap, timed = args
     start = time.monotonic() if timed else None
     trace = GroupTrace(name=record.name)
+    candidate = Candidate(record, sets, aut_cap)
     try:
-        trace.fitting_order = fitting_subgroup(record.table).order
-        trace.passed_fitting = trace.fitting_order in sets.solvable_orders
-        if trace.passed_fitting:
-            aut = automorphism_group(record.table, cap=aut_cap)
-            trace.aut_order = aut.order
-            trace.aut_insolvable = not aut.is_solvable()
-            if trace.aut_insolvable:
-                trace.char_orders = characteristic_orders(record, aut)
-                n = record.order
-                trace.passed_half_index = (n % 2 == 1
-                                           or n // 2 not in trace.char_orders)
-                trace.passed_char_orders = (
-                    set(trace.char_orders) <= sets.all_orders)
-                if not skip_outer:
-                    _, outer = inner_and_outer(record.table, aut)
-                    trace.outer_order = outer
-                    trace.passed_outer_gcd = not is_solvable_number(
-                        math.gcd(n, outer))
+        for entry in STAGES:
+            if skip_outer and entry.skippable:
+                continue
+            value, passed = entry.evaluate(candidate)
+            if entry.value_key:
+                setattr(trace, entry.value_key, value)
+            setattr(trace, entry.passed_key, passed)
+            if entry.drop and not passed:
+                break
     except (CapExceeded, ValueError) as exc:
         trace.error = str(exc)
     if timed:
@@ -227,34 +268,18 @@ class ScreenReport:
     seconds: float | None = None
 
     def stage_names(self, stage: str) -> tuple[str, ...]:
-        """Names surviving a given stage: one of fitting, aut, half-index,
-        char-orders, outer-gcd, unconditional, conditional."""
-        out = []
-        for t in self.traces:
-            if t.error:
-                continue
-            if stage == "fitting":
-                keep = bool(t.passed_fitting)
-            elif stage == "aut":
-                keep = t.in_stage2
-            elif stage == "half-index":
-                keep = t.in_stage2 and bool(t.passed_half_index)
-            elif stage == "char-orders":
-                keep = t.in_stage2 and bool(t.passed_char_orders)
-            elif stage == "outer-gcd":
-                keep = t.in_stage2 and bool(t.passed_outer_gcd)
-            elif stage == "unconditional":
-                keep = (t.in_stage2 and bool(t.passed_char_orders)
-                        and (self.skip_outer or bool(t.passed_outer_gcd)))
-            elif stage == "conditional":
-                keep = (t.in_stage2 and bool(t.passed_char_orders)
-                        and (self.skip_outer or bool(t.passed_outer_gcd))
-                        and bool(t.passed_half_index))
-            else:
-                raise ValueError(f"unknown stage {stage!r}")
-            if keep:
-                out.append(t.name)
-        return tuple(out)
+        """Names past one stage of ``STAGES`` and the gates before it, or
+        past every stage (``conditional``) or every unconditional one
+        (``unconditional``); a skipped stage passes only in those two."""
+        if stage in ("unconditional", "conditional"):
+            wanted = [s for s in STAGES
+                      if not (self.skip_outer and s.skippable)
+                      and (stage == "conditional" or not s.conditional)]
+        else:
+            last = STAGES.index(get_stage(stage))
+            wanted = [s for s in STAGES[:last] if s.drop] + [STAGES[last]]
+        return tuple(t.name for t in self.traces if not t.error
+                     and all(getattr(t, s.passed_key) for s in wanted))
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -279,19 +304,11 @@ class ScreenReport:
                 "subgroup_orders": sorted(self.order_sets.all_orders),
             }
         for t in self.traces:
-            entry = {
-                "name": t.name,
-                "fitting_order": t.fitting_order,
-                "passed_fitting": t.passed_fitting,
-                "aut_order": t.aut_order,
-                "aut_insolvable": t.aut_insolvable,
-                "char_orders": list(t.char_orders) if t.char_orders is not None else None,
-                "passed_half_index": t.passed_half_index,
-                "passed_char_orders": t.passed_char_orders,
-                "outer_order": t.outer_order,
-                "passed_outer_gcd": t.passed_outer_gcd,
-                "error": t.error,
-            }
+            entry = {"name": t.name}
+            for key in TRACE_KEYS:
+                value = getattr(t, key)
+                entry[key] = list(value) if isinstance(value, tuple) else value
+            entry["error"] = t.error
             if t.seconds is not None:
                 entry["seconds"] = round(t.seconds, 6)
             doc["traces"].append(entry)
@@ -343,8 +360,10 @@ def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
                        for r in solvable_records)
     else:
         work = [(r, sets, skip_outer, aut_cap, timings) for r in solvable_records]
-        if jobs > 1 and len(work) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool starts all its workers at once, so no more than the work.
+        workers = min(jobs, len(work))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 traces = tuple(pool.map(_trace_one, work, chunksize=1))
         else:
             traces = tuple(map(_trace_one, work))
@@ -369,12 +388,6 @@ def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
     return report
 
 
-def _yesno(flag: bool | None) -> str:
-    if flag is None:
-        return "-"
-    return "yes" if flag else "no"
-
-
 def render_report(report: ScreenReport) -> str:
     """Deterministic human-readable rendering of a ScreenReport."""
     lines = [f"screen: order {report.n}"]
@@ -384,7 +397,8 @@ def render_report(report: ScreenReport) -> str:
     lines.append(f"corpus sha256: {report.corpus_hash}")
     lines.append("note: the verdict relies on the corpus completeness claim")
     if report.solvable_number is not None:
-        lines.append(f"solvable number: {_yesno(report.solvable_number)}")
+        lines.append("solvable number: "
+                     + ("yes" if report.solvable_number else "no"))
     names = ", ".join(report.insolvable_names) or "none"
     lines.append(f"insolvable groups ({len(report.insolvable_names)}): {names}")
     if report.order_sets is not None:
@@ -398,39 +412,34 @@ def render_report(report: ScreenReport) -> str:
         if t.error:
             lines.append(f"  {t.name:<{width}} error: {t.error}")
             continue
-        parts = [f"fit={t.fitting_order}"]
-        if not t.passed_fitting:
-            parts.append("dropped: fitting order not a solvable subgroup order")
-        else:
-            parts.append(f"|Aut|={t.aut_order}")
-            if not t.aut_insolvable:
-                parts.append("dropped: Aut solvable")
-            else:
-                chars = ",".join(str(k) for k in t.char_orders)
-                parts.append(f"char orders={chars}")
-                parts.append(f"half-index={_yesno(t.passed_half_index)}")
-                parts.append(f"char-orders={_yesno(t.passed_char_orders)}")
-                if not report.skip_outer:
-                    parts.append(f"|Out|={t.outer_order}")
-                    parts.append(f"outer-gcd={_yesno(t.passed_outer_gcd)}")
+        parts = []
+        for entry in STAGES:
+            passed = getattr(t, entry.passed_key)
+            if passed is None:
+                break
+            if entry.label:
+                value = getattr(t, entry.value_key)
+                if isinstance(value, tuple):
+                    value = ",".join(str(k) for k in value)
+                parts.append(f"{entry.label}={value}")
+            if not entry.drop:
+                parts.append(f"{entry.name}={'yes' if passed else 'no'}")
+            elif not passed:
+                parts.append(f"dropped: {entry.drop}")
         if t.seconds is not None:
             parts.append(f"t={t.seconds:.3f}s")
         lines.append(f"  {t.name:<{width}} " + "  ".join(parts))
-    for stage, label in [("fitting", "past fitting"), ("aut", "past aut"),
-                         ("half-index", "past half-index"),
-                         ("char-orders", "past char-orders"),
-                         ("outer-gcd", "past outer-gcd")]:
-        if report.skip_outer and stage == "outer-gcd":
-            lines.append("past outer-gcd: skipped")
+    for entry in STAGES:
+        if report.skip_outer and entry.skippable:
+            lines.append(f"past {entry.name}: skipped")
             continue
-        names = report.stage_names(stage)
-        lines.append(f"{label} ({len(names)}): " + (", ".join(names) or "-"))
-    uncond = report.stage_names("unconditional")
-    cond = report.stage_names("conditional")
-    lines.append(f"survivors, unconditional path ({len(uncond)}): "
-                 + (", ".join(uncond) or "-"))
-    lines.append(f"survivors, conditional path ({len(cond)}): "
-                 + (", ".join(cond) or "-"))
+        names = report.stage_names(entry.name)
+        lines.append(f"past {entry.name} ({len(names)}): "
+                     + (", ".join(names) or "-"))
+    for path in ("unconditional", "conditional"):
+        names = report.stage_names(path)
+        lines.append(f"survivors, {path} path ({len(names)}): "
+                     + (", ".join(names) or "-"))
     for problem in report.problems:
         lines.append(f"problem: {problem}")
     if report.seconds is not None:
@@ -463,20 +472,11 @@ def pair_test(G: GroupRecord, N: GroupRecord, *,
     if not N.is_solvable():
         raise ValueError(f"{N.name} is insolvable; the second argument must "
                          "be solvable")
-    subs = all_subgroups(G.table, cap=cap)
-    sub_orders = {s.order for s in subs}
-    solvable_orders = {s.order for s in subs if s.is_solvable()}
-    fit = fitting_subgroup(N.table).order
-    if fit not in solvable_orders:
-        return PairTestResult(
-            "excluded",
-            f"{G.name} has no solvable subgroup of order |Fit({N.name})| = {fit}")
-    aut = automorphism_group(N.table)
-    char = set(characteristic_orders(N, aut))
-    missing = sorted(char - sub_orders)
-    if missing:
-        return PairTestResult(
-            "excluded",
-            f"characteristic subgroup orders {missing} of {N.name} are not "
-            f"subgroup orders of {G.name}")
+    candidate = Candidate(N, build_order_sets([G], cap=cap))
+    for entry in STAGES:
+        if entry.pair_reason:
+            value, passed = entry.evaluate(candidate)
+            if not passed:
+                return PairTestResult(
+                    "excluded", entry.pair_reason(G.name, N.name, value))
     return PairTestResult("possible")

@@ -14,7 +14,8 @@ import pytest
 
 from holoscreen.corpus import construct, load_manifest
 from holoscreen.holomorph import (enumerate_regular_subgroups,
-                                  has_regular_embedding, holomorph)
+                                  has_regular_embedding, holomorph,
+                                  right_regular)
 from holoscreen.isomorphism import are_isomorphic
 from holoscreen.lattice import all_subgroups
 from holoscreen.numbers import (classify_order, default_table, gl_is_solvable,
@@ -129,7 +130,10 @@ def test_criterion_05_translations_found_and_holomorph_order():
         for record in manifest(name).records:
             table = record.table
             hol = holomorph(table)
-            assert hol.order == table.n * hol.aut.order
+            # Schreier-Sims on <right translations, Aut(N)>, independent of
+            # the coded order n * |Aut|.
+            perms = right_regular(table).with_generators(hol.aut.generators)
+            assert perms.order() == hol.order, record.name
             enum = enumerate_regular_subgroups(hol)
             assert enum.complete
             codes = {rec.codes for rec in enum.records}

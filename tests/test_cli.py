@@ -26,10 +26,28 @@ def test_version():
     assert info.value.code == 0
 
 
-def test_no_command_is_a_usage_error():
-    with pytest.raises(SystemExit) as info:
-        main([])
-    assert info.value.code == 2
+def test_no_command_is_a_usage_error(capsys):
+    # Exit 1 like any other error: exit 2 means "holds conditionally".
+    code, out, err = run([], capsys)
+    assert code == 1
+    assert not out
+    assert err.startswith("usage: holoscreen")
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "regulars", "cyclic(4)", "--budget", "-1"],
+    ["group", "regulars", "cyclic(4)", "--order-cap", "0"],
+    ["group", "aut", "cyclic(4)", "--aut-cap", "0"],
+    ["screen", "--corpus", CORPORA / "o4", "--subgroup-cap", "0"],
+    ["direct", "--corpus", CORPORA / "o4", "--budget", "-1"],
+    ["direct", "--corpus", CORPORA / "o4", "--timings"],
+])
+def test_bad_option_is_a_usage_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert not out
+    assert err.startswith("usage: holoscreen")
+    assert "\nerror: " in err
 
 
 def test_group_aut(capsys):
@@ -134,7 +152,7 @@ def test_screen_bad_jobs(capsys):
     code, _, err = run(["screen", "--corpus", CORPORA / "o4", "--jobs", 0],
                        capsys)
     assert code == 1
-    assert "jobs" in err
+    assert "error: argument --jobs: must be a positive integer, got 0" in err
 
 
 def test_direct_order_4(capsys):

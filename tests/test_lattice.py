@@ -1,8 +1,10 @@
 """Subgroup lattices, Sylow subgroups, p-cores, Fitting subgroups."""
 
+from pathlib import Path
+
 import pytest
 
-from holoscreen.corpus import construct
+from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
 from holoscreen.lattice import (all_subgroups, fitting_subgroup,
                                 normal_subgroups, p_core, sylow_subgroup)
@@ -10,6 +12,7 @@ from holoscreen.perms import PermutationGroup
 from holoscreen.tables import from_permutation_group
 
 A5_GENS = [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]
+CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
 
 def table_of(degree, gens):
@@ -72,6 +75,20 @@ def test_normal_subgroups():
     assert len(normal_subgroups(q8)) == 6  # every subgroup of Q8 is normal
     a5 = table_of(5, A5_GENS)
     assert sorted(s.order for s in normal_subgroups(a5)) == [1, 60]
+
+
+def test_normal_subgroups_match_lattice_filter():
+    # Reference: filter the full subgroup lattice for normal subgroups.
+    count = 0
+    for directory in sorted(CORPORA.iterdir()):
+        for record in load_manifest(directory).records:
+            table = record.table
+            expected = [s.elements for s in all_subgroups(table)
+                        if s.is_normal()]
+            got = [s.elements for s in normal_subgroups(table)]
+            assert got == expected, record.name
+            count += 1
+    assert count == 30
 
 
 def test_sylow_subgroups():

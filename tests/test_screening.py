@@ -1,17 +1,21 @@
-"""Screening pipeline: order sets, filters, reports, pair tests."""
+"""Screening pipeline: order sets, the stage table, reports, pair tests."""
 
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from holoscreen.corpus import construct, load_manifest
+from holoscreen import screening
+from holoscreen.automorphisms import AUT_TABLE_CAP
+from holoscreen.corpus import CorpusManifest, construct, load_manifest
 from holoscreen.errors import CapExceeded
-from holoscreen.screening import (REPORT_SCHEMA, aut_filter, build_order_sets,
-                                  char_orders_filter, characteristic_orders,
-                                  fitting_filter, half_index_filter,
-                                  outer_gcd_filter, pair_test, render_report,
-                                  screen_order)
+from holoscreen.lattice import fitting_subgroup
+from holoscreen.screening import (REPORT_SCHEMA, STAGES, Candidate,
+                                  SubgroupOrderSets, _trace_one,
+                                  build_order_sets, get_stage, pair_test,
+                                  render_report, screen_order)
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -68,32 +72,48 @@ def test_order_sets_input_errors(o60_records):
         build_order_sets([a5], cap=3)
 
 
+def passes(stage, record, sets=None):
+    """Whether ``record`` survives one stage on its own, ungated."""
+    return get_stage(stage).evaluate(Candidate(record, sets))[1]
+
+
+def test_stage_table():
+    assert [s.name for s in STAGES] == ["fitting", "aut", "half-index",
+                                        "char-orders", "outer-gcd"]
+    assert [s.name for s in STAGES if s.drop] == ["fitting", "aut"]
+    assert [s.name for s in STAGES if s.skippable] == ["outer-gcd"]
+    assert [s.name for s in STAGES if s.conditional] == ["half-index"]
+    assert [s.name for s in STAGES if s.pair_reason] == ["fitting",
+                                                         "char-orders"]
+
+
 def test_fitting_orders_frozen(o60_records, sets60):
     for name, expected in FITTING_ORDERS_60.items():
         record = o60_records[name]
-        from holoscreen.lattice import fitting_subgroup
         assert fitting_subgroup(record.table).order == expected, name
         # None of these orders is a solvable subgroup order of A5.
-        assert not fitting_filter(record, sets60), name
+        assert not passes("fitting", record, sets60), name
 
 
 def test_filters_on_c60(o60_records, sets60):
     c60 = o60_records["c60"]
-    # Aut(C60) is abelian of order 16, so the aut filter drops C60.
-    assert not aut_filter(c60)
-    assert characteristic_orders(c60) == (1, 2, 3, 4, 5, 6, 10, 12, 15, 20,
+    # Aut(C60) is abelian of order 16, so the aut stage drops C60.
+    assert not passes("aut", c60)
+    assert Candidate(c60).char_orders == (1, 2, 3, 4, 5, 6, 10, 12, 15, 20,
                                           30, 60)
     # 30 is characteristic of index two.
-    assert not half_index_filter(c60)
+    assert not passes("half-index", c60)
     # 15, 20, 30 are not subgroup orders of A5.
-    assert not char_orders_filter(c60, sets60)
+    assert get_stage("char-orders").evaluate(Candidate(c60, sets60)) == (
+        [15, 20, 30], False)
     # |Out(C60)| = 16 and gcd(60, 16) = 4 is a solvable number.
-    assert not outer_gcd_filter(c60)
+    assert get_stage("outer-gcd").evaluate(Candidate(c60, sets60)) == (
+        16, False)
 
 
 def test_half_index_filter_odd_order():
     c5 = load_manifest(CORPORA / "o5").records[0]
-    assert half_index_filter(c5)
+    assert passes("half-index", c5)
 
 
 def test_screen_order_60(o60):
@@ -145,6 +165,28 @@ def test_screen_parallel_matches_serial(o60):
     serial = screen_order(o60, jobs=1)
     parallel = screen_order(o60, jobs=2)
     assert serial.to_json_dict() == parallel.to_json_dict()
+
+
+def test_pool_no_larger_than_the_work(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work, chunksize):
+            return map(fn, work)
+
+    monkeypatch.setattr(screening, "ProcessPoolExecutor", SerialPool)
+    report = screen_order(CORPORA / "o4", jobs=10**6)
+    assert sizes == [2]
+    assert report.to_json() == screen_order(CORPORA / "o4").to_json()
 
 
 def test_json_report(o60):
@@ -216,7 +258,7 @@ def test_pair_test_fitting_exclusion(o60_records):
 def test_pair_test_char_orders_exclusion():
     o120 = {r.name: r for r in load_manifest(CORPORA / "o120").records}
     s4xc5 = construct("direct(symmetric(4),cyclic(5))", name="s4xc5")
-    assert characteristic_orders(s4xc5) == (1, 4, 5, 12, 20, 24, 60, 120)
+    assert Candidate(s4xc5).char_orders == (1, 4, 5, 12, 20, 24, 60, 120)
     # S5 has subgroups of every characteristic order of S4 x C5, and a
     # solvable one of order |Fit| = 20, so the pair survives.
     assert pair_test(o120["s5"], s4xc5).verdict == "possible"
@@ -237,3 +279,162 @@ def test_pair_test_preconditions(o60_records):
         pair_test(c60, c60)
     with pytest.raises(ValueError, match="must be solvable"):
         pair_test(a5, a5)
+
+
+# -- every stage, driven by synthetic order sets ---------------------------
+#
+# No shipped complete corpus gets a solvable group past the Fitting stage,
+# so these cases replace the order sets with synthetic ones.  Frozen from
+# this package: each case names the verdict and the SHA-256 of the text
+# report and of the JSON report, with skip_outer False and True.
+
+
+def divisor_sets(n, drop=()):
+    """Order sets allowing every divisor of n except those in ``drop``."""
+    orders = frozenset(d for d in range(1, n + 1)
+                       if n % d == 0 and d not in drop)
+    return SubgroupOrderSets(n, orders, orders)
+
+
+def synthetic_corpus(expr, name):
+    record = construct(expr, name=name)
+    return CorpusManifest(order=record.order, complete=True,
+                          directory=Path(f"synthetic/o{record.order}"),
+                          files=(f"{name}.grp",), records=(record,))
+
+
+@pytest.fixture(scope="module")
+def stage_cases():
+    o8 = dataclasses.replace(load_manifest(CORPORA / "o8"),
+                             directory=Path("corpora/o8"))
+    c2c2c2xc3 = synthetic_corpus("direct(abelian(2,2,2),cyclic(3))",
+                                 "c2c2c2xc3")
+    return {
+        # c2c2c2 reaches every stage and fails only outer-gcd; the other
+        # groups of order 8 have solvable Aut.
+        "o8": (o8, divisor_sets(8)),
+        "c2c2c2xc3": (c2c2c2xc3, divisor_sets(24)),
+        # 3 is a characteristic order but not an allowed subgroup order.
+        "c2c2c2xc3-no-3": (c2c2c2xc3, divisor_sets(24, drop=(3,))),
+        # Omega_1 = C2^4 is characteristic of index two.
+        "c2c2c2xc4": (synthetic_corpus("direct(abelian(2,2,2),cyclic(4))",
+                                       "c2c2c2xc4"), divisor_sets(32)),
+    }
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def screen_with_sets(monkeypatch, corpus, sets, **kwargs):
+    monkeypatch.setattr(screening, "build_order_sets",
+                        lambda *args, **kw: sets)
+    return screen_order(corpus, **kwargs)
+
+
+STAGE_GOLDEN = [
+    ("o8", False, "holds",
+     "c941b5ee1522f16d44a94b089a9daa327a0e34f5d24d9c5513a5eafc0c9a3cdc",
+     "fe9cc9d9844003a51fc59079f4387a32234cdf2681f927396de384947f4513e0"),
+    ("o8", True, "undecided",
+     "c9f1b695dfa2b254fe43df1bc615ca607a38bc60822d7335995c7bd55d0faad3",
+     "3068208ea15d5b9e385479f9ecadc80e6ae97e61a53e393fb8612c8f810db406"),
+    ("c2c2c2xc3", False, "holds",
+     "9ecdc14f52c1526de5a8fd8b81d305c3a5c53d13005c0e9d251c4d41f5ea90f9",
+     "5c14ac983a6dc76aea1dec95907aecfe79f930e6c00a8c4b689b5bb39ca17088"),
+    ("c2c2c2xc3", True, "undecided",
+     "4b5009cc2fc99af44a5d920c4b5f77f1e5aa45d3fcacf922053ecfa5d16b2326",
+     "ab1302a117ba7946df35fa9f07d606be5640f25121d4f2b55bbbc251e58e65f9"),
+    ("c2c2c2xc3-no-3", False, "holds",
+     "1f14982cd5f13e86da40fe3e1ec7806e3db9ac629f5db2e0b5e794c118b9e2d5",
+     "e9b63769834bf427aa504402b070100663e167a6a839a7d72e3bad4e546077b3"),
+    ("c2c2c2xc3-no-3", True, "holds",
+     "80ad66cc77937961150b3edcfce4678e0518c90514045e386320ff4d0bd1403b",
+     "890dc86757033c8e0142748d45c8fb9757744e404640a4f505f19306333c8166"),
+    ("c2c2c2xc4", False, "holds",
+     "16aa8053f40dc15a5a285952e55e81ac851c6c633186212b357578438c56d28f",
+     "168eccf992477e97ccc77d50c3d6815c32b4b51dcb70599d1254b3401b2f4f9e"),
+    ("c2c2c2xc4", True, "holds-conditional-on(16)",
+     "6d0c7ce40f2e2ca9d1fcd523fa5390ae670af1600e7657a968586bedeef7cd9f",
+     "16646f882406ee1103fce7a01e4e345c0b3571d26968306b0a9030e871edb3c6"),
+]
+
+
+@pytest.mark.parametrize(
+    "case,skip_outer,verdict,text_sha,json_sha", STAGE_GOLDEN,
+    ids=[f"{g[0]}-{'skip-outer' if g[1] else 'outer'}" for g in STAGE_GOLDEN])
+def test_every_stage_reports_frozen(monkeypatch, stage_cases, case,
+                                    skip_outer, verdict, text_sha, json_sha):
+    corpus, sets = stage_cases[case]
+    report = screen_with_sets(monkeypatch, corpus, sets,
+                              skip_outer=skip_outer)
+    assert report.verdict == verdict
+    assert not report.problems
+    assert sha256(render_report(report)) == text_sha
+    assert sha256(report.to_json()) == json_sha
+
+
+def test_every_stage_trace_facts(stage_cases):
+    def trace(case, name, skip_outer=False):
+        corpus, sets = stage_cases[case]
+        record = next(r for r in corpus.records if r.name == name)
+        return _trace_one((record, sets, skip_outer, AUT_TABLE_CAP, False))
+
+    for case, name, aut, char in [("o8", "c2c2c2", 168, (1, 8)),
+                                  ("c2c2c2xc3", "c2c2c2xc3", 336,
+                                   (1, 3, 8, 24))]:
+        t = trace(case, name)
+        assert (t.passed_fitting, t.aut_order, t.aut_insolvable) == (
+            True, aut, True), name
+        assert t.char_orders == char
+        assert t.passed_half_index and t.passed_char_orders
+        assert (t.outer_order, t.passed_outer_gcd) == (aut, False)
+        assert t.error is None
+        skipped = trace(case, name, skip_outer=True)
+        assert (skipped.outer_order, skipped.passed_outer_gcd) == (None, None)
+        assert skipped.passed_char_orders
+    t = trace("o8", "q8")
+    assert (t.aut_order, t.aut_insolvable, t.char_orders) == (24, False, None)
+    t = trace("c2c2c2xc3-no-3", "c2c2c2xc3")
+    assert t.passed_half_index and not t.passed_char_orders
+    t = trace("c2c2c2xc4", "c2c2c2xc4")
+    assert t.char_orders == (1, 2, 16, 32)
+    assert not t.passed_half_index and t.passed_char_orders
+
+
+def test_every_stage_o8_report_text(monkeypatch, stage_cases):
+    report = screen_with_sets(monkeypatch, *stage_cases["o8"])
+    lines = render_report(report).splitlines()
+    assert lines[9:] == [
+        "  c8     fit=8  |Aut|=4  dropped: Aut solvable",
+        "  c4xc2  fit=8  |Aut|=8  dropped: Aut solvable",
+        "  c2c2c2 fit=8  |Aut|=168  char orders=1,8  half-index=yes  "
+        "char-orders=yes  |Out|=168  outer-gcd=no",
+        "  d8     fit=8  |Aut|=8  dropped: Aut solvable",
+        "  q8     fit=8  |Aut|=24  dropped: Aut solvable",
+        "past fitting (5): c8, c4xc2, c2c2c2, d8, q8",
+        "past aut (1): c2c2c2",
+        "past half-index (1): c2c2c2",
+        "past char-orders (1): c2c2c2",
+        "past outer-gcd (0): -",
+        "survivors, unconditional path (0): -",
+        "survivors, conditional path (0): -",
+        "verdict: holds",
+    ]
+
+
+def test_every_stage_aut_cap_error(monkeypatch, stage_cases):
+    corpus, sets = stage_cases["o8"]
+    report = screen_with_sets(monkeypatch, corpus, sets, aut_cap=4)
+    assert report.verdict == "undecided"
+    assert report.problems[0] == ("c8: table size 8 exceeds automorphism "
+                                  "cap 4")
+    entry = json.loads(report.to_json())["traces"][0]
+    assert entry == {
+        "name": "c8", "fitting_order": 8, "passed_fitting": True,
+        "aut_order": None, "aut_insolvable": None, "char_orders": None,
+        "passed_half_index": None, "passed_char_orders": None,
+        "outer_order": None, "passed_outer_gcd": None,
+        "error": "table size 8 exceeds automorphism cap 4"}
+    assert "  c8     error: table size 8 exceeds automorphism cap 4" in (
+        render_report(report))
