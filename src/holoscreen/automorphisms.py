@@ -13,8 +13,8 @@ from functools import cached_property
 from .errors import CapExceeded
 from .isomorphism import automorphism_images
 from .lattice import normal_subgroups
-from .perms import PermutationGroup, Perm, compose
-from .tables import GroupTable, Subgroup
+from .perms import PermutationGroup, Perm, compose, inverse
+from .tables import GroupTable, Subgroup, commutator_series
 
 AUT_TABLE_CAP = 2000
 
@@ -48,10 +48,6 @@ class AutGroup:
         return tuple(gens)
 
     @cached_property
-    def perm_group(self) -> PermutationGroup:
-        return PermutationGroup(self.base.n, self.generators)
-
-    @cached_property
     def table(self) -> GroupTable:
         """Composition table of the automorphisms under their listed indices.
 
@@ -67,8 +63,11 @@ class AutGroup:
         return self.table.element_orders
 
     def is_solvable(self) -> bool:
-        """Solvability, decided on the permutation representation."""
-        return self.perm_group.is_solvable()
+        """Solvability, from the derived series of ``generators`` under
+        composition; the dense ``table`` is not built."""
+        series = commutator_series(self.generators, compose, inverse,
+                                   self.elements[0])
+        return len(series[-1]) == 1
 
     def __repr__(self) -> str:
         return "AutGroup(base_n=%d, order=%d)" % (self.base.n, self.order)

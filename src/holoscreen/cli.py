@@ -247,10 +247,10 @@ def cmd_group(args) -> int:
         print(f"Aut solvable: {'yes' if aut.is_solvable() else 'no'}")
         return EXIT_HOLDS
     if args.group_command == "hol":
-        hol = holomorph(table)
+        aut = automorphism_group(table)
         # Hol(N) = N x| Aut(N) is solvable exactly when N and Aut(N) are.
-        solvable = table.is_solvable() and hol.aut.is_solvable()
-        print(f"|Hol| = {hol.order} (= {table.n} * {hol.aut.order})")
+        solvable = table.is_solvable() and aut.is_solvable()
+        print(f"|Hol| = {table.n * aut.order} (= {table.n} * {aut.order})")
         print(f"Hol solvable: {'yes' if solvable else 'no'}")
         return EXIT_HOLDS
     if args.group_command == "regulars":

@@ -83,12 +83,9 @@ class GroupRecord:
     generators: tuple[Perm, ...] | None = None
     elements: tuple[Perm, ...] | None = None
     provenance: tuple[str, ...] = ()
-    solvable: bool | None = None
 
     def is_solvable(self) -> bool:
-        if self.solvable is None:
-            self.solvable = self.table.is_solvable()
-        return self.solvable
+        return self.table.is_solvable()
 
 
 def _fail(message: str, path=None, line: int | None = None):

@@ -125,7 +125,9 @@ class HolomorphGroup:
         if self._orders is None:
             n, na = self.n, self.na
             nmul = self.nmul.tolist()
-            amul = self.amul.tolist()
+            # Rows of aut.table share their int objects; amul.tolist()
+            # would allocate |Aut|^2 new ones.
+            amul = self.aut.table.mul
             act = self.act.tolist()
             total = n * na
             orders = [1] * total
@@ -135,7 +137,7 @@ class HolomorphGroup:
                 x = code
                 while x != 0:
                     a, f = divmod(x, na)
-                    x = nmul[a * n + act[f * n + b]] * na + amul[f * na + g]
+                    x = nmul[a * n + act[f * n + b]] * na + amul[f][g]
                     k += 1
                 orders[code] = k
             self._orders = orders

@@ -137,7 +137,7 @@ def morphism_images(
 
 
 def _iso_invariants(G: GroupTable):
-    sig = tuple(len(s.elements) for s in G.derived_series())
+    sig = tuple(len(term) for term in G.derived_terms)
     return (G.n, G.order_spectrum, G.is_abelian, len(G.center), sig,
             tuple(sorted(len(c) for c in G.conjugacy_classes)))
 

@@ -183,6 +183,4 @@ def fitting_subgroup(G: GroupTable) -> Subgroup:
     elems: set[int] = {0}
     for p in _prime_factors(G.n):
         elems.update(p_core(G, p).elements)
-    fit = G.subgroup(G.closure(elems), normal=True)
-    fit.solvable = True
-    return fit
+    return G.subgroup(G.closure(elems), normal=True)

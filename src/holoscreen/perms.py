@@ -237,9 +237,6 @@ class PermutationGroup:
         res, _ = self._strip(self._chain(), p)
         return is_identity(res)
 
-    def is_trivial(self) -> bool:
-        return not self.generators or self.order() == 1
-
     def elements(self, cap: int | None = None) -> list[Perm]:
         """All elements by breadth-first closure over the generators.
 
@@ -267,47 +264,6 @@ class PermutationGroup:
 
     def with_generators(self, extra: Iterable[Perm]) -> "PermutationGroup":
         return PermutationGroup(self.degree, list(self.generators) + list(extra))
-
-    # -- structure -------------------------------------------------------
-
-    def derived_subgroup(self) -> "PermutationGroup":
-        """Commutator subgroup: normal closure of generator commutators."""
-        degree = self.degree
-        comms = []
-        gens = self.generators
-        for a in gens:
-            ia = inverse(a)
-            for b in gens:
-                c = compose(compose(ia, inverse(b)), compose(a, b))
-                if not is_identity(c):
-                    comms.append(c)
-        sub = PermutationGroup(degree, comms)
-        changed = True
-        while changed:
-            changed = False
-            for g in gens:
-                ig = inverse(g)
-                for k in sub.generators:
-                    conj = compose(ig, compose(k, g))
-                    if conj not in sub:
-                        sub = sub.with_generators([conj])
-                        changed = True
-        return sub
-
-    def derived_series(self) -> list["PermutationGroup"]:
-        """Chain G >= G' >= G'' >= ... until it stabilizes."""
-        series = [self]
-        while True:
-            nxt = series[-1].derived_subgroup()
-            if nxt.order() == series[-1].order():
-                break
-            series.append(nxt)
-            if nxt.is_trivial():
-                break
-        return series
-
-    def is_solvable(self) -> bool:
-        return self.derived_series()[-1].is_trivial()
 
     def __repr__(self) -> str:
         return "PermutationGroup(degree=%d, ngens=%d)" % (

@@ -143,7 +143,7 @@ class GroupTrace:
     """
 
     name: str
-    fitting_order: int = 0
+    fitting_order: int | None = None
     passed_fitting: bool | None = None
     aut_order: int | None = None
     aut_insolvable: bool | None = None

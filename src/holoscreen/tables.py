@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -22,6 +22,63 @@ from .perms import PermutationGroup, Perm
 # being built from permutation closures, which are associative by construction.
 ASSOC_CHECK_LIMIT = 200
 TABLE_CAP = 10_000
+
+E = TypeVar("E", bound=Hashable)
+
+
+def normal_closure(seed: Iterable[E], gens: Sequence[E],
+                   mul: Callable[[E, E], E], inv: Callable[[E], E],
+                   one: E) -> tuple[list[E], list[E]]:
+    """Normal closure of ``seed`` in the group generated by ``gens``.
+
+    Returns (generators, elements) of the closure.  The subgroup grows by
+    breadth-first right multiplication; every conjugate g^-1 k g of an
+    adjoined generator k by some g in ``gens`` is queued and adjoined in
+    turn unless it already lies in the subgroup.  A subgroup that contains
+    these conjugates of its generators is normal.
+    """
+    ks: list[E] = []
+    elements = [one]
+    members = {one}
+    queue = list(seed)
+    done = 0  # elements[:done] are closed under the earlier generators
+    for k in queue:
+        if k in members:
+            continue
+        ks.append(k)
+        for i, x in enumerate(elements):
+            for h in ((k,) if i < done else ks):
+                y = mul(x, h)
+                if y not in members:
+                    members.add(y)
+                    elements.append(y)
+        done = len(elements)
+        queue.extend(mul(mul(inv(g), k), g) for g in gens)
+    return ks, elements
+
+
+def commutator_series(gens: Sequence[E], mul: Callable[[E, E], E],
+                      inv: Callable[[E], E], one: E, *,
+                      lower: bool = False) -> list[list[E]]:
+    """Derived series of G = <gens>, or with ``lower`` its lower central
+    series, as a list of element lists starting with G.
+
+    Each term after G is the normal closure in G of the commutators of the
+    previous term's generators with each other (derived series) or with
+    ``gens`` (lower central series).  The series stops at the trivial group
+    or at the first term equal to its predecessor.
+    """
+    ks, elements = normal_closure(gens, gens, mul, inv, one)
+    series = [elements]
+    while len(series[-1]) > 1:
+        others = gens if lower else ks
+        comms = [mul(mul(inv(a), inv(b)), mul(a, b))
+                 for a in ks for b in others]
+        ks, elements = normal_closure(comms, gens, mul, inv, one)
+        if len(elements) == len(series[-1]):
+            break
+        series.append(elements)
+    return series
 
 
 class GroupTable:
@@ -187,42 +244,30 @@ class GroupTable:
 
     # -- structure -------------------------------------------------------
 
-    def commutator_elements(self, a_set: Sequence[int], b_set: Sequence[int]) -> tuple[int, ...]:
-        """Subgroup generated by all commutators [a, b], a in a_set, b in b_set."""
-        comms = {self.commutator(a, b) for a in a_set for b in b_set}
-        comms.discard(0)
-        return self.closure(comms)
+    def _commutator_series(self, *, lower: bool) -> list[list[int]]:
+        m = self.mul
+        return commutator_series(self.generating_sequence(),
+                                 lambda a, b: m[a][b], self.inv.__getitem__,
+                                 0, lower=lower)
+
+    @cached_property
+    def derived_terms(self) -> tuple[tuple[int, ...], ...]:
+        """Element tuples of the derived series, computed once per table."""
+        return tuple(tuple(sorted(term))
+                     for term in self._commutator_series(lower=False))
 
     def derived_series(self) -> list["Subgroup"]:
-        series = [self.subgroup(range(self.n), normal=True)]
-        while True:
-            cur = series[-1].elements
-            nxt = self.commutator_elements(cur, cur)
-            if len(nxt) == len(cur):
-                break
-            series.append(self.subgroup(nxt, normal=True))
-            if len(nxt) == 1:
-                break
-        return series
+        return [self.subgroup(term, normal=True) for term in self.derived_terms]
 
     def is_solvable(self) -> bool:
-        return self.derived_series()[-1].order == 1
+        return len(self.derived_terms[-1]) == 1
 
     def lower_central_series(self) -> list["Subgroup"]:
-        everything = tuple(range(self.n))
-        series = [self.subgroup(everything, normal=True)]
-        while True:
-            cur = series[-1].elements
-            nxt = self.commutator_elements(everything, cur)
-            if len(nxt) == len(cur):
-                break
-            series.append(self.subgroup(nxt, normal=True))
-            if len(nxt) == 1:
-                break
-        return series
+        return [self.subgroup(term, normal=True)
+                for term in self._commutator_series(lower=True)]
 
     def is_nilpotent(self) -> bool:
-        return self.lower_central_series()[-1].order == 1
+        return len(self._commutator_series(lower=True)[-1]) == 1
 
     def quotient(self, sub: "Subgroup") -> tuple["GroupTable", "Homomorphism"]:
         """Quotient by a normal subgroup, with the projection map.
@@ -264,14 +309,13 @@ class GroupTable:
 class Subgroup:
     """A subgroup of a GroupTable, stored as a sorted element tuple.
 
-    The three flags are tri-state caches: None means not yet determined.
+    The two flags are tri-state caches: None means not yet determined.
     """
 
     parent: GroupTable
     elements: tuple[int, ...]
     normal: bool | None = None
     characteristic: bool | None = None
-    solvable: bool | None = None
 
     @property
     def order(self) -> int:
@@ -309,10 +353,7 @@ class Subgroup:
         return GroupTable(mul, validate=False), local
 
     def is_solvable(self) -> bool:
-        if self.solvable is None:
-            table, _ = self.to_table()
-            self.solvable = table.is_solvable()
-        return self.solvable
+        return self.to_table()[0].is_solvable()
 
 
 @dataclass

@@ -7,6 +7,7 @@ from holoscreen.automorphisms import (automorphism_group,
                                       inner_and_outer, inner_automorphism)
 from holoscreen.corpus import construct
 from holoscreen.errors import CapExceeded
+from holoscreen.perms import PermutationGroup
 from holoscreen.tables import Homomorphism
 
 
@@ -34,7 +35,6 @@ def test_automorphism_group_orders():
 
 
 def test_quaternion_automorphisms():
-    from holoscreen.perms import PermutationGroup
     from holoscreen.tables import from_permutation_group
 
     group = PermutationGroup(8, [(1, 2, 3, 0, 5, 6, 7, 4),
@@ -60,7 +60,7 @@ def test_elements_are_verified_automorphisms():
 def test_generators_generate():
     aut = automorphism_group(T("abelian(2,2,2)"))
     assert aut.order == 168
-    assert aut.perm_group.order() == 168
+    assert PermutationGroup(8, aut.generators).order() == 168
     assert len(aut.generators) <= 4
     assert not aut.is_solvable()
 

@@ -65,6 +65,19 @@ def test_group_hol(capsys):
     assert "Hol solvable: yes" in out
 
 
+def test_group_aut_and_hol_with_large_aut(capsys):
+    # |Aut(C2^3 x S3)| = 8064; hol reads Aut(N) without the holomorph tables.
+    target = "direct(abelian(2,2,2),symmetric(3))"
+    code, out, _ = run(["group", "aut", target], capsys)
+    assert code == 0
+    assert "|Aut| = 8064" in out
+    assert "Aut solvable: no" in out
+    code, out, _ = run(["group", "hol", target], capsys)
+    assert code == 0
+    assert "|Hol| = 387072 (= 48 * 8064)" in out
+    assert "Hol solvable: no" in out
+
+
 def test_group_regulars(capsys):
     code, out, _ = run(["group", "regulars", CORPORA / "o4" / "c4.grp"],
                        capsys)
@@ -117,6 +130,40 @@ def test_screen_writes_reports(tmp_path, capsys):
     parsed = json.loads(doc.read_text())
     assert parsed["schema"] == "holoscreen.screen/1"
     assert parsed["verdict"] == "holds"
+
+
+def test_screen_without_order_sets_reports_no_fitting_order(tmp_path,
+                                                           capsys):
+    doc = tmp_path / "report.json"
+    code, out, _ = run(["screen", "--corpus", CORPORA / "o60", "--jobs", 1,
+                        "--subgroup-cap", 1, "--json", doc], capsys)
+    assert code == 3
+    traces = json.loads(doc.read_text())["traces"]
+    assert len(traces) == 12
+    for trace in traces:
+        assert trace["fitting_order"] is None
+        assert trace["passed_fitting"] is None
+        assert trace["error"] == "order sets unavailable"
+    lines = out.splitlines()
+    start = lines.index("trace (solvable groups, corpus order):") + 1
+    assert lines[start:start + 13] == [
+        "  c60     error: order sets unavailable",
+        "  c30xc2  error: order sets unavailable",
+        "  d60     error: order sets unavailable",
+        "  s3xd10  error: order sets unavailable",
+        "  s3xc10  error: order sets unavailable",
+        "  d10xc6  error: order sets unavailable",
+        "  a4xc5   error: order sets unavailable",
+        "  f20xc3  error: order sets unavailable",
+        "  c15sc4  error: order sets unavailable",
+        "  dic15   error: order sets unavailable",
+        "  dic5xc3 error: order sets unavailable",
+        "  dic3xc5 error: order sets unavailable",
+        "past fitting (0): -",
+    ]
+    assert ("problem: subgroup enumeration for a5: group order 60 exceeds "
+            "subgroup enumeration cap 1") in lines
+    assert lines[-1] == "verdict: undecided"
 
 
 def test_screen_incomplete_corpus_is_an_error(capsys):

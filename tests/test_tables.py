@@ -1,9 +1,15 @@
 """Multiplication tables, subgroups, homomorphisms, quotients."""
 
+from pathlib import Path
+
 import pytest
 
+from holoscreen.automorphisms import automorphism_group
+from holoscreen.corpus import construct, load_manifest
 from holoscreen.perms import PermutationGroup
 from holoscreen.tables import (GroupTable, Homomorphism, from_permutation_group)
+
+CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
 
 def table_of(degree, gens, name=None):
@@ -225,3 +231,53 @@ def test_from_permutation_group_is_deterministic():
     assert t1.mul == t2.mul
     assert e1 == e2
     assert e1[0] == (0, 1, 2, 3)
+
+
+# -- commutator series against the all-pairs definition ------------------
+
+
+def all_pairs_series(table, *, lower=False):
+    """Reference: each term is generated by every commutator [a, b] with a
+    in G (lower central) or in the previous term (derived), b in that term."""
+    series = [tuple(range(table.n))]
+    while True:
+        cur = series[-1]
+        left = series[0] if lower else cur
+        nxt = table.closure({table.commutator(a, b) for a in left for b in cur})
+        if len(nxt) == len(cur):
+            return series
+        series.append(nxt)
+        if len(nxt) == 1:
+            return series
+
+
+def shipped_records():
+    return [record for directory in sorted(CORPORA.iterdir())
+            for record in load_manifest(directory).records]
+
+
+def test_series_match_all_pairs_definition():
+    records = shipped_records() + [
+        construct(expr) for expr in ("symmetric(4)", "gl(2,3)", "sl(2,5)",
+                                     "direct(abelian(2,2,2),symmetric(3))")]
+    assert len(records) == 34
+    for record in records:
+        table = record.table
+        derived = [sub.elements for sub in table.derived_series()]
+        lower = [sub.elements for sub in table.lower_central_series()]
+        assert derived == all_pairs_series(table), record.name
+        assert lower == all_pairs_series(table, lower=True), record.name
+        assert table.is_solvable() == (len(derived[-1]) == 1)
+        assert table.is_nilpotent() == (len(lower[-1]) == 1)
+
+
+def test_aut_solvability_matches_all_pairs_on_aut_table():
+    checked = 0
+    for record in shipped_records():
+        aut = automorphism_group(record.table)
+        if aut.order > 2016:
+            continue
+        reference = all_pairs_series(aut.table)
+        assert aut.is_solvable() == (len(reference[-1]) == 1), record.name
+        checked += 1
+    assert checked == 30
