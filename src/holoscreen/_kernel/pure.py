@@ -25,18 +25,16 @@ from __future__ import annotations
 def search_regular(n, na, nmul, amul, act, allowed, budget):
     """Enumerate regular subgroups of the coded holomorph.
 
-    Arguments: group order ``n``, automorphism count ``na``, flattened tables
-    ``nmul`` (n*n), ``amul`` (na*na), ``act`` (na*n with act[phi*n+b] =
-    phi(b)), per-fiber candidate lists ``allowed`` (index 0 unused), and a
+    Arguments: group order ``n``, automorphism count ``na``, flattened numpy
+    tables ``nmul`` (n*n), ``amul`` (na*na), ``act`` (na*n with act[phi*n+b]
+    = phi(b)), per-fiber candidate lists ``allowed`` (index 0 unused), and a
     node ``budget`` (None for unlimited; a node is one closure attempt).
 
     Returns (subgroups, nodes, exhausted) where each subgroup is a sorted
     tuple of element codes.
     """
-    # .tolist() turns numpy arrays into plain ints, which the tight loops need
-    nmul = nmul.tolist() if hasattr(nmul, "tolist") else list(nmul)
-    amul = amul.tolist() if hasattr(amul, "tolist") else list(amul)
-    act = act.tolist() if hasattr(act, "tolist") else list(act)
+    # plain ints for the tight loops
+    nmul, amul, act = nmul.tolist(), amul.tolist(), act.tolist()
     fiber_elem = [-1] * n
     in_set = bytearray(n * na)
     members: list[int] = []

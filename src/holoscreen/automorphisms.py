@@ -9,6 +9,7 @@ list (the holomorph search needs all of them, not just generators).
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 
 from .errors import CapExceeded
 from .isomorphism import automorphism_images
@@ -73,14 +74,20 @@ class AutGroup:
         return "AutGroup(base_n=%d, order=%d)" % (self.base.n, self.order)
 
 
-def automorphism_group(N: GroupTable, *, cap: int = AUT_TABLE_CAP) -> AutGroup:
+def automorphism_group(N: GroupTable, *, cap: int = AUT_TABLE_CAP,
+                       order_cap: int | None = None) -> AutGroup:
     """Enumerate Aut(N) by backtracking over generator images.
 
-    The cap bounds the base table size, not the automorphism count."""
+    ``cap`` bounds the base table size.  ``order_cap`` bounds |Aut(N)|: the
+    enumeration stops after one automorphism more than it allows."""
     if N.n > cap:
         raise CapExceeded("table size %d exceeds automorphism cap %d"
                           % (N.n, cap))
-    elements = [tuple(images) for images in automorphism_images(N)]
+    limit = None if order_cap is None else order_cap + 1
+    elements = [tuple(p) for p in islice(automorphism_images(N), limit)]
+    if limit is not None and len(elements) == limit:
+        raise CapExceeded("|Aut| exceeds automorphism order cap %d"
+                          % (order_cap,))
     return AutGroup(N, elements)
 
 

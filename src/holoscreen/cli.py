@@ -121,7 +121,6 @@ def cmd_direct(args) -> int:
         enum = enumerate_regular_subgroups(hol, node_budget=args.budget,
                                            order_cap=args.order_cap,
                                            backend=backend)
-        enum.classify()
         bad = enum.insolvable_records()
         note = "search budget exhausted" if enum.exhausted else "complete"
         lines.append(

@@ -13,8 +13,8 @@ sharing a first component form the fiber over ``a``; a subgroup is regular
 exactly when it hits every fiber once.
 
 Two independent searches live here.  ``enumerate_regular_subgroups`` finds
-all regular subgroups by fiber-transversal backtracking (the compiled kernel
-does the closure work).  ``has_regular_embedding`` instead fixes an abstract group
+all regular subgroups by fiber-transversal backtracking in the search
+kernel.  ``has_regular_embedding`` instead fixes an abstract group
 G and hunts for a pair of maps (f, g) from G into Aut(N) and N obeying
 
     f(s*t) = f(s) o f(t)         (f a homomorphism)
@@ -39,6 +39,7 @@ from .perms import Perm, PermutationGroup
 from .tables import GroupTable
 
 HOL_ORDER_CAP = 64
+HOL_AUT_CAP = 2048  # bounds the dense |Aut|^2 table; C7xC7 needs 2016
 DEFAULT_NODE_BUDGET = 50_000_000
 
 
@@ -69,19 +70,19 @@ class HolomorphGroup:
     def __init__(self, base: GroupTable, aut: AutGroup):
         if aut.base is not base:
             raise ValueError("automorphism group belongs to a different table")
+        if aut.order > HOL_AUT_CAP:
+            raise CapExceeded("|Aut(N)| = %d exceeds holomorph cap %d"
+                              % (aut.order, HOL_AUT_CAP))
         self.base = base
         self.aut = aut
         self.n = base.n
         self.na = aut.order
         self.order = self.n * self.na
-        n, na = self.n, self.na
-        self.nmul = np.fromiter(
-            (v for row in base.mul for v in row), dtype=np.int32, count=n * n)
+        self.nmul = np.array(base.mul, dtype=np.int32).ravel()
         self.amul = np.fromiter(
             (v for row in aut.table.mul for v in row), dtype=np.int32,
-            count=na * na)
-        self.act = np.fromiter(
-            (v for p in aut.elements for v in p), dtype=np.int32, count=na * n)
+            count=self.na ** 2)
+        self.act = np.array(aut.elements, dtype=np.int32).ravel()
         self._orders: list[int] | None = None
 
     # -- coded pairs -----------------------------------------------------
@@ -92,12 +93,13 @@ class HolomorphGroup:
     def decode(self, code: int) -> tuple[int, int]:
         return divmod(code, self.na)
 
-    def code_mul(self, x: int, y: int) -> int:
+    def code_mul(self, x, y):
+        """The coded product, on ints or elementwise on int arrays."""
         na, n = self.na, self.n
-        a, f = divmod(x, na)
-        b, g = divmod(y, na)
-        return (int(self.nmul[a * n + self.act[f * n + b]]) * na
-                + int(self.amul[f * na + g]))
+        a, f = np.divmod(x, na)
+        b, g = np.divmod(y, na)
+        return (self.nmul[a * n + self.act[f * n + b]] * na
+                + self.amul[f * na + g])
 
     def code_inv(self, x: int) -> int:
         a, f = divmod(x, self.na)
@@ -123,24 +125,17 @@ class HolomorphGroup:
     def element_orders(self) -> list[int]:
         """Order of every coded element, cached."""
         if self._orders is None:
-            n, na = self.n, self.na
-            nmul = self.nmul.tolist()
-            # Rows of aut.table share their int objects; amul.tolist()
-            # would allocate |Aut|^2 new ones.
-            amul = self.aut.table.mul
-            act = self.act.tolist()
-            total = n * na
-            orders = [1] * total
-            for code in range(1, total):
-                b, g = divmod(code, na)
-                k = 1
-                x = code
-                while x != 0:
-                    a, f = divmod(x, na)
-                    x = nmul[a * n + act[f * n + b]] * na + amul[f][g]
-                    k += 1
-                orders[code] = k
-            self._orders = orders
+            orders = np.ones(self.order, dtype=np.int64)
+            # x[i] is live[i] to the k-th power, not yet the identity.
+            live = x = np.arange(1, self.order)
+            k = 1
+            while live.size:
+                k += 1
+                x = self.code_mul(x, live)
+                done = x == 0
+                orders[live[done]] = k
+                live, x = live[~done], x[~done]
+            self._orders = orders.tolist()
         return self._orders
 
     def left_regular_codes(self) -> tuple[int, ...]:
@@ -159,19 +154,21 @@ class HolomorphGroup:
 
 
 def holomorph(N: GroupTable, aut: AutGroup | None = None) -> HolomorphGroup:
-    return HolomorphGroup(N, aut if aut is not None else automorphism_group(N))
+    """Hol(N); |Aut(N)| is capped while it streams, before any table."""
+    if aut is None:
+        aut = automorphism_group(N, order_cap=HOL_AUT_CAP)
+    return HolomorphGroup(N, aut)
 
 
 @dataclass
 class RegularSubgroupRecord:
     """One regular subgroup, as sorted element codes plus derived data.
 
-    ``fibers`` lists the image of the identity under each element in
-    code order; for a regular subgroup it is a permutation of 0..n-1.
+    A regular subgroup meets every fiber once, so ``codes[a]`` is its
+    element over fiber ``a``.
     """
 
     codes: tuple[int, ...]
-    fibers: tuple[int, ...]
     iso_type: int | None = None
     solvable: bool | None = None
 
@@ -188,7 +185,6 @@ class RegularEnumeration:
     records: list[RegularSubgroupRecord]
     nodes: int
     exhausted: bool
-    budget: int | None
     class_reps: list[GroupTable] = field(default_factory=list)
 
     @property
@@ -219,23 +215,23 @@ class RegularEnumeration:
         return reps
 
     def insolvable_records(self) -> list[RegularSubgroupRecord]:
-        out = []
-        for rec in self.records:
-            if rec.solvable is None:
-                rec.solvable = subgroup_table(self.hol, rec.codes).is_solvable()
-            if not rec.solvable:
-                out.append(rec)
-        return out
+        self.classify()
+        return [rec for rec in self.records if not rec.solvable]
 
 
 def subgroup_table(hol: HolomorphGroup, codes: Sequence[int]) -> GroupTable:
-    """Multiplication table of a set of codes closed under the product."""
-    codes = tuple(codes)
-    pos = {c: i for i, c in enumerate(codes)}
-    if codes[0] != 0:
-        raise ValueError("code set must be sorted with the identity first")
-    mul = [[pos[hol.code_mul(x, y)] for y in codes] for x in codes]
-    return GroupTable(mul, validate=False)
+    """Multiplication table of a set of codes closed under the product,
+    listed with the identity code 0 first and the rest in any order."""
+    c = np.asarray(codes)
+    if c[0] != 0:
+        raise ValueError("code set must start with the identity")
+    prod = hol.code_mul(c[:, None], c[None, :])
+    order = np.argsort(c)
+    # A product past the largest code is clipped, then fails the check below.
+    pos = order.take(np.searchsorted(c, prod, sorter=order), mode="clip")
+    if not np.array_equal(c[pos], prod):
+        raise ValueError("code set is not closed under the product")
+    return GroupTable(pos.tolist(), validate=False)
 
 
 def enumerate_regular_subgroups(
@@ -263,13 +259,9 @@ def enumerate_regular_subgroups(
     search = (backend or _kernel).search_regular
     subgroups, nodes, exhausted = search(
         n, na, hol.nmul, hol.amul, hol.act, allowed, node_budget)
-    records = []
-    for codes in subgroups:
-        codes = tuple(codes)
-        fibers = tuple(c // na for c in codes)
-        records.append(RegularSubgroupRecord(codes=codes, fibers=fibers))
+    records = [RegularSubgroupRecord(codes=tuple(codes)) for codes in subgroups]
     return RegularEnumeration(hol=hol, records=records, nodes=nodes,
-                              exhausted=exhausted, budget=node_budget)
+                              exhausted=exhausted)
 
 
 def is_regular_subgroup(perms: Iterable[Perm], degree: int) -> bool:

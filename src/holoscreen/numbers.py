@@ -203,14 +203,17 @@ def square_free_status(
     if n < 1:
         raise ValueError("argument must be positive")
     m = n
+    # A prime cofactor ends the search without walking the trial primes.
+    prime = isprime(m)
     for p in primerange(2, trial_bound + 1):
-        if p * p > m:
+        if prime or p * p > m:
             break
         if m % p == 0:
             m //= p
             if m % p == 0:
                 return False, p
-    if m == 1 or isprime(m):
+            prime = isprime(m)
+    if m == 1 or prime:
         return True, None
     # m is composite with no prime factor below the trial bound.
     return _square_free_tail(m)

@@ -78,6 +78,16 @@ def test_group_aut_and_hol_with_large_aut(capsys):
     assert "Hol solvable: no" in out
 
 
+@pytest.mark.parametrize("target", ["abelian(2,2,2,2)", "abelian(11,11)"])
+def test_group_regulars_caps_large_aut(target, capsys):
+    # |Aut| is 20160 and 13200: the cap fires while Aut(N) streams, before
+    # the dense |Aut|^2 table is built.
+    code, out, err = run(["group", "regulars", target], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "cap 2048" in err
+
+
 def test_group_regulars(capsys):
     code, out, _ = run(["group", "regulars", CORPORA / "o4" / "c4.grp"],
                        capsys)
@@ -218,11 +228,15 @@ def test_direct_backend_selection(capsys):
     assert "(kernel backend: pure)" in out
     code, out, _ = run(["direct", "--corpus", CORPORA / "o4"], capsys)
     assert f"(kernel backend: {BACKEND_NAME})" in out
-    if HAVE_COMPILED:
-        code, out, _ = run(["direct", "--corpus", CORPORA / "o4",
-                            "--backend", "compiled"], capsys)
-        assert code == 0
-        assert "(kernel backend: compiled)" in out
+
+
+@pytest.mark.skipif(not HAVE_COMPILED,
+                    reason="compiled kernel not built; nothing to compare")
+def test_direct_compiled_backend(capsys):
+    code, out, _ = run(["direct", "--corpus", CORPORA / "o4", "--backend",
+                        "compiled"], capsys)
+    assert code == 0
+    assert "(kernel backend: compiled)" in out
 
 
 def test_direct_incomplete_corpus_is_undecided(capsys):

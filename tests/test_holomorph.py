@@ -1,11 +1,16 @@
 """Holomorph construction, regular-subgroup enumeration, crossed-pair search."""
 
+import importlib
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from holoscreen.automorphisms import automorphism_group
-from holoscreen.corpus import construct
+from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
-from holoscreen.holomorph import (EmbeddingSearchResult, enumerate_regular_subgroups,
+from holoscreen.holomorph import (HOL_AUT_CAP, EmbeddingSearchResult,
+                                  enumerate_regular_subgroups,
                                   has_regular_embedding, holomorph,
                                   is_regular_subgroup, left_regular,
                                   left_translation, record_permutations,
@@ -13,10 +18,31 @@ from holoscreen.holomorph import (EmbeddingSearchResult, enumerate_regular_subgr
                                   subgroup_table, verify_crossed_pair)
 from holoscreen.isomorphism import are_isomorphic
 from holoscreen.perms import compose, identity_perm, perm_order
+from holoscreen.tables import GroupTable
+
+# The package exports the function ``holomorph`` under the module's name.
+holomorph_module = importlib.import_module("holoscreen.holomorph")
+
+CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
 
 def T(expr):
     return construct(expr).table
+
+
+def scalar_code_mul(hol, x, y):
+    """(a, phi) * (b, psi) = (a * phi(b), phi o psi), one pair at a time
+    from the base table and the automorphism list, as a reference."""
+    a, f = divmod(x, hol.na)
+    b, g = divmod(y, hol.na)
+    return (hol.base.mul[a][hol.aut.elements[f][b]] * hol.na
+            + hol.aut.table.mul[f][g])
+
+
+def reference_table(hol, codes):
+    pos = {c: i for i, c in enumerate(codes)}
+    return GroupTable([[pos[scalar_code_mul(hol, x, y)] for y in codes]
+                       for x in codes], validate=False)
 
 
 def test_translations():
@@ -76,10 +102,45 @@ def test_code_of_perm_rejects_outsiders():
 
 
 def test_element_orders_match_permutation_orders():
-    hol = holomorph(T("cyclic(6)"))
-    orders = hol.element_orders()
-    for code in range(hol.order):
-        assert orders[code] == perm_order(hol.perm_of_code(code))
+    for expr in ("cyclic(6)", "symmetric(3)", "dihedral(8)", "alternating(4)",
+                 "abelian(2,2,2)"):
+        hol = holomorph(T(expr))
+        assert hol.element_orders() == [perm_order(hol.perm_of_code(code))
+                                        for code in range(hol.order)], expr
+
+
+def test_array_code_mul_matches_scalar():
+    hol = holomorph(T("symmetric(3)"))
+    codes = np.arange(hol.order)
+    grid = hol.code_mul(codes[:, None], codes[None, :])
+    assert grid.shape == (hol.order, hol.order)
+    for x in range(hol.order):
+        for y in range(hol.order):
+            assert (grid[x, y] == hol.code_mul(x, y)
+                    == scalar_code_mul(hol, x, y))
+
+
+def subgroup_table_cases():
+    hol = holomorph(T("cyclic(4)"))
+    yield hol, tuple(range(8))
+    bases = [T(e) for e in ("cyclic(8)", "dihedral(8)", "alternating(4)")]
+    bases += [r.table for r in load_manifest(CORPORA / "o60").records
+              if r.name == "a4xc5"]
+    assert len(bases) == 4
+    for base in bases:
+        hol = holomorph(base)
+        for rec in enumerate_regular_subgroups(hol).records:
+            yield hol, rec.codes
+
+
+def test_subgroup_table_matches_scalar_reference():
+    for hol, codes in subgroup_table_cases():
+        # Only the identity has to come first.
+        for order in (codes, codes[:1] + codes[:0:-1]):
+            table = subgroup_table(hol, order)
+            expected = reference_table(hol, order)
+            assert table.mul == expected.mul
+            assert table.inv == expected.inv
 
 
 def test_encode_decode():
@@ -146,7 +207,7 @@ def test_every_record_replays_as_regular():
         for rec in enum.records:
             assert rec.codes[0] == 0
             assert list(rec.codes) == sorted(rec.codes)
-            assert sorted(rec.fibers) == list(range(hol.n))
+            assert [c // hol.na for c in rec.codes] == list(range(hol.n))
             assert is_regular_subgroup(record_permutations(hol, rec), hol.n)
         # Both canonical regular representations occur among the records.
         code_sets = {rec.codes for rec in enum.records}
@@ -242,6 +303,34 @@ def test_subgroup_table_requires_identity_first():
     hol = holomorph(T("cyclic(4)"))
     with pytest.raises(ValueError):
         subgroup_table(hol, (1, 0, 2, 3))
+
+
+def test_subgroup_table_rejects_unclosed_codes():
+    hol = holomorph(T("cyclic(4)"))
+    # (1, id) squares to (2, id), code 4, which is missing.
+    with pytest.raises(ValueError, match="not closed"):
+        subgroup_table(hol, (0, 2))
+    with pytest.raises(ValueError, match="not closed"):
+        subgroup_table(hol, (0, 2, 7))
+
+
+def test_holomorph_caps_the_automorphism_count(monkeypatch):
+    # The largest Aut(N) in use, GL(2,7) for C7xC7, streams under the cap.
+    assert automorphism_group(T("abelian(7,7)"),
+                              order_cap=HOL_AUT_CAP).order == 2016
+    n = T("abelian(2,2,2)")
+    aut = automorphism_group(n)
+    assert aut.order == 168
+    assert automorphism_group(n, order_cap=168).order == 168
+    with pytest.raises(CapExceeded):
+        automorphism_group(n, order_cap=167)
+    monkeypatch.setattr(holomorph_module, "HOL_AUT_CAP", 167)
+    with pytest.raises(CapExceeded):
+        holomorph(n)
+    with pytest.raises(CapExceeded):
+        holomorph(n, aut)
+    monkeypatch.setattr(holomorph_module, "HOL_AUT_CAP", 168)
+    assert holomorph(n).na == holomorph(n, aut).na == 168
 
 
 def test_identity_perm_roundtrip():

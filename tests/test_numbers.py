@@ -108,6 +108,8 @@ def test_square_free_status():
     assert square_free_status(4) == (False, 2)
     assert square_free_status(45) == (False, 3)
     assert square_free_status(2**61 - 1) == (True, None)  # Mersenne prime
+    assert square_free_status(2 * (2**61 - 1)) == (True, None)
+    assert square_free_status(4 * (2**61 - 1)) == (False, 2)
     status, witness = square_free_status(3**4 * (2**61 - 1))
     assert status is False and witness == 3
     # A square of a large prime, found past the trial bound.
