@@ -33,8 +33,12 @@ def search_regular(n, na, nmul, amul, act, allowed, budget):
     Returns (subgroups, nodes, exhausted) where each subgroup is a sorted
     tuple of element codes.
     """
-    # plain ints for the tight loops
-    nmul, amul, act = nmul.tolist(), amul.tolist(), act.tolist()
+    # Plain ints for the tight loops.  A list indexes about twice as fast
+    # as a memoryview, and while every index is below 257 its entries are
+    # CPython's shared small ints, so it costs only its pointers; a larger
+    # |Aut|^2 table would be mostly new ints, so it is read in place.
+    nmul, act = nmul.tolist(), act.tolist()
+    amul = amul.tolist() if na <= 257 else memoryview(amul)
     fiber_elem = [-1] * n
     in_set = bytearray(n * na)
     members: list[int] = []

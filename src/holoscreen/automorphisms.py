@@ -11,6 +11,8 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import islice
 
+import numpy as np
+
 from .errors import CapExceeded
 from .isomorphism import automorphism_images
 from .lattice import normal_subgroups
@@ -21,7 +23,11 @@ AUT_TABLE_CAP = 2000
 
 
 class AutGroup:
-    """The automorphism group of a base table, with every element listed."""
+    """The automorphism group of a base table, with every element listed.
+
+    ``table`` is the composition table as an int32 array, which the
+    holomorph search reads; ``group_table`` wraps it as a GroupTable for
+    the crossed-map search.  Both are built on first use."""
 
     def __init__(self, base: GroupTable, elements: list[Perm]):
         self.base = base
@@ -49,23 +55,53 @@ class AutGroup:
         return tuple(gens)
 
     @cached_property
-    def table(self) -> GroupTable:
-        """Composition table of the automorphisms under their listed indices.
+    def table(self) -> np.ndarray:
+        """Composition table, an int32 (|Aut|, |Aut|) array:
+        ``table[i, j]`` indexes ``compose(elements[i], elements[j])``, and
+        index 0 is the identity (the list is sorted).
 
-        Index 0 is the identity automorphism because the element list is
-        sorted and every automorphism fixes the group identity.
+        Row i is composed at once as ``E[i][E]``.  An automorphism is
+        determined by its images of the base's generating sequence, read as
+        digits base n; the greedy sequence has at most log2(n) terms, so the
+        key fits an int64 for every base of order below 256.  Each
+        looked-up row is compared in full with its composed row, so a bad
+        key raises ``ValueError``, never mis-indexes.
         """
-        mul = [[self.index[compose(p, q)] for q in self.elements]
-               for p in self.elements]
-        return GroupTable(mul, validate=False)
+        n, na = self.base.n, self.order
+        E = np.array(self.elements, dtype=np.intp)
+        gens = list(self.base.generating_sequence())
+        if n ** len(gens) > np.iinfo(np.int64).max:
+            raise ValueError("generator images do not fit an int64 key")
+        weight = n ** np.arange(len(gens), dtype=np.int64)
+        keys = E[:, gens] @ weight
+        order = np.argsort(keys)
+        keys = keys[order]
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("two automorphisms agree on the generators")
+        table = np.empty((na, na), dtype=np.int32)
+        for i in range(na):
+            rows = E[i][E]
+            # A key past the largest is clipped, then fails the check below.
+            pos = order.take(np.searchsorted(keys, rows[:, gens] @ weight),
+                             mode="clip")
+            if not np.array_equal(E[pos], rows):
+                raise ValueError("a composed map is not a listed automorphism")
+            table[i] = pos
+        return table
+
+    @cached_property
+    def group_table(self) -> GroupTable:
+        """``table`` wrapped as a GroupTable, for the crossed-map search;
+        regular-subgroup enumeration never builds it."""
+        return GroupTable(self.table.tolist(), validate=False)
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        return self.table.element_orders
+        return self.group_table.element_orders
 
     def is_solvable(self) -> bool:
         """Solvability, from the derived series of ``generators`` under
-        composition; the dense ``table`` is not built."""
+        composition; neither ``table`` nor ``group_table`` is built."""
         series = commutator_series(self.generators, compose, inverse,
                                    self.elements[0])
         return len(series[-1]) == 1

@@ -39,7 +39,7 @@ from .perms import Perm, PermutationGroup
 from .tables import GroupTable
 
 HOL_ORDER_CAP = 64
-HOL_AUT_CAP = 2048  # bounds the dense |Aut|^2 table; C7xC7 needs 2016
+HOL_AUT_CAP = 2048  # bounds the int32 |Aut|^2 table (16 MB); C7xC7 needs 2016
 DEFAULT_NODE_BUDGET = 50_000_000
 
 
@@ -79,9 +79,7 @@ class HolomorphGroup:
         self.na = aut.order
         self.order = self.n * self.na
         self.nmul = np.array(base.mul, dtype=np.int32).ravel()
-        self.amul = np.fromiter(
-            (v for row in aut.table.mul for v in row), dtype=np.int32,
-            count=self.na ** 2)
+        self.amul = aut.table.ravel()
         self.act = np.array(aut.elements, dtype=np.int32).ravel()
         self._orders: list[int] | None = None
 
@@ -103,7 +101,8 @@ class HolomorphGroup:
 
     def code_inv(self, x: int) -> int:
         a, f = divmod(x, self.na)
-        fi = self.aut.table.inv[f]
+        # Row f holds every index once; the identity 0 sits at f's inverse.
+        fi = int(self.aut.table[f].argmin())
         return self.encode(int(self.act[fi * self.n + self.base.inv[a]]), fi)
 
     def perm_of_code(self, code: int) -> Perm:
@@ -307,11 +306,11 @@ def verify_crossed_pair(G: GroupTable, N: GroupTable, aut: AutGroup,
         return False
     if sorted(g) != list(range(N.n)):
         return False
-    atab = aut.table
+    amul = aut.group_table.mul
     for s in range(G.n):
         for t in range(G.n):
             st = G.mul[s][t]
-            if f[st] != atab.mul[f[s]][f[t]]:
+            if f[st] != amul[f[s]][f[t]]:
                 return False
             if g[st] != N.mul[g[s]][aut.elements[f[s]][g[t]]]:
                 return False
@@ -417,7 +416,7 @@ def has_regular_embedding(
                     return hit
         return False
 
-    for f in hom_images(G, aut.table,
+    for f in hom_images(G, aut.group_table,
                         order_of=lambda x: aut.element_orders[x]):
         if rec(0, f):
             break

@@ -1,18 +1,30 @@
 """Automorphism groups: orders, inner/outer split, characteristic subgroups."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from holoscreen.automorphisms import (automorphism_group,
+from holoscreen.automorphisms import (AutGroup, automorphism_group,
                                       characteristic_subgroups,
                                       inner_and_outer, inner_automorphism)
-from holoscreen.corpus import construct
+from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
-from holoscreen.perms import PermutationGroup
+from holoscreen.perms import PermutationGroup, compose
 from holoscreen.tables import Homomorphism
+
+CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
 
 def T(expr):
     return construct(expr).table
+
+
+def composition_reference(aut):
+    """The composition table by definition, as a reference: one ``compose``
+    and one index lookup per entry, ``[i][j]`` for elements[i] o elements[j]."""
+    E = aut.elements
+    return [[aut.index[compose(p, q)] for q in E] for p in E]
 
 
 def test_automorphism_group_orders():
@@ -68,9 +80,47 @@ def test_generators_generate():
 def test_aut_table_matches_composition():
     aut = automorphism_group(T("symmetric(3)"))
     table = aut.table
-    assert table.n == 6
-    assert table.is_solvable()
+    assert isinstance(table, np.ndarray)
+    assert table.dtype == np.int32 and table.shape == (6, 6)
+    assert table.tolist() == composition_reference(aut)
+    view = aut.group_table
+    assert view.n == 6
+    assert view.mul == tuple(tuple(row) for row in table.tolist())
+    assert view.is_solvable()
     assert aut.element_orders[0] == 1
+    assert sorted(aut.element_orders) == [1, 2, 2, 2, 3, 3]  # Aut(S3) = S3
+
+
+def test_aut_table_matches_reference_on_shipped_bases():
+    bases = [record.table for directory in sorted(CORPORA.iterdir())
+             for record in load_manifest(directory).records]
+    assert len(bases) == 30
+    bases += [T("abelian(5,5)"), T("abelian(5,5,2)")]
+    for base in bases:
+        aut = automorphism_group(base)
+        assert aut.table.tolist() == composition_reference(aut), base.name
+    assert aut.order == 480
+
+
+def test_aut_table_rejects_lists_that_are_not_groups():
+    base = T("abelian(2,2)")
+    aut = automorphism_group(base)
+    assert aut.order == 6
+    # Five of the six automorphisms are not closed under composition.
+    for dropped in range(1, 6):
+        elements = aut.elements[:dropped] + aut.elements[dropped + 1:]
+        with pytest.raises(ValueError, match="not a listed automorphism"):
+            AutGroup(base, list(elements)).table
+    # Two maps that agree on the generators cannot both be automorphisms.
+    c4 = T("cyclic(4)")
+    assert c4.generating_sequence() == (1,)
+    with pytest.raises(ValueError, match="agree on the generators"):
+        AutGroup(c4, [(0, 1, 2, 3), (0, 1, 3, 2)]).table
+    # C2^8 has 8 generators, and 256**8 does not fit an int64 key.
+    c2_8 = T("abelian(2,2,2,2,2,2,2,2)")
+    assert len(c2_8.generating_sequence()) == 8
+    with pytest.raises(ValueError, match="do not fit an int64 key"):
+        AutGroup(c2_8, [tuple(range(256))]).table
 
 
 def test_inner_and_outer():

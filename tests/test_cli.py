@@ -81,7 +81,7 @@ def test_group_aut_and_hol_with_large_aut(capsys):
 @pytest.mark.parametrize("target", ["abelian(2,2,2,2)", "abelian(11,11)"])
 def test_group_regulars_caps_large_aut(target, capsys):
     # |Aut| is 20160 and 13200: the cap fires while Aut(N) streams, before
-    # the dense |Aut|^2 table is built.
+    # the |Aut|^2 composition array is built.
     code, out, err = run(["group", "regulars", target], capsys)
     assert code == 1
     assert out == ""

@@ -1,5 +1,6 @@
 """Holomorph construction, regular-subgroup enumeration, crossed-pair search."""
 
+import functools
 import importlib
 from pathlib import Path
 
@@ -36,7 +37,14 @@ def scalar_code_mul(hol, x, y):
     a, f = divmod(x, hol.na)
     b, g = divmod(y, hol.na)
     return (hol.base.mul[a][hol.aut.elements[f][b]] * hol.na
-            + hol.aut.table.mul[f][g])
+            + composed_index(hol.aut, f, g))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def composed_index(aut, f, g):
+    """Index of elements[f] o elements[g], from ``compose`` and the index
+    dict; not read from ``aut.table``."""
+    return aut.index[compose(aut.elements[f], aut.elements[g])]
 
 
 def reference_table(hol, codes):
@@ -315,9 +323,10 @@ def test_subgroup_table_rejects_unclosed_codes():
 
 
 def test_holomorph_caps_the_automorphism_count(monkeypatch):
-    # The largest Aut(N) in use, GL(2,7) for C7xC7, streams under the cap.
-    assert automorphism_group(T("abelian(7,7)"),
-                              order_cap=HOL_AUT_CAP).order == 2016
+    # The largest Aut(N) in use, GL(2,7) for C7xC7, fits under the cap.
+    hol = holomorph(T("abelian(7,7)"))
+    assert hol.na == 2016 <= HOL_AUT_CAP
+    assert hol.order == 49 * 2016
     n = T("abelian(2,2,2)")
     aut = automorphism_group(n)
     assert aut.order == 168
@@ -331,6 +340,17 @@ def test_holomorph_caps_the_automorphism_count(monkeypatch):
         holomorph(n, aut)
     monkeypatch.setattr(holomorph_module, "HOL_AUT_CAP", 168)
     assert holomorph(n).na == holomorph(n, aut).na == 168
+
+
+def test_enumeration_builds_no_aut_group_table():
+    hol = holomorph(T("abelian(5,5)"))
+    enum = enumerate_regular_subgroups(hol)
+    enum.classify()
+    assert (len(enum.records), len(enum.class_reps), enum.nodes) == (25, 1, 650)
+    assert np.shares_memory(hol.amul, hol.aut.__dict__["table"])
+    # Only the crossed-map search wraps the array as a GroupTable.
+    assert "group_table" not in hol.aut.__dict__
+    assert "element_orders" not in hol.aut.__dict__
 
 
 def test_identity_perm_roundtrip():

@@ -31,6 +31,7 @@ HOLOMORPH_BASES = [
     "abelian(2,2,2)",
     "dihedral(12)",
     "alternating(4)",
+    "abelian(5,5)",  # |Aut| = 480: the pure kernel reads amul in place
 ]
 
 
