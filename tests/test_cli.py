@@ -1,5 +1,6 @@
 """Command-line interface, run in process via main(argv)."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -275,6 +276,46 @@ def test_direct_wrong_order(capsys):
                        capsys)
     assert code == 1
     assert "corpus has order 4" in err
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+DIRECT_GOLDEN = [
+    # o60 under a budget: seven bases stop early with partial record lists.
+    (("o12",), 0,
+     "d3d762905db90841fdbd2555cd4184a32ebf3ac18fb9b2ce38e7d003bf9b1d9c",
+     "edfeeaacef5d54a7772e04cd0cf2dafc1bf7141b9a6c42531f5d0d8f3f08bdff"),
+    (("o60", "--budget", 5000), 3,
+     "2cc90269a8f59a1900827e2efa0b2e904beb8b2d8bba56e3a406784735cac0e6",
+     "42d256c6cf87d99af1a38be4f8f59796e5f981e2c3fd83f7bd994ba22492cb03"),
+]
+
+
+@pytest.mark.parametrize("args,exit_code,text_sha,json_sha", DIRECT_GOLDEN,
+                         ids=["o12", "o60-budget-5000"])
+def test_direct_reports_frozen(tmp_path, capsys, args, exit_code, text_sha,
+                               json_sha):
+    doc = tmp_path / "direct.json"
+    corpus, *rest = args
+    code, out, _ = run(["direct", "--corpus", CORPORA / corpus, "--backend",
+                        "pure", "--json", doc, *rest], capsys)
+    assert code == exit_code
+    assert sha256(out) == text_sha
+    assert sha256(doc.read_text()) == json_sha
+
+
+@pytest.mark.parametrize("target,text_sha", [
+    ("abelian(5,5,2)",
+     "be25ecbcdca0b7b8baa3422dee625e71262d5ea309c90806349b7f40fba3e20c"),
+    ("dihedral(12)",
+     "5050874a2c338bb626be375694f63eb01bf43e269f30d1da29fa07398bdd9b8f"),
+])
+def test_group_regulars_frozen(capsys, target, text_sha):
+    code, out, _ = run(["group", "regulars", target], capsys)
+    assert code == 0
+    assert sha256(out) == text_sha
 
 
 def test_classify_family_member(capsys):
