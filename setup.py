@@ -3,9 +3,12 @@
 The package is pure Python except for one hot spot: the fiber-transversal
 closure search used to enumerate regular subgroups of a holomorph.  That
 kernel exists twice, once in Cython (holoscreen._kernel._fiber) and once in
-plain Python (holoscreen._kernel.pure).  If the extension cannot be built the
+plain Python (holoscreen._kernel.pure).  The two keep one contract, not one
+set of statements: the same records in the same order, the same node count,
+and the same partial result under a node budget, which
+tests/test_kernel_backends.py checks.  If the extension cannot be built the
 install still succeeds and the package falls back to the pure version at
-import time.  The traced direct-o60 run of perfbench/run.py compares the two.
+import time.
 """
 
 import os

@@ -1,9 +1,11 @@
 """Backend selection for the regular-subgroup search kernel.
 
-The compiled Cython kernel and the pure-Python fallback implement the same
-contract bit for bit; whichever is available is picked at import time.  Set
-HOLOSCREEN_PURE=1 to force the fallback (useful for the differential tests
-and the benchmark).
+The compiled Cython kernel and the pure-Python fallback keep one contract:
+the same records in the same order, the same node count, and the same
+partial result under a node budget (tests/test_kernel_backends.py checks
+it, in full and under budgets).  Whichever is available is picked at import
+time.  Set HOLOSCREEN_PURE=1 to force the fallback (useful for the
+differential tests and the benchmark).
 """
 
 import os

@@ -1,9 +1,13 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
 """Compiled regular-subgroup search kernel.
 
-Statement-for-statement twin of holoscreen._kernel.pure; see that module for
-the algorithm notes.  Inputs are flattened int32 tables; outputs, node counts
-and result order match the pure version exactly.
+Keeps the contract of holoscreen._kernel.pure, whose notes describe the
+search: from the same flattened int32 tables it returns the same records in
+the same order, the same node count, and the same partial result when the
+budget runs out.  It closes a subgroup by multiplying each new element with
+every member in both orders, where the pure kernel lists right cosets; both
+reject on the same fiber conflicts and reach the same groups.
+tests/test_kernel_backends.py holds the two kernels to this contract.
 """
 
 from libc.stdlib cimport free, malloc

@@ -8,15 +8,23 @@ fiber and is closed under the semidirect product
     (a, phi) * (b, psi) = (a * phi(b), phi o psi).
 
 The search fixes the identity fiber, repeatedly branches on the smallest
-uncovered fiber, and maintains the closure of the chosen elements
-incrementally.  Two prunes keep the tree small: candidates are restricted per
-fiber up front (the caller filters by element order), and any intermediate
-closure whose size does not divide the target order is rejected, since it
-could never sit inside a regular subgroup.  Each regular subgroup is reached
-along exactly one branch path, so no deduplication is needed; results appear
-in deterministic discovery order.
+uncovered fiber, and keeps the chosen elements closed: the members always
+form a group H, generated by the elements adjoined along the current branch
+path.  Adjoining x lists <H, x> one right coset H*y at a time (Dimino's
+algorithm): start from y = x, and queue y*s for every generator s whose
+product is not yet listed.  The first element that lands on an occupied
+fiber rejects x, since <H, x> then meets that fiber twice.  Two prunes keep
+the tree small: candidates are restricted per fiber up front (the caller
+filters by element order), and any intermediate group whose size does not
+divide the target order is rejected, since it could never sit inside a
+regular subgroup.  Each regular subgroup is reached along exactly one branch
+path, so no deduplication is needed; results appear in deterministic
+discovery order.
 
-The compiled twin in _fiber.pyx follows this file statement for statement.
+The compiled kernel in _fiber.pyx keeps the same contract: the same records
+in the same order, the same node count, and the same partial result when
+the budget runs out.  tests/test_kernel_backends.py holds the two to it on
+every base there, in full and under budgets.
 """
 
 from __future__ import annotations
@@ -39,47 +47,53 @@ def search_regular(n, na, nmul, amul, act, allowed, budget):
     # |Aut|^2 table would be mostly new ints, so it is read in place.
     nmul, act = nmul.tolist(), act.tolist()
     amul = amul.tolist() if na <= 257 else memoryview(amul)
+    # fiber_elem[a] is the member over fiber a, or -1.  Members sit on
+    # distinct fibers, so t is a member exactly when fiber_elem[t // na] == t.
     fiber_elem = [-1] * n
-    in_set = bytearray(n * na)
-    members: list[int] = []
+    fiber_elem[0] = 0
+    members = [0]
+    # Per member (b, g): the row offsets b*n, g*n and g*na of its products.
+    offsets = [(0, 0, 0)]
+    gens: list[tuple[int, int]] = []  # (c, h) of each adjoined element
     results: list[tuple[int, ...]] = []
     nodes = 0
     exhausted = False
     budget_val = -1 if budget is None else int(budget)
 
     def close_with(x: int) -> int:
-        """Adjoin x and close under products; -1 on fiber conflict."""
+        """Adjoin x, outside the group H = members, and close by right
+        cosets of H; the count of new members, or -1 on fiber conflict."""
         start = len(members)
-        stack = [x]
-        while stack:
-            t = stack.pop()
-            if in_set[t]:
+        gens.append(divmod(x, na))
+        reps = [x]
+        for y in reps:  # grows while it is walked
+            a, f = divmod(y, na)
+            if fiber_elem[a] == y:  # queued twice; its coset is listed
                 continue
-            ft = t // na
-            if fiber_elem[ft] != -1:
-                for i in range(len(members) - 1, start - 1, -1):
-                    u = members[i]
-                    in_set[u] = 0
-                    fiber_elem[u // na] = -1
-                del members[start:]
-                return -1
-            in_set[t] = 1
-            fiber_elem[ft] = t
-            members.append(t)
-            a, f = divmod(t, na)
-            for u in members:
-                b, g = divmod(u, na)
-                stack.append(nmul[a * n + act[f * n + b]] * na
-                             + amul[f * na + g])
-                stack.append(nmul[b * n + act[g * n + a]] * na
-                             + amul[g * na + f])
+            for bn, gn, gna in offsets[:start]:
+                b = nmul[bn + act[gn + a]]
+                if fiber_elem[b] != -1:
+                    rollback(len(members) - start)
+                    return -1
+                g = amul[gna + f]
+                fiber_elem[b] = t = b * na + g
+                members.append(t)
+                offsets.append((b * n, g * n, g * na))
+            an, fn, fna = a * n, f * n, f * na
+            for c, h in gens:
+                b = nmul[an + act[fn + c]]
+                t = b * na + amul[fna + h]
+                if fiber_elem[b] != t:
+                    reps.append(t)
         return len(members) - start
 
     def rollback(count: int) -> None:
+        """Drop the last ``count`` members and the last generator."""
         for _ in range(count):
             u = members.pop()
-            in_set[u] = 0
+            offsets.pop()
             fiber_elem[u // na] = -1
+        gens.pop()
 
     def rec() -> None:
         nonlocal nodes, exhausted
@@ -102,7 +116,10 @@ def search_regular(n, na, nmul, amul, act, allowed, budget):
             if exhausted:
                 return
 
-    seeded = close_with(0)
-    assert seeded == 1, "identity seed failed"
     rec()
+    # rec reaches itself through its closure, and with it amul, which may
+    # be the caller's |Aut|^2 table (16 MB for C7xC7).  Breaking the cycle
+    # frees the table by reference counting when the caller drops it, not
+    # at some later garbage collection, when the next table may exist too.
+    rec = None  # noqa: F841
     return results, nodes, exhausted

@@ -27,12 +27,12 @@ two routes must agree, and the tests hold them to that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import _kernel
-from .automorphisms import AutGroup, automorphism_group, inner_automorphism
+from .automorphisms import AutGroup, automorphism_group
 from .errors import CapExceeded
 from .isomorphism import GeneratorTower, are_isomorphic, hom_images
 from .perms import Perm, PermutationGroup
@@ -85,12 +85,6 @@ class HolomorphGroup:
 
     # -- coded pairs -----------------------------------------------------
 
-    def encode(self, a: int, phi: int) -> int:
-        return a * self.na + phi
-
-    def decode(self, code: int) -> tuple[int, int]:
-        return divmod(code, self.na)
-
     def code_mul(self, x, y):
         """The coded product, on ints or elementwise on int arrays."""
         na, n = self.na, self.n
@@ -98,28 +92,6 @@ class HolomorphGroup:
         b, g = np.divmod(y, na)
         return (self.nmul[a * n + self.act[f * n + b]] * na
                 + self.amul[f * na + g])
-
-    def code_inv(self, x: int) -> int:
-        a, f = divmod(x, self.na)
-        # Row f holds every index once; the identity 0 sits at f's inverse.
-        fi = int(self.aut.table[f].argmin())
-        return self.encode(int(self.act[fi * self.n + self.base.inv[a]]), fi)
-
-    def perm_of_code(self, code: int) -> Perm:
-        """The permutation x -> a * phi(x)."""
-        a, f = divmod(code, self.na)
-        phi = self.aut.elements[f]
-        return tuple(self.base.mul[a][phi[x]] for x in range(self.n))
-
-    def code_of_perm(self, p: Sequence[int]) -> int:
-        """Inverse of perm_of_code; raises for maps outside the holomorph."""
-        a = p[0]
-        ia = self.base.inv[a]
-        phi = tuple(self.base.mul[ia][p[x]] for x in range(self.n))
-        idx = self.aut.index.get(phi)
-        if idx is None:
-            raise ValueError("permutation is not in the holomorph")
-        return self.encode(a, idx)
 
     def element_orders(self) -> list[int]:
         """Order of every coded element, cached."""
@@ -137,15 +109,25 @@ class HolomorphGroup:
             self._orders = orders.tolist()
         return self._orders
 
-    def left_regular_codes(self) -> tuple[int, ...]:
-        return tuple(self.encode(a, 0) for a in range(self.n))
+    def conjugates(self, codes: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        """Images of a code set under conjugation by every (1, phi) in turn,
+        each as a sorted tuple:
 
-    def right_regular_codes(self) -> tuple[int, ...]:
-        out = []
-        for a in range(self.n):
-            inn = inner_automorphism(self.base, a)
-            out.append(self.encode(self.base.inv[a], self.aut.index[inn]))
-        return tuple(sorted(out))
+            (1, phi) (a, psi) (1, phi)^-1 = (phi(a), phi psi phi^-1).
+
+        Works on 256 automorphisms at a time, which bounds the memory of
+        the |Aut| x len(codes) image."""
+        table = self.aut.table
+        # Row phi holds every index once; the identity 0 sits at phi^-1.
+        inv = table.argmin(axis=1)
+        act = self.act.reshape(self.na, self.n)
+        a, psi = np.divmod(np.asarray(codes), self.na)
+        for lo in range(0, self.na, 256):
+            phi = np.arange(lo, min(lo + 256, self.na))[:, None]
+            image = (act[phi, a] * self.na
+                     + table[table[phi, psi], inv[phi]])
+            image.sort(axis=1)
+            yield from map(tuple, image.tolist())
 
     def __repr__(self) -> str:
         return "HolomorphGroup(n=%d, aut=%d, order=%d)" % (
@@ -170,6 +152,7 @@ class RegularSubgroupRecord:
     codes: tuple[int, ...]
     iso_type: int | None = None
     solvable: bool | None = None
+    orbit: int | None = None
 
     @property
     def order(self) -> int:
@@ -194,22 +177,35 @@ class RegularEnumeration:
         """Partition the records into isomorphism classes.
 
         Fills ``iso_type`` on every record with an index into the returned
-        list of class representative tables (discovery order)."""
+        list of class representative tables (discovery order), and fills
+        ``solvable`` and ``orbit``.  Conjugation by (1, phi) maps regular
+        subgroups to isomorphic ones, so one table and one round of
+        isomorphism tests serve each Aut(N)-orbit of records; ``orbit``
+        numbers the orbits in discovery order.  Under an exhausted budget
+        an orbit may be only partly among the records."""
         if self.class_reps and all(r.iso_type is not None
                                    for r in self.records):
             return self.class_reps
+        by_codes = {rec.codes: rec for rec in self.records}
         reps: list[GroupTable] = []
+        orbit = 0
         for rec in self.records:
+            if rec.iso_type is not None:
+                continue
             table = subgroup_table(self.hol, rec.codes)
-            rec.solvable = table.is_solvable()
-            for i, rep in enumerate(reps):
-                ok, _ = are_isomorphic(table, rep)
-                if ok:
-                    rec.iso_type = i
+            for iso_type, rep in enumerate(reps):
+                if are_isomorphic(table, rep)[0]:
                     break
             else:
-                rec.iso_type = len(reps)
+                iso_type = len(reps)
                 reps.append(table)
+            solvable = table.is_solvable()
+            for image in self.hol.conjugates(rec.codes):
+                hit = by_codes.get(image)
+                if hit is not None:
+                    hit.iso_type, hit.solvable, hit.orbit = (
+                        iso_type, solvable, orbit)
+            orbit += 1
         self.class_reps = reps
         return reps
 
@@ -278,11 +274,6 @@ def is_regular_subgroup(perms: Iterable[Perm], degree: int) -> bool:
                 return False
     images = {p[0] for p in elems}
     return len(images) == degree
-
-
-def record_permutations(hol: HolomorphGroup,
-                        rec: RegularSubgroupRecord) -> list[Perm]:
-    return [hol.perm_of_code(c) for c in rec.codes]
 
 
 # -- the (f, g) fixed-point search --------------------------------------

@@ -23,6 +23,7 @@ from holoscreen.numbers import (classify_order, default_table, gl_is_solvable,
                                 mersenne_gcd_property, suzuki_exponent_check,
                                 wieferich_scan)
 from holoscreen.screening import screen_order
+from oracles import left_regular_codes, right_regular_codes
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -137,8 +138,8 @@ def test_criterion_05_translations_found_and_holomorph_order():
             enum = enumerate_regular_subgroups(hol)
             assert enum.complete
             codes = {rec.codes for rec in enum.records}
-            lam = tuple(sorted(hol.left_regular_codes()))
-            rho = tuple(sorted(hol.right_regular_codes()))
+            lam = left_regular_codes(hol)
+            rho = right_regular_codes(hol)
             assert lam in codes, record.name
             assert rho in codes, record.name
             count += 1

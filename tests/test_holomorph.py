@@ -1,5 +1,6 @@
 """Holomorph construction, regular-subgroup enumeration, crossed-pair search."""
 
+import collections
 import functools
 import importlib
 from pathlib import Path
@@ -14,12 +15,15 @@ from holoscreen.holomorph import (HOL_AUT_CAP, EmbeddingSearchResult,
                                   enumerate_regular_subgroups,
                                   has_regular_embedding, holomorph,
                                   is_regular_subgroup, left_regular,
-                                  left_translation, record_permutations,
-                                  right_regular, right_translation,
-                                  subgroup_table, verify_crossed_pair)
+                                  left_translation, right_regular,
+                                  right_translation, subgroup_table,
+                                  verify_crossed_pair)
 from holoscreen.isomorphism import are_isomorphic
 from holoscreen.perms import compose, identity_perm, perm_order
 from holoscreen.tables import GroupTable
+from oracles import (code_inv, code_of_perm, conjugate_code,
+                     left_regular_codes, perm_of_code, record_permutations,
+                     right_regular_codes)
 
 # The package exports the function ``holomorph`` under the module's name.
 holomorph_module = importlib.import_module("holoscreen.holomorph")
@@ -92,28 +96,27 @@ def test_holomorph_of_c4_is_d8():
 def test_code_arithmetic_matches_permutations():
     hol = holomorph(T("symmetric(3)"))
     for x in range(hol.order):
-        assert hol.code_of_perm(hol.perm_of_code(x)) == x
-        assert hol.code_mul(x, hol.code_inv(x)) == 0
+        assert code_of_perm(hol, perm_of_code(hol, x)) == x
+        assert hol.code_mul(x, code_inv(hol, x)) == 0
         assert hol.code_mul(0, x) == x and hol.code_mul(x, 0) == x
     for x in range(hol.order):
-        px = hol.perm_of_code(x)
+        px = perm_of_code(hol, x)
         for y in range(0, hol.order, 7):
-            py = hol.perm_of_code(y)
-            assert (hol.perm_of_code(hol.code_mul(x, y))
-                    == compose(px, py))
+            py = perm_of_code(hol, y)
+            assert perm_of_code(hol, hol.code_mul(x, y)) == compose(px, py)
 
 
 def test_code_of_perm_rejects_outsiders():
     hol = holomorph(T("cyclic(6)"))
     with pytest.raises(ValueError):
-        hol.code_of_perm((1, 0, 2, 3, 4, 5))  # a transposition, not affine
+        code_of_perm(hol, (1, 0, 2, 3, 4, 5))  # a transposition, not affine
 
 
 def test_element_orders_match_permutation_orders():
     for expr in ("cyclic(6)", "symmetric(3)", "dihedral(8)", "alternating(4)",
                  "abelian(2,2,2)"):
         hol = holomorph(T(expr))
-        assert hol.element_orders() == [perm_order(hol.perm_of_code(code))
+        assert hol.element_orders() == [perm_order(perm_of_code(hol, code))
                                         for code in range(hol.order)], expr
 
 
@@ -152,18 +155,22 @@ def test_subgroup_table_matches_scalar_reference():
 
 
 def test_encode_decode():
+    # The code a * na + phi is the translation (a, id) times (1, phi), and
+    # (1, phi) * (a, id) = (phi(a), phi).
     hol = holomorph(T("cyclic(8)"))
     for a in range(hol.n):
         for f in range(hol.na):
-            assert hol.decode(hol.encode(a, f)) == (a, f)
+            assert hol.code_mul(a * hol.na, f) == a * hol.na + f
+            assert (hol.code_mul(f, a * hol.na)
+                    == hol.aut.elements[f][a] * hol.na + f)
 
 
 def test_left_and_right_regular_codes():
     hol = holomorph(T("symmetric(3)"))
-    for codes in (hol.left_regular_codes(), hol.right_regular_codes()):
-        perms = [hol.perm_of_code(c) for c in codes]
+    for codes in (left_regular_codes(hol), right_regular_codes(hol)):
+        perms = [perm_of_code(hol, c) for c in codes]
         assert is_regular_subgroup(perms, hol.n)
-    left = subgroup_table(hol, sorted(hol.left_regular_codes()))
+    left = subgroup_table(hol, left_regular_codes(hol))
     assert are_isomorphic(left, hol.base)[0]
 
 
@@ -206,6 +213,104 @@ def test_enumerate_hol_c8():
                for rep in reps)
 
 
+def pairwise_classify(enum):
+    """The per-record classification: a table, a solvability check and
+    isomorphism tests against the class representatives for every record.
+    Returns the representative tables and (iso_type, solvable) per record."""
+    reps, types = [], []
+    for rec in enum.records:
+        table = subgroup_table(enum.hol, rec.codes)
+        for i, rep in enumerate(reps):
+            if are_isomorphic(table, rep)[0]:
+                break
+        else:
+            i = len(reps)
+            reps.append(table)
+        types.append((i, table.is_solvable()))
+    return reps, types
+
+
+def assert_classify_matches_pairwise(enum):
+    reps, types = pairwise_classify(enum)
+    assert [rep.mul for rep in enum.classify()] == [rep.mul for rep in reps]
+    assert [(r.iso_type, r.solvable) for r in enum.records] == types
+    # Orbits are numbered in discovery order.
+    first_seen = []
+    for rec in enum.records:
+        if rec.orbit not in first_seen:
+            first_seen.append(rec.orbit)
+    assert first_seen == list(range(len(first_seen)))
+
+
+def oracle_bases():
+    for name in ("o4", "o8", "o12"):
+        for record in load_manifest(CORPORA / name).records:
+            yield f"{name}/{record.name}", record.table
+    for record in load_manifest(CORPORA / "o60").records:
+        if record.name in ("s3xc10", "a4xc5"):
+            yield f"o60/{record.name}", record.table
+    yield "abelian(5,5)", T("abelian(5,5)")  # |Aut| = 480: two blocks
+
+
+def test_classify_matches_pairwise_oracle():
+    seen = []
+    for name, base in oracle_bases():
+        hol = holomorph(base)
+        enum = enumerate_regular_subgroups(hol)
+        assert enum.complete
+        assert_classify_matches_pairwise(enum)
+        # Orbit-stabilizer: each orbit has |Aut| / |Stab| records, where
+        # Stab fixes the orbit's first record.
+        sizes = collections.Counter(rec.orbit for rec in enum.records)
+        assert sum(sizes.values()) == len(enum.records)
+        for orbit, size in sizes.items():
+            first = next(r for r in enum.records if r.orbit == orbit)
+            stab = sum(image == first.codes
+                       for image in hol.conjugates(first.codes))
+            assert size * stab == hol.na, (name, orbit)
+        seen.append(name)
+    assert len(seen) == 15
+
+
+@pytest.mark.parametrize("name,nodes", [("s3xd10", 28440), ("a4xc5", 21792)])
+def test_classify_partial_enumerations(name, nodes):
+    base = next(r.table for r in load_manifest(CORPORA / "o60").records
+                if r.name == name)
+    hol = holomorph(base)
+    for budget in (nodes // 3, 2 * nodes // 3):
+        enum = enumerate_regular_subgroups(hol, node_budget=budget)
+        assert enum.exhausted and enum.records
+        assert_classify_matches_pairwise(enum)
+
+
+def test_orbit_counts_are_skew_brace_counts():
+    # Aut(N)-orbits of regular subgroups of Hol(N) are the skew braces with
+    # additive group N (Guarnieri-Vendramin, Math. Comp. 86, 2017); their
+    # table lists 4, 6, 47 and 38 skew braces of orders 4, 6, 8 and 12.
+    def orbits(base):
+        enum = enumerate_regular_subgroups(holomorph(base))
+        enum.classify()
+        return len({rec.orbit for rec in enum.records})
+
+    counts = {n: sum(orbits(r.table)
+                     for r in load_manifest(CORPORA / f"o{n}").records)
+              for n in (4, 8, 12)}
+    counts[6] = orbits(T("cyclic(6)")) + orbits(T("symmetric(3)"))
+    assert counts == {4: 4, 6: 6, 8: 47, 12: 38}
+
+
+def test_conjugates_match_reference():
+    for expr in ("symmetric(3)", "dihedral(8)", "alternating(4)",
+                 "abelian(5,5)"):
+        hol = holomorph(T(expr))
+        for rec in enumerate_regular_subgroups(hol).records[:3]:
+            images = list(hol.conjugates(rec.codes))
+            assert len(images) == hol.na
+            for phi, image in enumerate(images):
+                assert image == tuple(sorted(conjugate_code(hol, phi, c)
+                                             for c in rec.codes)), expr
+
+
 def test_every_record_replays_as_regular():
     for expr in ("cyclic(4)", "cyclic(6)", "cyclic(8)", "abelian(2,2)",
                  "symmetric(3)"):
@@ -219,8 +324,8 @@ def test_every_record_replays_as_regular():
             assert is_regular_subgroup(record_permutations(hol, rec), hol.n)
         # Both canonical regular representations occur among the records.
         code_sets = {rec.codes for rec in enum.records}
-        assert tuple(sorted(hol.left_regular_codes())) in code_sets
-        assert tuple(sorted(hol.right_regular_codes())) in code_sets
+        assert left_regular_codes(hol) in code_sets
+        assert right_regular_codes(hol) in code_sets
 
 
 def test_enumeration_is_deterministic():
@@ -355,4 +460,4 @@ def test_enumeration_builds_no_aut_group_table():
 
 def test_identity_perm_roundtrip():
     hol = holomorph(T("cyclic(6)"))
-    assert hol.perm_of_code(0) == identity_perm(6)
+    assert perm_of_code(hol, 0) == identity_perm(6)

@@ -76,11 +76,17 @@ def test_backends_agree(expr, compiled):
 
 
 def test_backends_agree_under_budget_pressure(compiled):
-    hol = holomorph(construct("cyclic(8)").table)
-    for budget in (1, 5, 25, 100):
-        a = enumerate_regular_subgroups(hol, node_budget=budget,
-                                        backend=compiled)
-        b = enumerate_regular_subgroups(hol, node_budget=budget, backend=pure)
-        assert [r.codes for r in a.records] == [r.codes for r in b.records]
-        assert a.nodes == b.nodes
-        assert a.exhausted == b.exhausted
+    # Budgets of about a third and two thirds of each full search stop
+    # both kernels partway, where their partial record lists must agree.
+    for expr in HOLOMORPH_BASES:
+        hol = holomorph(construct(expr).table)
+        full = enumerate_regular_subgroups(hol, backend=pure).nodes
+        for budget in (1, full // 3, 2 * full // 3):
+            a = enumerate_regular_subgroups(hol, node_budget=budget,
+                                            backend=compiled)
+            b = enumerate_regular_subgroups(hol, node_budget=budget,
+                                            backend=pure)
+            assert [r.codes for r in a.records] == \
+                [r.codes for r in b.records], (expr, budget)
+            assert a.nodes == b.nodes == budget + 1, (expr, budget)
+            assert a.exhausted and b.exhausted, (expr, budget)
