@@ -6,7 +6,7 @@ and its index dict, never through the package's coded tables.
 """
 
 from holoscreen.automorphisms import inner_automorphism
-from holoscreen.perms import compose
+from holoscreen.perms import compose, inverse
 
 
 def perm_of_code(hol, code):
@@ -30,12 +30,8 @@ def code_of_perm(hol, p):
 def code_inv(hol, code):
     """(a, phi)^-1 = (phi^-1(a^-1), phi^-1)."""
     a, f = divmod(code, hol.na)
-    phi = hol.aut.elements[f]
-    phi_inv = [0] * hol.n
-    for x, y in enumerate(phi):
-        phi_inv[y] = x
-    fi = hol.aut.index[tuple(phi_inv)]
-    return phi_inv[hol.base.inv[a]] * hol.na + fi
+    phi_inv = inverse(hol.aut.elements[f])
+    return phi_inv[hol.base.inv[a]] * hol.na + hol.aut.index[phi_inv]
 
 
 def record_permutations(hol, rec):
@@ -60,8 +56,5 @@ def conjugate_code(hol, phi_index, code):
     """(1, phi) (a, psi) (1, phi)^-1 = (phi(a), phi psi phi^-1)."""
     a, f = divmod(code, hol.na)
     phi = hol.aut.elements[phi_index]
-    phi_inv = [0] * hol.n
-    for x, y in enumerate(phi):
-        phi_inv[y] = x
-    g = compose(compose(phi, hol.aut.elements[f]), tuple(phi_inv))
+    g = compose(compose(phi, hol.aut.elements[f]), inverse(phi))
     return phi[a] * hol.na + hol.aut.index[g]
