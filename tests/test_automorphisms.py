@@ -1,5 +1,6 @@
 """Automorphism groups: orders, inner/outer split, characteristic subgroups."""
 
+import random
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
 from holoscreen.perms import PermutationGroup, compose
 from holoscreen.tables import Homomorphism
+
+from oracles import per_row_aut_table
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -121,6 +124,41 @@ def test_aut_table_rejects_lists_that_are_not_groups():
     assert len(c2_8.generating_sequence()) == 8
     with pytest.raises(ValueError, match="do not fit an int64 key"):
         AutGroup(c2_8, [tuple(range(256))]).table
+
+
+def test_aut_table_matches_per_row_oracle():
+    bases = [record.table for directory in sorted(CORPORA.iterdir())
+             for record in load_manifest(directory).records]
+    bases.append(T("abelian(7,7)"))
+    for base in bases:
+        aut = automorphism_group(base)
+        assert np.array_equal(aut.table, per_row_aut_table(aut)), base.name
+    assert aut.order == 2016
+
+
+def outcome(build, aut):
+    try:
+        return "table", build(aut).tolist()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_aut_table_rejects_what_the_per_row_oracle_rejects():
+    # Random lists through the identity are almost never closed; subgroups
+    # generated by one or two random automorphisms always are.
+    base = T("abelian(2,2,2)")
+    aut = automorphism_group(base)
+    rng = random.Random(5)
+    lists = [[aut.elements[0]] + rng.sample(aut.elements[1:], size - 1)
+             for size in (2, 3, 6, 7, 8, 21, 24, 56, 84, 167)]
+    lists += [PermutationGroup(8, rng.sample(aut.elements[1:], k)).elements()
+              for k in (1, 1, 1, 2, 2, 2)]
+    outcomes = []
+    for elements in lists:
+        expected = outcome(per_row_aut_table, AutGroup(base, elements))
+        assert outcome(lambda a: a.table, AutGroup(base, elements)) == expected
+        outcomes.append(expected[0])
+    assert "table" in outcomes and "error" in outcomes
 
 
 def test_inner_and_outer():

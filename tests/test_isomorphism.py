@@ -1,15 +1,50 @@
 """Isomorphism testing, morphism search, the generator tower."""
 
+import random
+from pathlib import Path
+
 import pytest
 
-from holoscreen.corpus import construct
+from holoscreen import isomorphism
+from holoscreen.corpus import construct, load_manifest
 from holoscreen.isomorphism import (GeneratorTower, are_isomorphic,
                                     automorphism_images, hom_images)
 from holoscreen.tables import GroupTable, Homomorphism
 
+from oracles import pairwise_morphism_images
+
+CORPORA = Path(__file__).resolve().parent.parent / "corpora"
+
 
 def T(expr):
     return construct(expr).table
+
+
+def corpus_tables(name):
+    return [record.table for record in load_manifest(CORPORA / name).records]
+
+
+def relabelled(G, seed):
+    """G with its non-identity elements renamed by a seeded permutation."""
+    rng = random.Random(seed)
+    p = [0] + rng.sample(range(1, G.n), G.n - 1)
+    mul = [[0] * G.n for _ in range(G.n)]
+    for a in range(G.n):
+        for b in range(G.n):
+            mul[p[a]][p[b]] = p[G.mul[a][b]]
+    return GroupTable(mul)
+
+
+@pytest.fixture
+def pairwise(monkeypatch):
+    """Run a call with the all-pairs reference engine in place of
+    ``morphism_images``; every public entry point looks it up by name."""
+    def run(call, *args):
+        with monkeypatch.context() as m:
+            m.setattr(isomorphism, "morphism_images",
+                      pairwise_morphism_images)
+            return call(*args)
+    return run
 
 
 def test_tower_covers_group_and_factorizes():
@@ -108,3 +143,64 @@ def test_hom_images_all_verify():
     # D8 abelianizes to C2 x C2, so the homomorphisms into C2 x C2
     # biject with endomorphisms of C2 x C2 that need not be invertible.
     assert count == 16
+
+
+def test_hom_counts_into_nonabelian_targets():
+    # Hom(C2^2, G) is the set of commuting pairs (a, b) with a^2 = b^2 = 1.
+    # S3: the identity and three transpositions, and a transposition
+    # commutes only with 1 and itself: 1*4 + 3*2 = 10.
+    # S4: ten elements square to 1 (1, six transpositions, three double
+    # transpositions).  Their centralizers hold 10, 4 and 6 such elements,
+    # the whole set, {1, (12), (34), (12)(34)} and the six of D8 that square
+    # to 1: 10 + 6*4 + 3*6 = 52.
+    # S3 -> S4 by kernel: S3 gives the trivial map, A3 sends the
+    # transpositions to one of the 9 involutions, 1 gives an embedding onto
+    # one of the 4 point stabilizers times |Aut(S3)| = 6: 1 + 9 + 4*6 = 34.
+    cases = [("abelian(2,2)", "symmetric(3)", 10),
+             ("abelian(2,2)", "symmetric(4)", 52),
+             ("symmetric(3)", "symmetric(4)", 34)]
+    for left, right, expected in cases:
+        G, H = T(left), T(right)
+        assert len(GeneratorTower(G).gens) >= 2
+        maps = list(hom_images(G, H))
+        assert len(maps) == expected, (left, right)
+        assert len(set(maps)) == expected
+        for images in maps:
+            assert Homomorphism(G, H, images).verify()
+
+
+def test_automorphism_images_match_pairwise_oracle(pairwise):
+    bases = [record.table for directory in sorted(CORPORA.iterdir())
+             for record in load_manifest(directory).records]
+    assert len(bases) == 30
+    bases += [T("abelian(5,5)"), T("abelian(5,5,2)"), T("abelian(7,7)")]
+    for base in bases:
+        expected = pairwise(lambda: list(automorphism_images(base)))
+        assert list(automorphism_images(base)) == expected, base.name
+    assert len(expected) == 2016
+
+
+def test_hom_images_match_pairwise_oracle(pairwise):
+    pairs = [("abelian(2,2)", "symmetric(3)"), ("abelian(2,2)", "symmetric(4)"),
+             ("symmetric(3)", "symmetric(4)"), ("dihedral(8)", "abelian(2,2)"),
+             ("dihedral(8)", "symmetric(4)"), ("cyclic(3)", "symmetric(3)")]
+    for left, right in pairs:
+        G, H = T(left), T(right)
+        expected = pairwise(lambda: list(hom_images(G, H)))
+        assert list(hom_images(G, H)) == expected, (left, right)
+
+
+@pytest.mark.parametrize("corpus", ["o12", "o60"])
+def test_are_isomorphic_witnesses_match_pairwise_oracle(pairwise, corpus):
+    reps = corpus_tables(corpus)
+    for seed, G in enumerate(reps):
+        H = relabelled(G, seed)
+        for other in reps:
+            expected = pairwise(are_isomorphic, other, H)
+            found, witness = are_isomorphic(other, H)
+            assert found == expected[0]
+            if found:
+                assert other is G and witness.verify()
+                assert witness.images == expected[1].images
+            else:
+                assert witness is None and expected[1] is None
