@@ -8,6 +8,7 @@ list (the holomorph search needs all of them, not just generators).
 
 from __future__ import annotations
 
+from collections import deque
 from functools import cached_property
 from itertools import islice
 
@@ -20,6 +21,9 @@ from .perms import PermutationGroup, Perm, compose, inverse
 from .tables import GroupTable, Subgroup, commutator_series
 
 AUT_TABLE_CAP = 2000
+# Bounds n * |Aut(N)|, the entries of the element list kept by callers that
+# need no composition table; it admits Aut(C2^4), of order 20160.
+AUT_LIST_CAP = 1 << 21
 
 
 class AutGroup:
@@ -58,14 +62,25 @@ class AutGroup:
     def table(self) -> np.ndarray:
         """Composition table, an int32 (|Aut|, |Aut|) array:
         ``table[i, j]`` indexes ``compose(elements[i], elements[j])``, and
-        index 0 is the identity (the list is sorted).
+        index 0 is the identity (the list is sorted), whose row is 0..na-1.
 
-        Row i is composed at once as ``E[i][E]``.  An automorphism is
+        Only the rows of a small set S are looked up.  The first index with
+        no row yet joins S, and every row reachable from the known ones is
+        filled breadth-first: if elements[i] = elements[k] o elements[s]
+        with s in S, row i is ``row_k[row_s]``.  C7xC7 looks up 4 of its
+        2016 rows (Holt, Eick and O'Brien, *Handbook of Computational Group
+        Theory*, 2005, section 4.1).
+
+        A looked-up row s is composed as ``E[s][E]``.  An automorphism is
         determined by its images of the base's generating sequence, read as
         digits base n; the greedy sequence has at most log2(n) terms, so the
         key fits an int64 for every base of order below 256.  Each
         looked-up row is compared in full with its composed row, so a bad
-        key raises ``ValueError``, never mis-indexes.
+        key raises ``ValueError``, never mis-indexes.  That is as strong as
+        checking every row: it shows that s o L lies in the list L for each
+        s in S, and every listed map is a product of elements of S, so L is
+        closed under composition and each derived entry is exact by
+        associativity.  A list that is not a group raises.
         """
         n, na = self.base.n, self.order
         E = np.array(self.elements, dtype=np.intp)
@@ -79,15 +94,40 @@ class AutGroup:
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("two automorphisms agree on the generators")
         table = np.empty((na, na), dtype=np.int32)
-        for i in range(na):
-            rows = E[i][E]
+        table[0] = np.arange(na)
+        known = np.zeros(na, dtype=bool)
+        known[0] = True
+        looked_up: list[int] = []
+        for s in range(na):
+            if known[s]:
+                continue
+            rows = E[s][E]
             # A key past the largest is clipped, then fails the check below.
             pos = order.take(np.searchsorted(keys, rows[:, gens] @ weight),
                              mode="clip")
             if not np.array_equal(E[pos], rows):
                 raise ValueError("a composed map is not a listed automorphism")
-            table[i] = pos
+            table[s] = pos
+            known[s] = True
+            looked_up.append(s)
+            # Every known row meets the new s, and each row reached meets
+            # all of S.
+            queue = deque(np.flatnonzero(known).tolist())
+            while queue:
+                row = table[queue.popleft()]
+                for t in looked_up:
+                    i = row[t]
+                    if not known[i]:
+                        table[i] = row[table[t]]
+                        known[i] = True
+                        queue.append(i)
         return table
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        """``inverses[i]`` indexes the inverse of ``elements[i]``: row i of
+        ``table`` holds the identity 0 in that column."""
+        return self.table.argmin(axis=1)
 
     @cached_property
     def group_table(self) -> GroupTable:

@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from ._kernel import BACKEND_NAME, HAVE_COMPILED
-from .automorphisms import AUT_TABLE_CAP, automorphism_group, inner_and_outer
+from .automorphisms import (AUT_LIST_CAP, AUT_TABLE_CAP, automorphism_group,
+                            inner_and_outer)
 from .corpus import construct, load_group, load_manifest, validate_corpus
 from .errors import HoloscreenError
 from .holomorph import (DEFAULT_NODE_BUDGET, HOL_ORDER_CAP,
@@ -238,15 +239,17 @@ def cmd_group(args) -> int:
         print(f"conjugacy classes: {len(table.conjugacy_classes)}")
         print(f"element order spectrum: {spectrum}")
         return EXIT_HOLDS
+    # aut and hol keep only the element list, so its length is capped.
+    list_cap = AUT_LIST_CAP // table.n
     if args.group_command == "aut":
-        aut = automorphism_group(table, cap=args.aut_cap)
+        aut = automorphism_group(table, cap=args.aut_cap, order_cap=list_cap)
         inner, outer = inner_and_outer(table, aut)
         print(f"|Aut| = {aut.order}")
         print(f"inner = {inner}, outer = {outer}")
         print(f"Aut solvable: {'yes' if aut.is_solvable() else 'no'}")
         return EXIT_HOLDS
     if args.group_command == "hol":
-        aut = automorphism_group(table)
+        aut = automorphism_group(table, order_cap=list_cap)
         # Hol(N) = N x| Aut(N) is solvable exactly when N and Aut(N) are.
         solvable = table.is_solvable() and aut.is_solvable()
         print(f"|Hol| = {table.n * aut.order} (= {table.n} * {aut.order})")

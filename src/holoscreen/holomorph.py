@@ -117,9 +117,7 @@ class HolomorphGroup:
 
         Works on 256 automorphisms at a time, which bounds the memory of
         the |Aut| x len(codes) image."""
-        table = self.aut.table
-        # Row phi holds every index once; the identity 0 sits at phi^-1.
-        inv = table.argmin(axis=1)
+        table, inv = self.aut.table, self.aut.inverses
         act = self.act.reshape(self.na, self.n)
         a, psi = np.divmod(np.asarray(codes), self.na)
         for lo in range(0, self.na, 256):

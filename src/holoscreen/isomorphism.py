@@ -8,7 +8,11 @@ search in the holomorph module).
 The source group is closed level by level over a greedy generating sequence;
 each element's first-seen factorization into earlier elements lets a partial
 assignment of generator images propagate to the whole level, where the
-homomorphism equations and injectivity are checked incrementally.
+homomorphism equations and injectivity are checked incrementally.  A map is
+a homomorphism exactly when it respects right multiplication by each
+generator, so a level checks its new elements against the generators so far,
+not against every known element (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005, section 2.1).
 """
 
 from __future__ import annotations
@@ -68,6 +72,24 @@ def morphism_images(
     """Yield image vectors of all morphisms src -> dst consistent with the
     per-generator candidate lists.  Each yielded tuple maps every source
     element to its image and satisfies the homomorphism equations in full.
+
+    Level k, with H_k = <g_1, ..., g_k>, checks img[x*h] = img[x]*img[h]
+    for each x new at level k and each generator h among g_1..g_k.  Given
+    a homomorphism on H_(k-1), that makes img a homomorphism on H_k:
+
+    - By induction on word length, img is a homomorphism on H_k once it
+      respects y -> y*h for every y in H_k and every generator h.
+    - For y in H_(k-1) and h before g_k, earlier levels checked it.
+    - For y in H_(k-1) and h = g_k, the level adds nothing if g_k is in
+      H_(k-1).  Otherwise let j >= 2 be least with g_k^j in H_(k-1).  Each y*g_k^i with 0 < i < j is new at level k, so the
+      checks give img[y*g_k^j] = img[y*g_k]*img[g_k]^(j-1), and with y = 1,
+      img[g_k^j] = img[g_k]^j.  The homomorphism on H_(k-1) gives
+      img[y*g_k^j] = img[y]*img[g_k]^j, and cancelling img[g_k]^(j-1)
+      leaves img[y*g_k] = img[y]*img[g_k].
+
+    So each level accepts exactly the partial maps that a check of every
+    pair of H_k would, and the yield order is the same.  The check costs
+    |segment| * k products per level instead of 2 * |segment| * |H_k|.
     """
     tower = tower or GeneratorTower(src)
     gens = tower.gens
@@ -79,10 +101,6 @@ def morphism_images(
     img[0] = 0
     used = [False] * dst.n
     used[0] = True
-    # Elements known after level k (prefix lengths into tower.order).
-    prefix = [1]
-    for seg in tower.segments:
-        prefix.append(prefix[-1] + len(seg))
 
     def assign_level(k: int, cand: int) -> bool:
         """Propagate images over segment k; undo and return False on failure."""
@@ -99,13 +117,12 @@ def morphism_images(
                 used[t] = True
             placed.append(e)
         if ok:
-            known = tower.order[: prefix[k + 1]]
-            for u in tower.segments[k]:
-                iu = img[u]
-                for v in known:
-                    iv = img[v]
-                    if (img[smul[u][v]] != dmul[iu][iv]
-                            or img[smul[v][u]] != dmul[iv][iu]):
+            # Generators so far, with their images.
+            checks = [(h, img[h]) for h in gens[: k + 1]]
+            for x in tower.segments[k]:
+                row, drow = smul[x], dmul[img[x]]
+                for h, ih in checks:
+                    if img[row[h]] != drow[ih]:
                         ok = False
                         break
                 if not ok:

@@ -11,7 +11,7 @@ from holoscreen.automorphisms import (AutGroup, automorphism_group,
                                       inner_and_outer, inner_automorphism)
 from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
-from holoscreen.perms import PermutationGroup, compose
+from holoscreen.perms import PermutationGroup, compose, inverse
 from holoscreen.tables import Homomorphism
 
 from oracles import per_row_aut_table
@@ -134,6 +134,13 @@ def test_aut_table_matches_per_row_oracle():
         aut = automorphism_group(base)
         assert np.array_equal(aut.table, per_row_aut_table(aut)), base.name
     assert aut.order == 2016
+
+
+def test_inverses_match_perm_inverse():
+    for expr in ("symmetric(4)", "abelian(5,5)", "dihedral(12)"):
+        aut = automorphism_group(T(expr))
+        expected = [aut.index[inverse(p)] for p in aut.elements]
+        assert aut.inverses.tolist() == expected, expr
 
 
 def outcome(build, aut):

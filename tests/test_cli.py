@@ -79,6 +79,16 @@ def test_group_aut_and_hol_with_large_aut(capsys):
     assert "Hol solvable: no" in out
 
 
+@pytest.mark.parametrize("command", ["aut", "hol"])
+def test_group_aut_and_hol_cap_the_element_list(command, capsys):
+    # |Aut(C2^5)| = |GL(5,2)| = 9999360; the list cap of 2^21 entries
+    # stops the enumeration after 2^21 / 32 = 65536 automorphisms.
+    code, out, err = run(["group", command, "abelian(2,2,2,2,2)"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "order cap 65536" in err
+
+
 @pytest.mark.parametrize("target", ["abelian(2,2,2,2)", "abelian(11,11)"])
 def test_group_regulars_caps_large_aut(target, capsys):
     # |Aut| is 20160 and 13200: the cap fires while Aut(N) streams, before
