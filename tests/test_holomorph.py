@@ -387,6 +387,23 @@ def test_has_regular_embedding_counts():
     assert has_regular_embedding(v4, v4, count_all=True).pair_count == 6
 
 
+@pytest.mark.parametrize("order", [4, 8, 12])
+def test_pair_counts_match_enumeration(order):
+    # Each regular subgroup isomorphic to G is the image of |Aut(G)|
+    # crossed pairs, so the two searches count the same subgroups.
+    tables = [r.table for r in load_manifest(CORPORA / f"o{order}").records]
+    for N in tables:
+        enum = enumerate_regular_subgroups(holomorph(N))
+        reps = enum.classify()
+        per_class = collections.Counter(r.iso_type for r in enum.records)
+        for G in tables:
+            matches = sum(per_class[i] for i, rep in enumerate(reps)
+                          if are_isomorphic(G, rep)[0])
+            expected = automorphism_group(G).order * matches
+            assert has_regular_embedding(
+                G, N, count_all=True).pair_count == expected
+
+
 def test_has_regular_embedding_agrees_with_enumeration():
     groups4 = [T("cyclic(4)"), T("abelian(2,2)")]
     groups6 = [T("cyclic(6)"), T("symmetric(3)")]
