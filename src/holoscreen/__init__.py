@@ -6,11 +6,10 @@ chains (:mod:`.perms`), group tables and homomorphisms (:mod:`.tables`),
 subgroup lattices (:mod:`.lattice`), automorphism groups
 (:mod:`.automorphisms`), and isomorphism testing (:mod:`.isomorphism`).
 The middle layer builds holomorphs and enumerates their regular subgroups
-(:mod:`.holomorph`), with a compiled search kernel and a pure-Python
-fallback (:mod:`._kernel`).  The top layer is the arithmetic order
-classifier (:mod:`.numbers`), the group corpus format (:mod:`.corpus`),
-the screening pipeline (:mod:`.screening`), and the command line
-(:mod:`.cli`).
+(:mod:`.holomorph`) with one search kernel (:mod:`._kernel`).  The top
+layer is the arithmetic order classifier (:mod:`.numbers`), the group
+corpus format (:mod:`.corpus`), the screening pipeline
+(:mod:`.screening`), and the command line (:mod:`.cli`).
 """
 
 __version__ = "0.1.0"

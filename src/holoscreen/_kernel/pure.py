@@ -21,10 +21,10 @@ regular subgroup.  Each regular subgroup is reached along exactly one branch
 path, so no deduplication is needed; results appear in deterministic
 discovery order.
 
-The compiled kernel in _fiber.pyx keeps the same contract: the same records
-in the same order, the same node count, and the same partial result when
-the budget runs out.  tests/test_kernel_backends.py holds the two to it on
-every base there, in full and under budgets.
+tests/test_kernel_backends.py holds the kernel to a plain reference that
+closes by pairwise products instead of cosets: the same records in the same
+order, the same node count, and the same partial result when the budget
+runs out, on every base there, in full and under budgets.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._kernel import BACKEND_NAME, HAVE_COMPILED
+from ._kernel import BACKEND_NAME
 from .automorphisms import (AUT_LIST_CAP, AUT_TABLE_CAP, automorphism_group,
                             inner_and_outer)
 from .corpus import construct, load_group, load_manifest, validate_corpus
@@ -85,29 +85,14 @@ def cmd_screen(args) -> int:
     return EXIT_UNDECIDED
 
 
-def _pick_backend(name: str):
-    from . import _kernel
-
-    if name == "auto":
-        return None
-    if name == "pure":
-        from ._kernel import pure
-
-        return pure
-    if not HAVE_COMPILED:
-        raise HoloscreenError("compiled kernel not available in this install")
-    return _kernel.backend
-
-
 def cmd_direct(args) -> int:
-    backend = _pick_backend(args.backend)
     manifest = load_manifest(args.corpus)
     if args.order is not None and args.order != manifest.order:
         raise HoloscreenError(
             f"corpus has order {manifest.order}, requested {args.order}")
 
     lines = [f"direct check: order {manifest.order} "
-             f"(kernel backend: {BACKEND_NAME if backend is None else args.backend})"]
+             f"(kernel backend: {BACKEND_NAME})"]
     doc = {"schema": "holoscreen.direct/1", "order": manifest.order,
            "complete_claim": manifest.complete, "groups": []}
     exhausted_any = False
@@ -120,8 +105,7 @@ def cmd_direct(args) -> int:
             continue
         hol = holomorph(record.table)
         enum = enumerate_regular_subgroups(hol, node_budget=args.budget,
-                                           order_cap=args.order_cap,
-                                           backend=backend)
+                                           order_cap=args.order_cap)
         bad = enum.insolvable_records()
         note = "search budget exhausted" if enum.exhausted else "complete"
         lines.append(
@@ -322,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--budget", type=positive_int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--order-cap", type=positive_int, default=HOL_ORDER_CAP)
-    p.add_argument("--backend", choices=["auto", "pure", "compiled"],
-                   default="auto")
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_direct)
 

@@ -232,7 +232,6 @@ def enumerate_regular_subgroups(
     *,
     node_budget: int | None = DEFAULT_NODE_BUDGET,
     order_cap: int = HOL_ORDER_CAP,
-    backend=None,
 ) -> RegularEnumeration:
     """All regular subgroups of the holomorph, by fiber backtracking.
 
@@ -249,8 +248,7 @@ def enumerate_regular_subgroups(
     for a in range(1, n):
         allowed[a] = [phi for phi in range(na)
                       if n % orders[a * na + phi] == 0]
-    search = (backend or _kernel).search_regular
-    subgroups, nodes, exhausted = search(
+    subgroups, nodes, exhausted = _kernel.search_regular(
         n, na, hol.nmul, hol.amul, hol.act, allowed, node_budget)
     records = [RegularSubgroupRecord(codes=tuple(codes)) for codes in subgroups]
     return RegularEnumeration(hol=hol, records=records, nodes=nodes,
@@ -326,7 +324,7 @@ def has_regular_embedding(
     if G.n != N.n:
         raise ValueError("order mismatch: |G|=%d, |N|=%d" % (G.n, N.n))
     if aut is None:
-        aut = automorphism_group(N)
+        aut = automorphism_group(N, order_cap=HOL_AUT_CAP)
     tower = GeneratorTower(G)
     gens = tower.gens
     nodes = 0
@@ -341,15 +339,16 @@ def has_regular_embedding(
     used = [False] * N.n
     used[0] = True
 
-    prefix = [1]
-    for seg in tower.segments:
-        prefix.append(prefix[-1] + len(seg))
-
     def assign(level: int, cand: int, f: Sequence[int]) -> int:
         """Propagate g over tower segment ``level``; count placed or -1.
 
-        Besides injectivity, the crossed relation is checked on every pair
-        touching the new segment, which keeps wrong branches shallow."""
+        Besides injectivity, the crossed relation g(x*h) = g(x)*f(x)(g(h))
+        is checked for each x new at the level and each generator h so far,
+        which keeps wrong branches shallow.  Since f is a homomorphism, that
+        is the homomorphism check of t -> (g(t), f(t)) into Hol(N), and the
+        proof in ``isomorphism.morphism_images`` shows that it accepts
+        exactly the maps that pass the relation on every pair of the
+        subgroup generated so far."""
         placed = 0
         for e in tower.segments[level]:
             pair = tower.expr[e]
@@ -366,15 +365,11 @@ def has_regular_embedding(
             g_img[e] = t
             used[t] = True
             placed += 1
-        known = tower.order[: prefix[level + 1]]
-        gmul = G.mul
-        for u in tower.segments[level]:
-            gu = g_img[u]
-            fu = aels[f[u]]
-            for v in known:
-                if (g_img[gmul[u][v]] != nmul[gu][fu[g_img[v]]]
-                        or g_img[gmul[v][u]]
-                        != nmul[g_img[v]][aels[f[v]][gu]]):
+        checks = gens[: level + 1]
+        for x in tower.segments[level]:
+            row, grow, fx = G.mul[x], nmul[g_img[x]], aels[f[x]]
+            for h in checks:
+                if g_img[row[h]] != grow[fx[g_img[h]]]:
                     undo(level)
                     return -1
         return placed

@@ -6,7 +6,8 @@ automorphism list and its index dict, never through the package's coded
 tables.  ``pairwise_morphism_images`` and ``per_row_aut_table`` are the
 direct forms of the Aut(N) layer: every pair of a level checked against
 the homomorphism equations, and every row of the composition table looked
-up and compared in full.
+up and compared in full.  ``pairwise_search_regular`` is the search
+kernel with closure by all products, in place of cosets.
 """
 
 import numpy as np
@@ -160,3 +161,68 @@ def per_row_aut_table(aut):
             raise ValueError("a composed map is not a listed automorphism")
         table[i] = pos
     return table
+
+
+def pairwise_search_regular(n, na, nmul, amul, act, allowed, budget):
+    """``holoscreen._kernel.pure.search_regular`` closing each adjoined
+    element under products with every member in both orders, from a stack,
+    instead of by right cosets; the same branching, node count and budget."""
+    nmul, amul, act = nmul.tolist(), amul.tolist(), act.tolist()
+    fiber_elem = [-1] * n
+    in_set = bytearray(n * na)
+    members = []
+    results = []
+    nodes = 0
+    exhausted = False
+
+    def close_with(x):
+        start = len(members)
+        stack = [x]
+        while stack:
+            t = stack.pop()
+            if in_set[t]:
+                continue
+            a, f = divmod(t, na)
+            if fiber_elem[a] != -1:
+                rollback(len(members) - start)
+                return -1
+            in_set[t] = 1
+            fiber_elem[a] = t
+            members.append(t)
+            for u in members:
+                b, g = divmod(u, na)
+                stack.append(nmul[a * n + act[f * n + b]] * na
+                             + amul[f * na + g])
+                stack.append(nmul[b * n + act[g * n + a]] * na
+                             + amul[g * na + f])
+        return len(members) - start
+
+    def rollback(count):
+        for _ in range(count):
+            u = members.pop()
+            in_set[u] = 0
+            fiber_elem[u // na] = -1
+
+    def rec():
+        nonlocal nodes, exhausted
+        if len(members) == n:
+            results.append(tuple(sorted(members)))
+            return
+        f = fiber_elem.index(-1)
+        for phi in allowed[f]:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                exhausted = True
+                return
+            added = close_with(f * na + phi)
+            if added >= 0:
+                if n % len(members) == 0:
+                    rec()
+                rollback(added)
+            if exhausted:
+                return
+
+    if close_with(0) != 1:
+        raise AssertionError("identity seed failed")
+    rec()
+    return results, nodes, exhausted

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import holoscreen.cli as cli
-from holoscreen._kernel import BACKEND_NAME, HAVE_COMPILED
 from holoscreen.cli import main
 from holoscreen.corpus import construct, save_group, write_index
 from holoscreen.screening import ScreenReport
@@ -42,6 +41,8 @@ def test_no_command_is_a_usage_error(capsys):
     ["screen", "--corpus", CORPORA / "o4", "--subgroup-cap", "0"],
     ["direct", "--corpus", CORPORA / "o4", "--budget", "-1"],
     ["direct", "--corpus", CORPORA / "o4", "--timings"],
+    # Removed with the second search kernel; it is no longer accepted.
+    ["direct", "--corpus", CORPORA / "o4", "--backend", "pure"],
 ])
 def test_bad_option_is_a_usage_error(argv, capsys):
     code, out, err = run(argv, capsys)
@@ -233,21 +234,9 @@ def test_direct_order_4(capsys):
 
 
 def test_direct_backend_selection(capsys):
-    code, out, _ = run(["direct", "--corpus", CORPORA / "o4", "--backend",
-                        "pure"], capsys)
+    code, out, _ = run(["direct", "--corpus", CORPORA / "o4"], capsys)
     assert code == 0
     assert "(kernel backend: pure)" in out
-    code, out, _ = run(["direct", "--corpus", CORPORA / "o4"], capsys)
-    assert f"(kernel backend: {BACKEND_NAME})" in out
-
-
-@pytest.mark.skipif(not HAVE_COMPILED,
-                    reason="compiled kernel not built; nothing to compare")
-def test_direct_compiled_backend(capsys):
-    code, out, _ = run(["direct", "--corpus", CORPORA / "o4", "--backend",
-                        "compiled"], capsys)
-    assert code == 0
-    assert "(kernel backend: compiled)" in out
 
 
 def test_direct_incomplete_corpus_is_undecided(capsys):
@@ -309,8 +298,8 @@ def test_direct_reports_frozen(tmp_path, capsys, args, exit_code, text_sha,
                                json_sha):
     doc = tmp_path / "direct.json"
     corpus, *rest = args
-    code, out, _ = run(["direct", "--corpus", CORPORA / corpus, "--backend",
-                        "pure", "--json", doc, *rest], capsys)
+    code, out, _ = run(["direct", "--corpus", CORPORA / corpus, "--json",
+                        doc, *rest], capsys)
     assert code == exit_code
     assert sha256(out) == text_sha
     assert sha256(doc.read_text()) == json_sha

@@ -3,6 +3,7 @@
 import collections
 import functools
 import importlib
+import time
 from pathlib import Path
 
 import numpy as np
@@ -462,6 +463,15 @@ def test_holomorph_caps_the_automorphism_count(monkeypatch):
         holomorph(n, aut)
     monkeypatch.setattr(holomorph_module, "HOL_AUT_CAP", 168)
     assert holomorph(n).na == holomorph(n, aut).na == 168
+
+
+def test_embedding_search_caps_the_automorphism_count():
+    # |Aut(C2^4)| = 20160: its |Aut|^2 table would not fit in memory, so
+    # the default Aut(N) stops while it streams, as in holomorph().
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        has_regular_embedding(T("cyclic(16)"), T("abelian(2,2,2,2)"))
+    assert time.perf_counter() - start < 5
 
 
 def test_enumeration_builds_no_aut_group_table():
