@@ -388,11 +388,15 @@ def test_has_regular_embedding_counts():
     assert has_regular_embedding(v4, v4, count_all=True).pair_count == 6
 
 
-@pytest.mark.parametrize("order", [4, 8, 12])
-def test_pair_counts_match_enumeration(order):
+@pytest.mark.parametrize("order,nodes", [(4, 184), (8, 146720),
+                                         (12, 45324)])
+def test_pair_counts_match_enumeration(order, nodes):
     # Each regular subgroup isomorphic to G is the image of |Aut(G)|
-    # crossed pairs, so the two searches count the same subgroups.
+    # crossed pairs, so the two searches count the same subgroups.  The
+    # node total is frozen from the check of every pair: the replay at the
+    # leaves keeps the counts right even without pruning, the nodes do not.
     tables = [r.table for r in load_manifest(CORPORA / f"o{order}").records]
+    total = 0
     for N in tables:
         enum = enumerate_regular_subgroups(holomorph(N))
         reps = enum.classify()
@@ -401,8 +405,10 @@ def test_pair_counts_match_enumeration(order):
             matches = sum(per_class[i] for i, rep in enumerate(reps)
                           if are_isomorphic(G, rep)[0])
             expected = automorphism_group(G).order * matches
-            assert has_regular_embedding(
-                G, N, count_all=True).pair_count == expected
+            result = has_regular_embedding(G, N, count_all=True)
+            assert result.pair_count == expected
+            total += result.nodes
+    assert total == nodes
 
 
 def test_has_regular_embedding_agrees_with_enumeration():
