@@ -1,8 +1,8 @@
 """Screening group orders for insolvable regular subgroups of holomorphs.
 
 The package has three layers.  The bottom layer is finite group machinery
-over explicit multiplication tables: permutation groups with stabilizer
-chains (:mod:`.perms`), group tables and homomorphisms (:mod:`.tables`),
+over explicit multiplication tables: permutation groups listed by
+closure (:mod:`.perms`), group tables and homomorphisms (:mod:`.tables`),
 subgroup lattices (:mod:`.lattice`), automorphism groups
 (:mod:`.automorphisms`), and isomorphism testing (:mod:`.isomorphism`).
 The middle layer builds holomorphs and enumerates their regular subgroups
@@ -21,8 +21,7 @@ from .corpus import (CorpusManifest, CorpusReport, GroupRecord, construct,
                      corpus_hash, load_group, load_manifest, parse_group_text,
                      regular_generators, save_group, serialize_group,
                      validate_corpus, write_index)
-from .errors import (CapExceeded, CorpusError, HoloscreenError,
-                     SearchBudgetExceeded)
+from .errors import CapExceeded, CorpusError, HoloscreenError
 from .holomorph import (DEFAULT_NODE_BUDGET, HOL_ORDER_CAP,
                         EmbeddingSearchResult, HolomorphGroup,
                         RegularEnumeration, RegularSubgroupRecord,
@@ -53,7 +52,7 @@ __all__ = [
     "HolomorphGroup", "HoloscreenError", "Homomorphism",
     "OrderClassification", "PairTestResult", "PermutationGroup",
     "RegularEnumeration", "RegularSubgroupRecord", "SUBGROUP_CAP",
-    "ScreenReport", "SearchBudgetExceeded", "SimpleOrderTable", "Subgroup",
+    "ScreenReport", "SimpleOrderTable", "Subgroup",
     "SubgroupOrderSets", "SuzukiExponentCheck", "all_subgroups",
     "are_isomorphic", "automorphism_group", "build_order_sets",
     "characteristic_subgroups", "classify_order", "construct", "corpus_hash",

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import CapExceeded
 from .isomorphism import automorphism_images
 from .lattice import normal_subgroups
-from .perms import PermutationGroup, Perm, compose, inverse
-from .tables import GroupTable, Subgroup, commutator_series
+from .perms import Perm, compose, inverse
+from .tables import GroupTable, Subgroup, commutator_series, normal_closure
 
 AUT_TABLE_CAP = 2000
 # Bounds n * |Aut(N)|, the entries of the element list kept by callers that
@@ -47,15 +47,11 @@ class AutGroup:
 
     @cached_property
     def generators(self) -> tuple[Perm, ...]:
-        """A reduced generating set, chosen greedily from the element list."""
-        gens: list[Perm] = []
-        group = PermutationGroup(self.base.n, [])
-        for p in self.elements[1:]:
-            if p not in group:
-                gens.append(p)
-                group = group.with_generators([p])
-                if group.order() == self.order:
-                    break
+        """A reduced generating set, chosen greedily from the element list:
+        each listed element outside the group generated so far is adjoined,
+        and the closure grows incrementally."""
+        gens, _ = normal_closure(self.elements[1:], (), compose, inverse,
+                                 self.elements[0])
         return tuple(gens)
 
     @cached_property
@@ -134,10 +130,6 @@ class AutGroup:
         """``table`` wrapped as a GroupTable, for the crossed-map search;
         regular-subgroup enumeration never builds it."""
         return GroupTable(self.table.tolist(), validate=False)
-
-    @cached_property
-    def element_orders(self) -> tuple[int, ...]:
-        return self.group_table.element_orders
 
     def is_solvable(self) -> bool:
         """Solvability, from the derived series of ``generators`` under

@@ -46,10 +46,10 @@ from pathlib import Path
 
 from sympy import isprime, primitive_root
 
-from .errors import CorpusError
+from .errors import CapExceeded, CorpusError
 from .isomorphism import GeneratorTower, are_isomorphic
-from .perms import Perm, check_perm, compose, identity_perm, is_identity
-from .perms import PermutationGroup
+from .perms import (Perm, PermutationGroup, check_perm, compose, identity_perm,
+                    is_identity)
 from .tables import TABLE_CAP, GroupTable, Homomorphism, from_permutation_group
 
 __all__ = [
@@ -172,18 +172,29 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupRecord:
         _fail("missing 'degree' line (or a table block)", source)
     if degree < 1:
         _fail(f"degree must be positive, got {degree}", source)
-    gens = sorted(set(gens))
-    group = PermutationGroup(degree, gens)
-    actual = group.order()
-    if actual != order:
-        _fail(f"order mismatch: declared {order}, generators give {actual}",
-              source)
+    return _generated_record(name, order, degree, sorted(set(gens)), source,
+                             tuple(provenance))
+
+
+def _generated_record(name: str, order: int, degree: int, gens: list[Perm],
+                      source: str, provenance: tuple[str, ...]) -> GroupRecord:
+    """The record of the group generated by ``gens``, listed by closure.
+
+    The listing stops one element past the declared order, so a declared
+    order is checked without listing a larger group."""
     if order > TABLE_CAP:
         _fail(f"order {order} exceeds the table cap {TABLE_CAP}", source)
-    table, elements = from_permutation_group(group, name=name)
+    group = PermutationGroup(degree, gens)
+    try:
+        table, elements = from_permutation_group(group, cap=order, name=name)
+    except CapExceeded:
+        _fail(f"order mismatch: declared {order}, generators give more", source)
+    if len(elements) != order:
+        _fail(f"order mismatch: declared {order}, generators give "
+              f"{len(elements)}", source)
     return GroupRecord(name=name, order=order, source=source, table=table,
                        degree=degree, generators=tuple(gens),
-                       elements=tuple(elements), provenance=tuple(provenance))
+                       elements=tuple(elements), provenance=provenance)
 
 
 def load_group(path) -> GroupRecord:
@@ -373,18 +384,8 @@ def _factorial(m: int) -> int:
 
 def _perm_record(label: str, order: int, degree: int, gens, source: str) -> GroupRecord:
     gens = sorted({check_perm(g) for g in gens if not is_identity(g)})
-    group = PermutationGroup(degree, gens)
-    actual = group.order()
-    if actual != order:
-        raise RuntimeError(
-            f"constructor bug: {label} built order {actual}, wanted {order}")
-    if order > TABLE_CAP:
-        _fail(f"order {order} exceeds the table cap {TABLE_CAP}", source)
-    table, elements = from_permutation_group(group, name=label)
-    return GroupRecord(name=label, order=order, source=source, table=table,
-                       degree=degree, generators=tuple(gens),
-                       elements=tuple(elements),
-                       provenance=(f"constructed: {label}",))
+    return _generated_record(label, order, degree, gens, source,
+                             (f"constructed: {label}",))
 
 
 def _cyclic_gens(n: int) -> tuple[int, list[Perm]]:
@@ -600,7 +601,13 @@ def load_manifest(directory) -> CorpusManifest:
         if not line or line.startswith("#"):
             continue
         if line.startswith("order "):
-            order = int(line.split(None, 1)[1])
+            try:
+                order = int(line.split(None, 1)[1])
+            except ValueError:
+                _fail("bad order line", str(index), lineno)
+            if order < 1:
+                _fail(f"order must be positive, got {order}", str(index),
+                      lineno)
         elif line.startswith("complete "):
             value = line.split(None, 1)[1]
             if value not in ("true", "false"):

@@ -9,14 +9,6 @@ class CapExceeded(HoloscreenError):
     """An input is larger than the configured size cap for an operation."""
 
 
-class SearchBudgetExceeded(HoloscreenError):
-    """A backtracking search ran out of its node budget.
-
-    Raised only where a partial answer would be misleading; searches that can
-    report partial results return an ``exhausted`` flag instead.
-    """
-
-
 class CorpusError(HoloscreenError):
     """A corpus file or manifest failed to parse or validate."""
 

@@ -400,8 +400,7 @@ def has_regular_embedding(
                     return hit
         return False
 
-    for f in hom_images(G, aut.group_table,
-                        order_of=lambda x: aut.element_orders[x]):
+    for f in hom_images(G, aut.group_table):
         if rec(0, f):
             break
         if exhausted:

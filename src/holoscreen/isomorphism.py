@@ -17,7 +17,7 @@ Computational Group Theory*, 2005, section 2.1).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .tables import GroupTable, Homomorphism
 
@@ -199,17 +199,12 @@ def automorphism_images(N: GroupTable) -> Iterator[tuple[int, ...]]:
     return morphism_images(N, N, candidates, bijective=True, tower=tower)
 
 
-def hom_images(G: GroupTable, target: GroupTable,
-               order_of: Callable[[int], int] | None = None) -> Iterator[tuple[int, ...]]:
-    """All homomorphisms G -> target, lazily.
-
-    ``order_of`` overrides the target element order lookup (used when the
-    target table carries precomputed orders)."""
+def hom_images(G: GroupTable, target: GroupTable) -> Iterator[tuple[int, ...]]:
+    """All homomorphisms G -> target, lazily."""
     tower = GeneratorTower(G)
-    if order_of is None:
-        order_of = lambda x: target.element_orders[x]
+    orders = target.element_orders
     candidates = []
     for g in tower.gens:
         og = G.element_orders[g]
-        candidates.append([x for x in range(target.n) if og % order_of(x) == 0])
+        candidates.append([x for x in range(target.n) if og % orders[x] == 0])
     return morphism_images(G, target, candidates, bijective=False, tower=tower)

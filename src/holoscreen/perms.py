@@ -1,5 +1,7 @@
 """Permutations and permutation groups on the points {0, ..., degree-1}.
 
+A permutation group is listed by breadth-first closure over its generators.
+
 A permutation is a tuple of images: ``p[x]`` is the image of point ``x``.
 
 Composition convention, fixed for the whole package: ``compose(p, q)`` applies
@@ -11,7 +13,7 @@ convention.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded
 
@@ -101,25 +103,11 @@ def perm_from_cycles(degree: int, cycle_list: Iterable[Sequence[int]]) -> Perm:
     return check_perm(images)
 
 
-class _Level:
-    """One level of a stabilizer chain: a base point, its orbit transversal,
-    and generators for the group acting at this level."""
-
-    __slots__ = ("base", "transversal", "orbit", "gens")
-
-    def __init__(self, base: int, degree: int):
-        self.base = base
-        self.transversal = {base: identity_perm(degree)}
-        self.orbit = [base]
-        self.gens: list[Perm] = []
-
-
 class PermutationGroup:
     """A finite permutation group given by generators.
 
-    The stabilizer chain (deterministic Schreier-Sims, base points chosen as
-    the smallest moved point at each level) is built lazily and supports exact
-    order computation and membership tests.
+    The group is listed by breadth-first closure over its generators; that
+    listing also gives its order.
     """
 
     def __init__(self, degree: int, generators: Iterable[Sequence[int]]):
@@ -132,110 +120,9 @@ class PermutationGroup:
             if not is_identity(p):
                 gens.append(p)
         self.generators: tuple[Perm, ...] = tuple(gens)
-        self._levels: list[_Level] | None = None
-
-    # -- stabilizer chain ------------------------------------------------
-
-    def _chain(self) -> list[_Level]:
-        if self._levels is None:
-            self._levels = self._build_chain()
-        return self._levels
-
-    def _strip(self, levels: list[_Level], p: Perm, start: int = 0):
-        """Sift p through the chain; return (residue, level index where it stuck)."""
-        for idx in range(start, len(levels)):
-            lvl = levels[idx]
-            x = p[lvl.base]
-            if x == lvl.base:
-                continue
-            rep = lvl.transversal.get(x)
-            if rep is None:
-                return p, idx
-            p = compose(inverse(rep), p)
-        return p, len(levels)
-
-    def _build_chain(self) -> list[_Level]:
-        degree = self.degree
-        levels: list[_Level] = []
-
-        def assign(p: Perm) -> int:
-            """Attach p to the first level whose base it moves.
-
-            Generators stored at level i fix the bases of all earlier
-            levels, so the group acting at level i is generated by the
-            union of the generator lists from level i downward.
-            """
-            for i, lvl in enumerate(levels):
-                if p[lvl.base] != lvl.base:
-                    lvl.gens.append(p)
-                    return i
-            base = min(x for x in range(degree) if p[x] != x)
-            levels.append(_Level(base, degree))
-            levels[-1].gens.append(p)
-            return len(levels) - 1
-
-        def effective(i: int) -> list[Perm]:
-            out: list[Perm] = []
-            for lvl in levels[i:]:
-                out.extend(lvl.gens)
-            return out
-
-        def rebuild_orbit(i: int, gens: list[Perm]) -> None:
-            lvl = levels[i]
-            lvl.transversal = {lvl.base: identity_perm(degree)}
-            lvl.orbit = [lvl.base]
-            qi = 0
-            while qi < len(lvl.orbit):
-                x = lvl.orbit[qi]
-                qi += 1
-                tx = lvl.transversal[x]
-                for g in gens:
-                    y = g[x]
-                    if y not in lvl.transversal:
-                        lvl.transversal[y] = compose(g, tx)
-                        lvl.orbit.append(y)
-
-        for g in self.generators:
-            assign(g)
-
-        # Verify levels bottom-up: every Schreier generator must sift to
-        # identity through the deeper chain.  A residue that does not is a
-        # missing stabilizer generator; attach it and resume from its level.
-        i = len(levels) - 1
-        while i >= 0:
-            gens = effective(i)
-            rebuild_orbit(i, gens)
-            lvl = levels[i]
-            stuck = None
-            for x in lvl.orbit:
-                tx = lvl.transversal[x]
-                for g in gens:
-                    sg = compose(inverse(lvl.transversal[g[x]]), compose(g, tx))
-                    if is_identity(sg):
-                        continue
-                    res, _ = self._strip(levels, sg, i + 1)
-                    if not is_identity(res):
-                        stuck = assign(res)
-                        break
-                if stuck is not None:
-                    break
-            i = stuck if stuck is not None else i - 1
-        return levels
-
-    # -- queries ---------------------------------------------------------
 
     def order(self) -> int:
-        n = 1
-        for lvl in self._chain():
-            n *= len(lvl.transversal)
-        return n
-
-    def __contains__(self, p: Sequence[int]) -> bool:
-        p = tuple(p)
-        if len(p) != self.degree:
-            return False
-        res, _ = self._strip(self._chain(), p)
-        return is_identity(res)
+        return len(self.elements())
 
     def elements(self, cap: int | None = None) -> list[Perm]:
         """All elements by breadth-first closure over the generators.
@@ -261,9 +148,6 @@ class PermutationGroup:
                     seen.add(y)
                     out.append(y)
         return out
-
-    def with_generators(self, extra: Iterable[Perm]) -> "PermutationGroup":
-        return PermutationGroup(self.degree, list(self.generators) + list(extra))
 
     def __repr__(self) -> str:
         return "PermutationGroup(degree=%d, ngens=%d)" % (

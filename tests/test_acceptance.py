@@ -22,6 +22,7 @@ from holoscreen.numbers import (classify_order, default_table, gl_is_solvable,
                                 is_cube_free, is_solvable_number,
                                 mersenne_gcd_property, suzuki_exponent_check,
                                 wieferich_scan)
+from holoscreen.perms import PermutationGroup
 from holoscreen.screening import screen_order
 from oracles import left_regular_codes, right_regular_codes
 
@@ -131,9 +132,10 @@ def test_criterion_05_translations_found_and_holomorph_order():
         for record in manifest(name).records:
             table = record.table
             hol = holomorph(table)
-            # Schreier-Sims on <right translations, Aut(N)>, independent of
-            # the coded order n * |Aut|.
-            perms = right_regular(table).with_generators(hol.aut.generators)
+            # Breadth-first closure of <right translations, Aut(N)>,
+            # independent of the coded order n * |Aut|.
+            perms = PermutationGroup(
+                table.n, right_regular(table).generators + hol.aut.generators)
             assert perms.order() == hol.order, record.name
             enum = enumerate_regular_subgroups(hol)
             assert enum.complete

@@ -80,6 +80,21 @@ def test_generators_generate():
     assert not aut.is_solvable()
 
 
+def test_generators_are_greedy_from_the_element_list():
+    # By definition: generator i is the first listed automorphism outside
+    # the group the earlier ones generate, and together they list Aut(N).
+    bases = [record.table for directory in sorted(CORPORA.iterdir())
+             for record in load_manifest(directory).records]
+    bases.append(T("abelian(2,2,2,2)"))
+    for table in bases:
+        aut = automorphism_group(table)
+        gens = aut.generators
+        for i, g in enumerate(gens):
+            listed = set(PermutationGroup(table.n, gens[:i]).elements())
+            assert g == next(p for p in aut.elements if p not in listed)
+        assert len(PermutationGroup(table.n, gens).elements()) == aut.order
+
+
 def test_aut_table_matches_composition():
     aut = automorphism_group(T("symmetric(3)"))
     table = aut.table
@@ -90,8 +105,9 @@ def test_aut_table_matches_composition():
     assert view.n == 6
     assert view.mul == tuple(tuple(row) for row in table.tolist())
     assert view.is_solvable()
-    assert aut.element_orders[0] == 1
-    assert sorted(aut.element_orders) == [1, 2, 2, 2, 3, 3]  # Aut(S3) = S3
+    orders = aut.group_table.element_orders
+    assert orders[0] == 1
+    assert sorted(orders) == [1, 2, 2, 2, 3, 3]  # Aut(S3) = S3
 
 
 def test_aut_table_matches_reference_on_shipped_bases():

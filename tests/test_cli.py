@@ -407,6 +407,15 @@ def test_corpus_validate_failure(tmp_path, capsys):
     assert "result: failed" in out
 
 
+@pytest.mark.parametrize("line", ["order sixty", "order -5"])
+def test_corpus_validate_bad_order_line(tmp_path, capsys, line):
+    (tmp_path / "index.txt").write_text(f"{line}\ncomplete true\n")
+    code, out, _ = run(["corpus", "validate", tmp_path], capsys)
+    assert code == 1
+    assert "index.txt:1: " in out
+    assert "result: failed" in out
+
+
 def test_corpus_validate_missing_directory(tmp_path, capsys):
     code, out, _ = run(["corpus", "validate", tmp_path / "nowhere"], capsys)
     assert code == 1

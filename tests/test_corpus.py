@@ -59,6 +59,8 @@ def test_parse_provenance_lines():
     ("group g\norder 4\ndegree 4\ngen: 1 2 3\n", "generator has 3 images"),
     ("group g\norder 4\ndegree 4\ngen: 1 1 2 2\n", "not a permutation"),
     ("group g\norder 5\ndegree 4\ngen: 1 2 3 0\n", "order mismatch"),
+    ("group g\norder 4\ndegree 4\ngen: 1 0 2 3\ngen: 1 2 3 0\n",
+     "declared 4, generators give more"),
     ("group g!\norder 2\ndegree 2\ngen: 1 0\n", "bad group name"),
     ("group g\norder 2\nfoo bar\ndegree 2\ngen: 1 0\n", "unrecognized line"),
     ("group g\ngroup h\norder 2\ndegree 2\ngen: 1 0\n", "second 'group'"),
@@ -71,6 +73,13 @@ def test_parse_provenance_lines():
 def test_parse_errors(text, fragment):
     with pytest.raises(CorpusError, match=fragment.replace("(", "\\(")):
         parse_group_text(text)
+
+
+def test_identity_generator_line_is_kept():
+    text = "group c2\norder 2\ndegree 2\ngen: 0 1\ngen: 1 0\n"
+    record = parse_group_text(text)
+    assert record.generators == ((0, 1), (1, 0))
+    assert serialize_group(record) == text
 
 
 def test_serialize_is_canonical():
@@ -196,6 +205,19 @@ def test_manifest_errors(tmp_path):
     (tmp_path / "index.txt").write_text("order 6\ncomplete true\nfile c4.grp\n")
     with pytest.raises(CorpusError, match="corpus claims 6"):
         load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("line,fragment", [
+    ("order sixty", "bad order line"),
+    ("order -5", "order must be positive, got -5"),
+])
+def test_validate_reports_a_bad_manifest_order(tmp_path, line, fragment):
+    (tmp_path / "index.txt").write_text(f"{line}\ncomplete true\n")
+    with pytest.raises(CorpusError, match=fragment):
+        load_manifest(tmp_path)
+    report = validate_corpus(tmp_path)
+    assert not report.ok
+    assert len(report.errors) == 1 and fragment in report.errors[0]
 
 
 def test_corpus_hash_tracks_content(tmp_path):

@@ -488,7 +488,6 @@ def test_enumeration_builds_no_aut_group_table():
     assert np.shares_memory(hol.amul, hol.aut.__dict__["table"])
     # Only the crossed-map search wraps the array as a GroupTable.
     assert "group_table" not in hol.aut.__dict__
-    assert "element_orders" not in hol.aut.__dict__
 
 
 def test_identity_perm_roundtrip():
