@@ -47,9 +47,8 @@ class AutGroup:
 
     @cached_property
     def generators(self) -> tuple[Perm, ...]:
-        """A reduced generating set, chosen greedily from the element list:
-        each listed element outside the group generated so far is adjoined,
-        and the closure grows incrementally."""
+        """A reduced generating set, chosen greedily: each listed element
+        outside the group generated by the earlier ones is adjoined."""
         gens, _ = normal_closure(self.elements[1:], (), compose, inverse,
                                  self.elements[0])
         return tuple(gens)
