@@ -44,8 +44,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from sympy import isprime, primitive_root
-
 from .errors import CapExceeded, CorpusError
 from .isomorphism import GeneratorTower, are_isomorphic
 from .perms import (Perm, PermutationGroup, check_perm, compose, identity_perm,
@@ -517,6 +515,9 @@ def _semidirect(normal: GroupRecord, acting: GroupRecord,
 
 
 def _linear(kind: str, m: int, p: int, source: str) -> GroupRecord:
+    # Imported here to keep sympy out of start-up, as in numbers.py.
+    from sympy import isprime, primitive_root
+
     if m < 1:
         _fail(f"{kind} needs dimension >= 1, got {m}", source)
     if not isprime(p):

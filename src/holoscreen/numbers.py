@@ -13,7 +13,8 @@ multiple of its order.
 
 Factorization-backed answers are honest about effort: past the trial bound
 they fall back to Pollard rho and, when the budget runs out, report
-``unknown`` instead of guessing.
+``unknown`` instead of guessing.  The primality, sieving and factoring
+primitives come from sympy, which is loaded on first use.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
 
-from sympy import factorint, isprime, perfect_power, primerange
-from sympy.ntheory import pollard_rho
+# sympy is imported inside the functions that call it, not here: it is most
+# of the package's import time, and commands that do no number theory never
+# need it.
 
 __all__ = [
     "SimpleOrderTable",
@@ -163,6 +165,8 @@ def gl_is_solvable(m: int, p: int) -> bool:
     The group is solvable exactly for degree 1, and degree 2 over 2 or 3
     elements; every other case contains a non-abelian simple section.
     """
+    from sympy import isprime
+
     if m < 1:
         raise ValueError("degree must be at least 1")
     if not isprime(p):
@@ -184,6 +188,8 @@ def suzuki_order(ell: int) -> int:
 
 def _rho_divisor(n: int) -> int | None:
     """A certified nontrivial divisor of composite n, or None on give-up."""
+    from sympy.ntheory import pollard_rho
+
     for attempt in range(RHO_RETRIES):
         d = pollard_rho(n, a=attempt + 1, retries=2, seed=1234 + attempt)
         if d is not None and 1 < d < n and n % d == 0:
@@ -200,6 +206,8 @@ def square_free_status(
     budget ran out before a decision.  When status is False the witness is
     a prime whose square divides n, when one was identified.
     """
+    from sympy import isprime, primerange
+
     if n < 1:
         raise ValueError("argument must be positive")
     m = n
@@ -220,6 +228,8 @@ def square_free_status(
 
 
 def _square_free_tail(m: int) -> tuple[bool | None, int | None]:
+    from sympy import isprime, perfect_power
+
     power = perfect_power(m)
     if power:
         base = power[0]
@@ -271,6 +281,8 @@ def suzuki_exponent_check(ell: int, *, trial_bound: int = TRIAL_BOUND) -> Suzuki
     factorization that cannot decide square-freeness yields status
     "unknown" rather than a guess.
     """
+    from sympy import isprime
+
     if ell < 3:
         raise ValueError(f"exponent must be at least 3, got {ell}")
     if not isprime(ell):
@@ -300,6 +312,8 @@ def suzuki_exponent_check(ell: int, *, trial_bound: int = TRIAL_BOUND) -> Suzuki
 
 def wieferich_scan(limit: int) -> list[int]:
     """Primes p <= limit with 2**(p-1) = 1 modulo p*p."""
+    from sympy import primerange
+
     if limit > WIEFERICH_CAP:
         raise ValueError(f"scan limit capped at {WIEFERICH_CAP}")
     return [p for p in primerange(2, limit + 1) if pow(2, p - 1, p * p) == 1]
@@ -348,11 +362,15 @@ def doubling_family_conditions(
     Three checks: no 2**r * n0 (r >= 1) is the order of a simple group;
     n0/2 is a solvable number when n0 is even; and (2**r * n0)/p is a
     solvable number for every odd prime p dividing n0 and every r >= 0.
-    The doubling exponent runs to ``r_max``, by default as far as the
-    table bound allows.
+    The doubling exponent runs to ``r_max`` (at least 0), by default as far
+    as the table bound allows.
     """
+    from sympy import factorint
+
     if n0 < 2:
         raise ValueError("base order must be at least 2")
+    if r_max is not None and r_max < 0:
+        raise ValueError(f"r_max must be >= 0, got {r_max}")
     table = table or default_table()
     table.require(n0)
     natural_max = 0
@@ -418,6 +436,8 @@ def doubling_family_base(n: int) -> tuple[int, int] | None:
     exponent.  Returns (n0, r) or None.  The power of two inside n0 itself
     is accounted for, so for example 240 gives (60, 2).
     """
+    from sympy import primerange
+
     if n < 1:
         raise ValueError("order must be positive")
     v = (n & -n).bit_length() - 1

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -381,6 +384,16 @@ def test_numtheory_conditions(capsys):
     assert code == 0
     assert "failure: 360/2 = 180 is not a solvable number" in out
     assert "all hold: no" in out
+    # A negative bound used to skip both loops and report "all hold: yes".
+    code, out, err = run(["numtheory", "conditions", "--n0", 420,
+                          "--r-max", -1], capsys)
+    assert code == 1
+    assert "all hold" not in out
+    assert err.startswith("error: r_max must be >= 0")
+    code, out, _ = run(["numtheory", "conditions", "--n0", 420,
+                        "--r-max", 0], capsys)
+    assert code == 0
+    assert "(2^0 * 420)/7 = 60 is not a solvable number" in out
 
 
 def test_corpus_validate_ok(capsys):
@@ -420,3 +433,38 @@ def test_corpus_validate_missing_directory(tmp_path, capsys):
     code, out, _ = run(["corpus", "validate", tmp_path / "nowhere"], capsys)
     assert code == 1
     assert "result: failed" in out
+
+
+# Runs in a fresh interpreter, so that nothing imported by this test session
+# counts.  Prints, after the import and after each command, its exit code
+# and whether sympy is loaded.
+SYMPY_PROBE = """
+import contextlib, io, json, sys
+import holoscreen, holoscreen.cli
+steps = [[0, "sympy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = holoscreen.cli.main(argv)
+    steps.append([code, "sympy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_only_number_theory_loads_sympy():
+    o12 = str(CORPORA / "o12")
+    group_side = [["corpus", "validate", o12],
+                  ["screen", "--jobs", "1", "--corpus", o12],
+                  ["direct", "--corpus", o12],
+                  ["group", "regulars", "abelian(5,5)"]]
+    # gl(2,3) runs first, so that its constructor is what loads sympy.
+    arithmetic = [["group", "info", "gl(2,3)"], ["classify", "60"]]
+    env = dict(os.environ, PYTHONPATH=str(CORPORA.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", SYMPY_PROBE,
+         json.dumps(group_side + arithmetic)],
+        env=env, cwd=CORPORA.parent, capture_output=True, text=True,
+        check=True)
+    steps = json.loads(done.stdout)
+    assert steps == ([[0, False]] * (1 + len(group_side))
+                     + [[0, True]] * len(arithmetic))

@@ -116,6 +116,13 @@ def test_square_free_status():
     p = 2**61 - 1
     status, witness = square_free_status(p * p, trial_bound=100)
     assert status is False
+    # Primes past the trial bound, so Pollard rho splits the cofactor.
+    # For p*p*q it splits off q and the part p*p is a perfect power; for
+    # q*q*p it splits off q, and q is the gcd of the two parts.
+    p, q = 1000003, 1000033
+    assert square_free_status(p * q, trial_bound=100) == (True, None)
+    assert square_free_status(p * p * q, trial_bound=100) == (False, p)
+    assert square_free_status(q * q * p, trial_bound=100) == (False, q)
 
 
 def test_suzuki_exponent_check():
@@ -177,6 +184,15 @@ def test_doubling_family_conditions_fail():
     assert not result.all_hold
     assert result.prime_quotients_solvable is False
     assert "168" in result.failure
+
+
+def test_doubling_family_conditions_r_max():
+    with pytest.raises(ValueError, match="r_max must be >= 0"):
+        doubling_family_conditions(420, r_max=-1)
+    result = doubling_family_conditions(420, r_max=0)
+    assert result.r_checked == 0
+    assert result.prime_quotients_solvable is False
+    assert result.failure == "(2^0 * 420)/7 = 60 is not a solvable number"
 
 
 def test_doubling_family_conditions_unknown_past_bound():
