@@ -17,9 +17,15 @@ fiber rejects x, since <H, x> then meets that fiber twice.  Two prunes keep
 the tree small: candidates are restricted per fiber up front (the caller
 filters by element order), and any intermediate group whose size does not
 divide the target order is rejected, since it could never sit inside a
-regular subgroup.  Each regular subgroup is reached along exactly one branch
-path, so no deduplication is needed; results appear in deterministic
-discovery order.
+regular subgroup.  A per-code ``closable`` mask is an early exit, not a
+prune: a regular subgroup meets fiber 0, the stabiliser of the identity
+point, only in the identity, so an element with a non-identity power over
+fiber 0, or with an order not dividing n, dooms every closure that contains
+it (the closure meets fiber 0 twice, or its size does not divide n).  Such
+a node is still counted and ends as it would have, only sooner, so the tree
+and the node count stay the same.  Each regular subgroup is reached along
+exactly one branch path, so no deduplication is needed; results appear in
+deterministic discovery order.
 
 tests/test_kernel_backends.py holds the kernel to a plain reference that
 closes by pairwise products instead of cosets: the same records in the same
@@ -30,13 +36,15 @@ runs out, on every base there, in full and under budgets.
 from __future__ import annotations
 
 
-def search_regular(n, na, nmul, amul, act, allowed, budget):
+def search_regular(n, na, nmul, amul, act, allowed, budget, closable):
     """Enumerate regular subgroups of the coded holomorph.
 
     Arguments: group order ``n``, automorphism count ``na``, flattened numpy
     tables ``nmul`` (n*n), ``amul`` (na*na), ``act`` (na*n with act[phi*n+b]
     = phi(b)), per-fiber candidate lists ``allowed`` (index 0 unused), and a
-    node ``budget`` (None for unlimited; a node is one closure attempt).
+    node ``budget`` (None for unlimited; a node is one closure attempt),
+    and the per-code ``closable`` mask of ``HolomorphGroup.closable`` (a
+    closure that would meet a code marked 0 is abandoned).
 
     Returns (subgroups, nodes, exhausted) where each subgroup is a sorted
     tuple of element codes.
@@ -62,7 +70,8 @@ def search_regular(n, na, nmul, amul, act, allowed, budget):
 
     def close_with(x: int) -> int:
         """Adjoin x, outside the group H = members, and close by right
-        cosets of H; the count of new members, or -1 on fiber conflict."""
+        cosets of H; the count of new members, or -1 on a fiber conflict or
+        a member that is not closable."""
         start = len(members)
         gens.append(divmod(x, na))
         reps = [x]
@@ -76,7 +85,11 @@ def search_regular(n, na, nmul, amul, act, allowed, budget):
                     rollback(len(members) - start)
                     return -1
                 g = amul[gna + f]
-                fiber_elem[b] = t = b * na + g
+                t = b * na + g
+                if not closable[t]:
+                    rollback(len(members) - start)
+                    return -1
+                fiber_elem[b] = t
                 members.append(t)
                 offsets.append((b * n, g * n, g * na))
             an, fn, fna = a * n, f * n, f * na
@@ -108,7 +121,10 @@ def search_regular(n, na, nmul, amul, act, allowed, budget):
             if budget_val >= 0 and nodes > budget_val:
                 exhausted = True
                 return
-            added = close_with(f * na + phi)
+            x = f * na + phi
+            if not closable[x]:
+                continue
+            added = close_with(x)
             if added >= 0:
                 if n % len(members) == 0:
                     rec()

@@ -167,11 +167,6 @@ def inner_and_outer(N: GroupTable, aut: AutGroup) -> tuple[int, int]:
     return inner, aut.order // inner
 
 
-def inner_automorphism(N: GroupTable, g: int) -> Perm:
-    """Conjugation by g as a permutation of element indices."""
-    return tuple(N.conjugate(g, x) for x in range(N.n))
-
-
 def characteristic_subgroups(N: GroupTable, aut: AutGroup) -> list[Subgroup]:
     """Normal subgroups fixed setwise by every automorphism generator."""
     out = []

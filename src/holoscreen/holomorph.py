@@ -82,6 +82,7 @@ class HolomorphGroup:
         self.amul = aut.table.ravel()
         self.act = np.array(aut.elements, dtype=np.int32).ravel()
         self._orders: list[int] | None = None
+        self._closable: bytes | None = None
 
     # -- coded pairs -----------------------------------------------------
 
@@ -97,6 +98,9 @@ class HolomorphGroup:
         """Order of every coded element, cached."""
         if self._orders is None:
             orders = np.ones(self.order, dtype=np.int64)
+            # stuck[t]: some power t^k with 0 < k < ord(t) lies over fiber 0.
+            stuck = np.zeros(self.order, dtype=bool)
+            stuck[1:self.na] = True
             # x[i] is live[i] to the k-th power, not yet the identity.
             live = x = np.arange(1, self.order)
             k = 1
@@ -104,10 +108,20 @@ class HolomorphGroup:
                 k += 1
                 x = self.code_mul(x, live)
                 done = x == 0
+                stuck[live[(x < self.na) & ~done]] = True
                 orders[live[done]] = k
                 live, x = live[~done], x[~done]
             self._orders = orders.tolist()
+            self._closable = ((self.n % orders == 0) & ~stuck).tobytes()
         return self._orders
+
+    def closable(self) -> bytes:
+        """Per code, 1 exactly when its order divides n and none of its
+        non-identity powers lies over fiber 0, else 0; cached.  Every
+        element of a regular subgroup is closable, since the subgroup meets
+        fiber 0 only in the identity."""
+        self.element_orders()
+        return self._closable
 
     def conjugates(self, codes: Sequence[int]) -> Iterator[tuple[int, ...]]:
         """Images of a code set under conjugation by every (1, phi) in turn,
@@ -249,7 +263,8 @@ def enumerate_regular_subgroups(
         allowed[a] = [phi for phi in range(na)
                       if n % orders[a * na + phi] == 0]
     subgroups, nodes, exhausted = _kernel.search_regular(
-        n, na, hol.nmul, hol.amul, hol.act, allowed, node_budget)
+        n, na, hol.nmul, hol.amul, hol.act, allowed, node_budget,
+        hol.closable())
     records = [RegularSubgroupRecord(codes=tuple(codes)) for codes in subgroups]
     return RegularEnumeration(hol=hol, records=records, nodes=nodes,
                               exhausted=exhausted)

@@ -12,7 +12,6 @@ convention.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded
@@ -54,14 +53,6 @@ def inverse(p: Sequence[int]) -> Perm:
     return tuple(inv)
 
 
-def perm_order(p: Sequence[int]) -> int:
-    """Order of the permutation (lcm of its cycle lengths)."""
-    order = 1
-    for c in cycles(p, include_fixed=False):
-        order = math.lcm(order, len(c))
-    return order
-
-
 def cycles(p: Sequence[int], include_fixed: bool = False) -> list[tuple[int, ...]]:
     """Cycle decomposition, cycles led by their smallest point, in point order."""
     seen = [False] * len(p)
@@ -79,28 +70,6 @@ def cycles(p: Sequence[int], include_fixed: bool = False) -> list[tuple[int, ...
         if len(cyc) > 1 or include_fixed:
             out.append(tuple(cyc))
     return out
-
-
-def format_cycles(p: Sequence[int]) -> str:
-    cs = cycles(p)
-    if not cs:
-        return "()"
-    return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cs)
-
-
-def perm_from_cycles(degree: int, cycle_list: Iterable[Sequence[int]]) -> Perm:
-    """Build a permutation from disjoint cycles (handy in tests)."""
-    images = list(range(degree))
-    seen = set()
-    for c in cycle_list:
-        for i, x in enumerate(c):
-            if not 0 <= x < degree:
-                raise ValueError("point %d outside 0..%d" % (x, degree - 1))
-            if x in seen:
-                raise ValueError("cycles are not disjoint at point %d" % x)
-            seen.add(x)
-            images[x] = c[(i + 1) % len(c)]
-    return check_perm(images)
 
 
 class PermutationGroup:

@@ -7,14 +7,44 @@ tables.  ``pairwise_morphism_images`` and ``per_row_aut_table`` are the
 direct forms of the Aut(N) layer: every pair of a level checked against
 the homomorphism equations, and every row of the composition table looked
 up and compared in full.  ``pairwise_search_regular`` is the search
-kernel with closure by all products, in place of cosets.
+kernel with closure by all products, in place of cosets.  The permutation
+helpers at the top serve tests only, so they live here, not in the package.
 """
+
+import math
 
 import numpy as np
 
-from holoscreen.automorphisms import inner_automorphism
 from holoscreen.isomorphism import GeneratorTower
-from holoscreen.perms import compose, inverse
+from holoscreen.perms import check_perm, compose, cycles, inverse
+
+
+def perm_order(p):
+    """Order of the permutation (lcm of its cycle lengths)."""
+    order = 1
+    for c in cycles(p):
+        order = math.lcm(order, len(c))
+    return order
+
+
+def perm_from_cycles(degree, cycle_list):
+    """Build a permutation from disjoint cycles."""
+    images = list(range(degree))
+    seen = set()
+    for c in cycle_list:
+        for i, x in enumerate(c):
+            if not 0 <= x < degree:
+                raise ValueError("point %d outside 0..%d" % (x, degree - 1))
+            if x in seen:
+                raise ValueError("cycles are not disjoint at point %d" % x)
+            seen.add(x)
+            images[x] = c[(i + 1) % len(c)]
+    return check_perm(images)
+
+
+def inner_automorphism(N, g):
+    """Conjugation by g as a permutation of element indices."""
+    return tuple(N.conjugate(g, x) for x in range(N.n))
 
 
 def perm_of_code(hol, code):
@@ -163,10 +193,12 @@ def per_row_aut_table(aut):
     return table
 
 
-def pairwise_search_regular(n, na, nmul, amul, act, allowed, budget):
+def pairwise_search_regular(n, na, nmul, amul, act, allowed, budget,
+                            closable):
     """``holoscreen._kernel.pure.search_regular`` closing each adjoined
     element under products with every member in both orders, from a stack,
-    instead of by right cosets; the same branching, node count and budget."""
+    instead of by right cosets; the same branching, node count and budget.
+    It ignores ``closable``, so agreeing with it shows the mask exact."""
     nmul, amul, act = nmul.tolist(), amul.tolist(), act.tolist()
     fiber_elem = [-1] * n
     in_set = bytearray(n * na)

@@ -8,13 +8,13 @@ import pytest
 
 from holoscreen.automorphisms import (AutGroup, automorphism_group,
                                       characteristic_subgroups,
-                                      inner_and_outer, inner_automorphism)
+                                      inner_and_outer)
 from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
 from holoscreen.perms import PermutationGroup, compose, inverse
 from holoscreen.tables import Homomorphism
 
-from oracles import per_row_aut_table
+from oracles import inner_automorphism, per_row_aut_table
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 

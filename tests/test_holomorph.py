@@ -20,11 +20,11 @@ from holoscreen.holomorph import (HOL_AUT_CAP, EmbeddingSearchResult,
                                   right_translation, subgroup_table,
                                   verify_crossed_pair)
 from holoscreen.isomorphism import are_isomorphic
-from holoscreen.perms import compose, identity_perm, perm_order
+from holoscreen.perms import compose, identity_perm
 from holoscreen.tables import GroupTable
 from oracles import (code_inv, code_of_perm, conjugate_code,
-                     left_regular_codes, perm_of_code, record_permutations,
-                     right_regular_codes)
+                     left_regular_codes, perm_of_code, perm_order,
+                     record_permutations, right_regular_codes)
 
 # The package exports the function ``holomorph`` under the module's name.
 holomorph_module = importlib.import_module("holoscreen.holomorph")
@@ -119,6 +119,35 @@ def test_element_orders_match_permutation_orders():
         hol = holomorph(T(expr))
         assert hol.element_orders() == [perm_order(perm_of_code(hol, code))
                                         for code in range(hol.order)], expr
+
+
+def closable_reference(hol, code):
+    """Whether the permutation of ``code`` has order dividing n and no
+    power of it other than the identity fixes point 0 (the identity of N)."""
+    p = perm_of_code(hol, code)
+    m = perm_order(p)
+    power = p
+    for _ in range(1, m):
+        if power[0] == 0:
+            return False
+        power = compose(power, p)
+    return hol.n % m == 0
+
+
+def test_closable_matches_permutation_definition():
+    # Candidates (codes off fiber 0) of order dividing n that the mask still
+    # rejects; without them it would only repeat the order filter.
+    rejected = {"cyclic(6)": 0, "symmetric(3)": 0, "dihedral(8)": 2,
+                "dihedral(12)": 10, "alternating(4)": 6,
+                "abelian(2,2,2)": 42, "cyclic(60)": 90}
+    for expr, count in rejected.items():
+        hol = holomorph(T(expr))
+        mask = hol.closable()
+        assert mask == bytes(closable_reference(hol, code)
+                             for code in range(hol.order)), expr
+        orders = hol.element_orders()
+        assert sum(hol.n % orders[code] == 0 and not mask[code]
+                   for code in range(hol.na, hol.order)) == count, expr
 
 
 def test_array_code_mul_matches_scalar():
