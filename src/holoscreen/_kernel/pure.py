@@ -102,10 +102,11 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable):
 
     def rollback(count: int) -> None:
         """Drop the last ``count`` members and the last generator."""
-        for _ in range(count):
-            u = members.pop()
-            offsets.pop()
+        start = len(members) - count
+        for u in members[start:]:
             fiber_elem[u // na] = -1
+        del members[start:]
+        del offsets[start:]
         gens.pop()
 
     def rec() -> None:

@@ -116,7 +116,16 @@ class AutGroup:
                         table[i] = row[table[t]]
                         known[i] = True
                         queue.append(i)
+        self._table_generators = tuple(looked_up)
         return table
+
+    @property
+    def table_generators(self) -> tuple[int, ...]:
+        """Indices of the rows S that ``table`` looked up, in the order
+        found.  S generates Aut(N): ``table`` reaches every element from
+        the identity by composing with elements of S."""
+        self.table  # records S while it builds the table
+        return self._table_generators
 
     @cached_property
     def inverses(self) -> np.ndarray:

@@ -27,14 +27,15 @@ two routes must agree, and the tests hold them to that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _kernel
 from .automorphisms import AutGroup, automorphism_group
 from .errors import CapExceeded
-from .isomorphism import GeneratorTower, are_isomorphic, hom_images
+from .isomorphism import (GeneratorTower, are_isomorphic, hom_images,
+                          iso_invariants)
 from .perms import Perm, PermutationGroup
 from .tables import GroupTable
 
@@ -83,6 +84,7 @@ class HolomorphGroup:
         self.act = np.array(aut.elements, dtype=np.int32).ravel()
         self._orders: list[int] | None = None
         self._closable: bytes | None = None
+        self._conjugators: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     # -- coded pairs -----------------------------------------------------
 
@@ -123,23 +125,36 @@ class HolomorphGroup:
         self.element_orders()
         return self._closable
 
-    def conjugates(self, codes: Sequence[int]) -> Iterator[tuple[int, ...]]:
-        """Images of a code set under conjugation by every (1, phi) in turn,
+    def orbit(self, codes: Sequence[int]) -> set[tuple[int, ...]]:
+        """The images of a code set under conjugation by every (1, phi),
         each as a sorted tuple:
 
             (1, phi) (a, psi) (1, phi)^-1 = (phi(a), phi psi phi^-1).
 
-        Works on 256 automorphisms at a time, which bounds the memory of
-        the |Aut| x len(codes) image."""
-        table, inv = self.aut.table, self.aut.inverses
-        act = self.act.reshape(self.na, self.n)
-        a, psi = np.divmod(np.asarray(codes), self.na)
-        for lo in range(0, self.na, 256):
-            phi = np.arange(lo, min(lo + 256, self.na))[:, None]
-            image = (act[phi, a] * self.na
-                     + table[table[phi, psi], inv[phi]])
-            image.sort(axis=1)
-            yield from map(tuple, image.tolist())
+        Breadth-first over the rows S that ``AutGroup.table`` looked up,
+        which generate Aut(N): every image found is mapped by each s in S.
+        That costs |S| images per orbit member, not |Aut| per orbit.  Per
+        s only its ``act`` row and its conjugation map on Aut(N) are kept,
+        n + |Aut| entries."""
+        if self._conjugators is None:
+            table, inv = self.aut.table, self.aut.inverses
+            act = self.act.reshape(self.na, self.n)
+            self._conjugators = [(act[s], table[table[s], inv[s]])
+                                 for s in self.aut.table_generators]
+        start = tuple(sorted(codes))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            a, psi = np.divmod(np.array(frontier), self.na)
+            frontier = []
+            for act_s, conj_s in self._conjugators:
+                image = act_s[a] * self.na + conj_s[psi]
+                image.sort(axis=1)
+                for t in map(tuple, image.tolist()):
+                    if t not in seen:
+                        seen.add(t)
+                        frontier.append(t)
+        return seen
 
     def __repr__(self) -> str:
         return "HolomorphGroup(n=%d, aut=%d, order=%d)" % (
@@ -194,25 +209,33 @@ class RegularEnumeration:
         subgroups to isomorphic ones, so one table and one round of
         isomorphism tests serve each Aut(N)-orbit of records; ``orbit``
         numbers the orbits in discovery order.  Under an exhausted budget
-        an orbit may be only partly among the records."""
+        an orbit may be only partly among the records.
+
+        A table is tested only against the representatives with the same
+        ``iso_invariants``, in discovery order.  ``are_isomorphic`` rejects
+        every other one at its invariant check, so the class found is the
+        same as in a scan over all representatives."""
         if self.class_reps and all(r.iso_type is not None
                                    for r in self.records):
             return self.class_reps
         by_codes = {rec.codes: rec for rec in self.records}
         reps: list[GroupTable] = []
+        buckets: dict[tuple, list[int]] = {}  # invariants -> iso types
         orbit = 0
         for rec in self.records:
             if rec.iso_type is not None:
                 continue
             table = subgroup_table(self.hol, rec.codes)
-            for iso_type, rep in enumerate(reps):
-                if are_isomorphic(table, rep)[0]:
+            bucket = buckets.setdefault(iso_invariants(table), [])
+            for iso_type in bucket:
+                if are_isomorphic(table, reps[iso_type])[0]:
                     break
             else:
                 iso_type = len(reps)
                 reps.append(table)
+                bucket.append(iso_type)
             solvable = table.is_solvable()
-            for image in self.hol.conjugates(rec.codes):
+            for image in self.hol.orbit(rec.codes):
                 hit = by_codes.get(image)
                 if hit is not None:
                     hit.iso_type, hit.solvable, hit.orbit = (
@@ -233,10 +256,11 @@ def subgroup_table(hol: HolomorphGroup, codes: Sequence[int]) -> GroupTable:
     if c[0] != 0:
         raise ValueError("code set must start with the identity")
     prod = hol.code_mul(c[:, None], c[None, :])
-    order = np.argsort(c)
-    # A product past the largest code is clipped, then fails the check below.
-    pos = order.take(np.searchsorted(c, prod, sorter=order), mode="clip")
-    if not np.array_equal(c[pos], prod):
+    # where[t] is the position of code t in the set, or -1 if unlisted.
+    where = np.full(hol.order, -1, dtype=np.int32)
+    where[c] = np.arange(len(c))
+    pos = where[prod]
+    if (pos < 0).any():
         raise ValueError("code set is not closed under the product")
     return GroupTable(pos.tolist(), validate=False)
 

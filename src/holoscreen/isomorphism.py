@@ -46,7 +46,8 @@ class GeneratorTower:
                 self.order.append(g)
                 segment.append(g)
                 pending.append(g)
-            while pending:
+            # Once all n elements are listed, further products find none.
+            while pending and len(self.order) < G.n:
                 z = pending.pop()
                 for w in list(self.order):
                     for u, v in ((z, w), (w, z)):
@@ -153,7 +154,9 @@ def morphism_images(
     yield from rec(0)
 
 
-def _iso_invariants(G: GroupTable):
+def iso_invariants(G: GroupTable):
+    """Invariants that isomorphic tables share; ``are_isomorphic`` rejects
+    a pair whose invariants differ before any search."""
     sig = tuple(len(term) for term in G.derived_terms)
     return (G.n, G.order_spectrum, G.is_abelian, len(G.center), sig,
             tuple(sorted(len(c) for c in G.conjugacy_classes)))
@@ -181,7 +184,7 @@ def are_isomorphic(G: GroupTable, H: GroupTable) -> tuple[bool, Homomorphism | N
     """
     if G.n != H.n:
         raise ValueError("order mismatch: %d vs %d" % (G.n, H.n))
-    if _iso_invariants(G) != _iso_invariants(H):
+    if iso_invariants(G) != iso_invariants(H):
         return False, None
     tower = GeneratorTower(G)
     candidates = _matching_candidates(G, H, tower.gens)

@@ -53,25 +53,6 @@ def inverse(p: Sequence[int]) -> Perm:
     return tuple(inv)
 
 
-def cycles(p: Sequence[int], include_fixed: bool = False) -> list[tuple[int, ...]]:
-    """Cycle decomposition, cycles led by their smallest point, in point order."""
-    seen = [False] * len(p)
-    out = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = p[start]
-        while x != start:
-            seen[x] = True
-            cyc.append(x)
-            x = p[x]
-        if len(cyc) > 1 or include_fixed:
-            out.append(tuple(cyc))
-    return out
-
-
 class PermutationGroup:
     """A finite permutation group given by generators.
 

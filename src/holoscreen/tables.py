@@ -86,20 +86,20 @@ class GroupTable:
 
     def __init__(self, mul: Sequence[Sequence[int]], *, validate: bool = True,
                  name: str | None = None):
-        self.mul: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in mul)
+        self.mul: tuple[tuple[int, ...], ...] = tuple(map(tuple, mul))
         self.n = len(self.mul)
         self.name = name
         if validate:
             self._validate()
-        inv = [-1] * self.n
-        for a in range(self.n):
-            row = self.mul[a]
-            for b in range(self.n):
-                if row[b] == 0:
-                    inv[a] = b
-                    break
-            if inv[a] < 0 or self.mul[inv[a]][a] != 0:
+        inv = []
+        for a, row in enumerate(self.mul):
+            try:
+                b = row.index(0)
+            except ValueError:
+                b = -1
+            if b < 0 or self.mul[b][a] != 0:
                 raise ValueError("element %d has no two-sided inverse" % (a,))
+            inv.append(b)
         self.inv: tuple[int, ...] = tuple(inv)
 
     def _validate(self) -> None:
@@ -134,11 +134,6 @@ class GroupTable:
         """g * a * g^-1."""
         return self.mul[self.mul[g][a]][self.inv[g]]
 
-    def commutator(self, a: int, b: int) -> int:
-        """[a, b] = a^-1 * b^-1 * a * b."""
-        m = self.mul
-        return m[m[m[self.inv[a]][self.inv[b]]][a]][b]
-
     def power(self, a: int, k: int) -> int:
         if k < 0:
             return self.power(self.inv[a], -k)
@@ -171,29 +166,40 @@ class GroupTable:
             counts[o] = counts.get(o, 0) + 1
         return tuple(sorted(counts.items()))
 
+    # An element is central, and a set is closed under conjugation, exactly
+    # when that holds for each element of the generating sequence.
+
     @cached_property
     def is_abelian(self) -> bool:
-        m = self.mul
-        return all(m[a][b] == m[b][a]
-                   for a in range(self.n) for b in range(a + 1, self.n))
+        m, gens = self.mul, self.generating_sequence()
+        return all(m[g][h] == m[h][g] for g in gens for h in gens)
 
     @cached_property
     def center(self) -> tuple[int, ...]:
-        m = self.mul
+        m, gens = self.mul, self.generating_sequence()
         return tuple(a for a in range(self.n)
-                     if all(m[a][b] == m[b][a] for b in range(self.n)))
+                     if all(m[a][g] == m[g][a] for g in gens))
 
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Conjugacy classes as sorted tuples, ordered by smallest member."""
+        """Conjugacy classes as sorted tuples, ordered by smallest member;
+        each is the orbit of its smallest member under conjugation by the
+        generating sequence."""
+        m = self.mul
+        gens = [(g, self.inv[g]) for g in self.generating_sequence()]
         seen = [False] * self.n
         out = []
         for a in range(self.n):
             if seen[a]:
                 continue
-            cls = {self.conjugate(g, a) for g in range(self.n)}
-            for x in cls:
-                seen[x] = True
+            seen[a] = True
+            cls = [a]
+            for x in cls:  # grows while it is walked
+                for g, ig in gens:
+                    y = m[m[g][x]][ig]
+                    if not seen[y]:
+                        seen[y] = True
+                        cls.append(y)
             out.append(tuple(sorted(cls)))
         return tuple(out)
 
@@ -231,7 +237,12 @@ class GroupTable:
 
     def generating_sequence(self) -> tuple[int, ...]:
         """Greedy generating sequence: repeatedly adjoin the smallest element
-        not yet generated.  Deterministic; used by the search modules."""
+        not yet generated.  Deterministic, computed once per table; used by
+        the search modules and the invariants."""
+        return self._generating_sequence
+
+    @cached_property
+    def _generating_sequence(self) -> tuple[int, ...]:
         gens: list[int] = []
         have = {0}
         while len(have) < self.n:

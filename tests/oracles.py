@@ -7,8 +7,12 @@ tables.  ``pairwise_morphism_images`` and ``per_row_aut_table`` are the
 direct forms of the Aut(N) layer: every pair of a level checked against
 the homomorphism equations, and every row of the composition table looked
 up and compared in full.  ``pairwise_search_regular`` is the search
-kernel with closure by all products, in place of cosets.  The permutation
-helpers at the top serve tests only, so they live here, not in the package.
+kernel with closure by all products, in place of cosets, and
+``unbounded_tower`` is ``GeneratorTower`` without its stop once the group
+is full.  ``conjugates`` maps a code set by every automorphism in turn,
+where ``HolomorphGroup.orbit`` walks generators.  The permutation and
+table helpers at the top serve tests only, so they live here, not in the
+package.
 """
 
 import math
@@ -16,7 +20,26 @@ import math
 import numpy as np
 
 from holoscreen.isomorphism import GeneratorTower
-from holoscreen.perms import check_perm, compose, cycles, inverse
+from holoscreen.perms import check_perm, compose, inverse
+
+
+def cycles(p, include_fixed=False):
+    """Cycle decomposition, cycles led by their smallest point, in point order."""
+    seen = [False] * len(p)
+    out = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = p[start]
+        while x != start:
+            seen[x] = True
+            cyc.append(x)
+            x = p[x]
+        if len(cyc) > 1 or include_fixed:
+            out.append(tuple(cyc))
+    return out
 
 
 def perm_order(p):
@@ -45,6 +68,12 @@ def perm_from_cycles(degree, cycle_list):
 def inner_automorphism(N, g):
     """Conjugation by g as a permutation of element indices."""
     return tuple(N.conjugate(g, x) for x in range(N.n))
+
+
+def commutator(table, a, b):
+    """[a, b] = a^-1 * b^-1 * a * b in a GroupTable."""
+    m, inv = table.mul, table.inv
+    return m[m[m[inv[a]][inv[b]]][a]][b]
 
 
 def perm_of_code(hol, code):
@@ -96,6 +125,54 @@ def conjugate_code(hol, phi_index, code):
     phi = hol.aut.elements[phi_index]
     g = compose(compose(phi, hol.aut.elements[f]), inverse(phi))
     return phi[a] * hol.na + hol.aut.index[g]
+
+
+def conjugates(hol, codes):
+    """Images of a code set under conjugation by every (1, phi) in turn,
+    each as a sorted tuple, from ``aut.table`` and ``aut.inverses``:
+
+        (1, phi) (a, psi) (1, phi)^-1 = (phi(a), phi psi phi^-1).
+
+    Works on 256 automorphisms at a time, which bounds the memory of the
+    |Aut| x len(codes) image."""
+    table, inv = hol.aut.table, hol.aut.inverses
+    act = hol.act.reshape(hol.na, hol.n)
+    a, psi = np.divmod(np.asarray(codes), hol.na)
+    for lo in range(0, hol.na, 256):
+        phi = np.arange(lo, min(lo + 256, hol.na))[:, None]
+        image = act[phi, a] * hol.na + table[table[phi, psi], inv[phi]]
+        image.sort(axis=1)
+        yield from map(tuple, image.tolist())
+
+
+def unbounded_tower(G, gens=None):
+    """``GeneratorTower`` closing every pending element against every
+    known one even after all n elements are listed; returns its gens,
+    order, expr and segments."""
+    gens = tuple(G.generating_sequence() if gens is None else gens)
+    order = [0]
+    expr = {0: None}
+    segments = []
+    for g in gens:
+        segment = []
+        pending = []
+        if g not in expr:
+            expr[g] = None
+            order.append(g)
+            segment.append(g)
+            pending.append(g)
+        while pending:
+            z = pending.pop()
+            for w in list(order):
+                for u, v in ((z, w), (w, z)):
+                    t = G.mul[u][v]
+                    if t not in expr:
+                        expr[t] = (u, v)
+                        order.append(t)
+                        segment.append(t)
+                        pending.append(t)
+        segments.append(segment)
+    return gens, order, expr, segments
 
 
 def pairwise_morphism_images(src, dst, candidates, *, bijective, tower=None):

@@ -3,6 +3,7 @@
 import collections
 import functools
 import importlib
+import random
 import time
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from holoscreen.holomorph import (HOL_AUT_CAP, EmbeddingSearchResult,
 from holoscreen.isomorphism import are_isomorphic
 from holoscreen.perms import compose, identity_perm
 from holoscreen.tables import GroupTable
-from oracles import (code_inv, code_of_perm, conjugate_code,
+from oracles import (code_inv, code_of_perm, conjugate_code, conjugates,
                      left_regular_codes, perm_of_code, perm_order,
                      record_permutations, right_regular_codes)
 
@@ -184,6 +185,22 @@ def test_subgroup_table_matches_scalar_reference():
             assert table.inv == expected.inv
 
 
+def test_subgroup_table_relabels_a_shuffled_listing():
+    rng = random.Random(12)
+    for hol, codes in subgroup_table_cases():
+        rest = list(codes[1:])
+        rng.shuffle(rest)
+        shuffled = codes[:1] + tuple(rest)
+        table = subgroup_table(hol, codes)
+        other = subgroup_table(hol, shuffled)
+        # Entry i of the shuffled listing is entry sigma[i] of the first.
+        sigma = [codes.index(c) for c in shuffled]
+        for i in range(len(codes)):
+            for j in range(len(codes)):
+                assert (sigma[other.mul[i][j]]
+                        == table.mul[sigma[i]][sigma[j]])
+
+
 def test_encode_decode():
     # The code a * na + phi is the translation (a, id) times (1, phi), and
     # (1, phi) * (a, id) = (phi(a), phi).
@@ -296,7 +313,7 @@ def test_classify_matches_pairwise_oracle():
         for orbit, size in sizes.items():
             first = next(r for r in enum.records if r.orbit == orbit)
             stab = sum(image == first.codes
-                       for image in hol.conjugates(first.codes))
+                       for image in conjugates(hol, first.codes))
             assert size * stab == hol.na, (name, orbit)
         seen.append(name)
     assert len(seen) == 15
@@ -334,11 +351,35 @@ def test_conjugates_match_reference():
                  "abelian(5,5)"):
         hol = holomorph(T(expr))
         for rec in enumerate_regular_subgroups(hol).records[:3]:
-            images = list(hol.conjugates(rec.codes))
+            images = list(conjugates(hol, rec.codes))
             assert len(images) == hol.na
             for phi, image in enumerate(images):
                 assert image == tuple(sorted(conjugate_code(hol, phi, c)
                                              for c in rec.codes)), expr
+
+
+def orbit_cases():
+    for expr in ("symmetric(3)", "dihedral(8)", "alternating(4)",
+                 "abelian(5,5)", "abelian(7,7)"):
+        yield expr, enumerate_regular_subgroups(holomorph(T(expr)))
+    base = next(r.table for r in load_manifest(CORPORA / "o60").records
+                if r.name == "s3xd10")
+    enum = enumerate_regular_subgroups(holomorph(base), node_budget=28440 // 3)
+    assert enum.exhausted and enum.records
+    yield "o60/s3xd10", enum
+
+
+def test_orbit_is_the_set_of_all_conjugates():
+    # The search walks the looked-up rows of the Aut(N) table, 4 of the
+    # 2016 for C7xC7, and must still reach every conjugate.
+    for name, enum in orbit_cases():
+        hol = enum.hol
+        if name == "abelian(7,7)":
+            assert len(hol.aut.table_generators) == 4
+        for rec in enum.records:
+            orbit = hol.orbit(rec.codes)
+            assert orbit == set(conjugates(hol, rec.codes)), name
+            assert rec.codes in orbit
 
 
 def test_every_record_replays_as_regular():
@@ -478,6 +519,29 @@ def test_subgroup_table_rejects_unclosed_codes():
         subgroup_table(hol, (0, 2))
     with pytest.raises(ValueError, match="not closed"):
         subgroup_table(hol, (0, 2, 7))
+
+
+def test_subgroup_table_rejects_unlisted_codes_below_the_largest():
+    # Swap one member of a regular subgroup of Hol(D8) for another code
+    # over the same fiber, keeping the largest code, and keep the sets
+    # whose products all lie at or below it: the set is then not closed
+    # (n - 1 members of a group of order n >= 3 generate it), and only an
+    # unlisted code inside the listed range shows it.
+    hol = holomorph(T("dihedral(8)"))
+    cases = 0
+    for rec in enumerate_regular_subgroups(hol).records:
+        for i in range(1, hol.n - 1):
+            fiber = rec.codes[i] // hol.na
+            for code in range(fiber * hol.na, (fiber + 1) * hol.na):
+                codes = rec.codes[:i] + (code,) + rec.codes[i + 1:]
+                c = np.array(codes)
+                prod = hol.code_mul(c[:, None], c[None, :])
+                if code == rec.codes[i] or prod.max() > codes[-1]:
+                    continue
+                cases += 1
+                with pytest.raises(ValueError, match="not closed"):
+                    subgroup_table(hol, codes)
+    assert cases
 
 
 def test_holomorph_caps_the_automorphism_count(monkeypatch):

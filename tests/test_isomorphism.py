@@ -11,7 +11,7 @@ from holoscreen.isomorphism import (GeneratorTower, are_isomorphic,
                                     automorphism_images, hom_images)
 from holoscreen.tables import GroupTable, Homomorphism
 
-from oracles import pairwise_morphism_images
+from oracles import pairwise_morphism_images, unbounded_tower
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -56,6 +56,20 @@ def test_tower_covers_group_and_factorizes():
         if pair is not None:
             u, v = pair
             assert table.mul[u][v] == e
+
+
+def test_tower_matches_unbounded_closure_on_shipped_tables():
+    # Stopping once all n elements are listed changes nothing, for the
+    # greedy sequence and for given generators, as corpus.py passes for
+    # semidirect products.
+    for name in ("o4", "o8", "o12", "o60"):
+        for record in load_manifest(CORPORA / name).records:
+            table = record.table
+            greedy = table.generating_sequence()
+            for gens in (None, greedy[::-1], tuple(range(table.n - 1, 0, -1))):
+                tower = GeneratorTower(table, gens)
+                assert ((tower.gens, tower.order, tower.expr, tower.segments)
+                        == unbounded_tower(table, gens)), (name, record.name)
 
 
 def test_tower_rejects_non_generating_sequence():

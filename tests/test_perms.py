@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoscreen.errors import CapExceeded
-from holoscreen.perms import (PermutationGroup, check_perm, compose, cycles,
+from holoscreen.perms import (PermutationGroup, check_perm, compose,
                               identity_perm, inverse, is_identity)
 from holoscreen.tables import commutator_series
-from oracles import perm_from_cycles, perm_order
+from oracles import cycles, perm_from_cycles, perm_order
 
 
 def test_identity_perm():

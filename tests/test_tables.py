@@ -8,6 +8,7 @@ from holoscreen.automorphisms import automorphism_group
 from holoscreen.corpus import construct, load_manifest
 from holoscreen.perms import PermutationGroup
 from holoscreen.tables import (GroupTable, Homomorphism, from_permutation_group)
+from oracles import commutator
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -105,7 +106,7 @@ def test_commutators_detect_commuting_pairs():
     for a in range(s3.n):
         for b in range(s3.n):
             commutes = s3.mul[a][b] == s3.mul[b][a]
-            assert (s3.commutator(a, b) == 0) == commutes
+            assert (commutator(s3, a, b) == 0) == commutes
 
 
 def test_conjugate():
@@ -243,7 +244,8 @@ def all_pairs_series(table, *, lower=False):
     while True:
         cur = series[-1]
         left = series[0] if lower else cur
-        nxt = table.closure({table.commutator(a, b) for a in left for b in cur})
+        nxt = table.closure({commutator(table, a, b)
+                             for a in left for b in cur})
         if len(nxt) == len(cur):
             return series
         series.append(nxt)
@@ -269,6 +271,23 @@ def test_series_match_all_pairs_definition():
         assert lower == all_pairs_series(table, lower=True), record.name
         assert table.is_solvable() == (len(derived[-1]) == 1)
         assert table.is_nilpotent() == (len(lower[-1]) == 1)
+
+
+def test_invariants_match_all_element_definitions():
+    # is_abelian, center and conjugacy_classes look only at the generating
+    # sequence; the definitions range over every element.
+    records = shipped_records() + [
+        construct(expr) for expr in ("symmetric(4)", "gl(2,3)", "sl(2,5)")]
+    for record in records:
+        table = record.table
+        n, m = table.n, table.mul
+        center = tuple(a for a in range(n)
+                       if all(m[a][b] == m[b][a] for b in range(n)))
+        classes = {tuple(sorted({table.conjugate(g, a) for g in range(n)}))
+                   for a in range(n)}
+        assert table.center == center, record.name
+        assert table.is_abelian == (len(center) == n), record.name
+        assert table.conjugacy_classes == tuple(sorted(classes)), record.name
 
 
 def test_aut_solvability_matches_all_pairs_on_aut_table():
