@@ -26,8 +26,7 @@ from .holomorph import (DEFAULT_NODE_BUDGET, HOL_ORDER_CAP,
                         EmbeddingSearchResult, HolomorphGroup,
                         RegularEnumeration, RegularSubgroupRecord,
                         enumerate_regular_subgroups, has_regular_embedding,
-                        holomorph, is_regular_subgroup, left_regular,
-                        right_regular, subgroup_table, verify_crossed_pair)
+                        holomorph, subgroup_table, verify_crossed_pair)
 from .isomorphism import are_isomorphic
 from .lattice import (SUBGROUP_CAP, all_subgroups, fitting_subgroup,
                       normal_subgroups, sylow_subgroup)
@@ -59,12 +58,12 @@ __all__ = [
     "default_table", "doubling_family_base", "doubling_family_conditions",
     "enumerate_regular_subgroups", "fitting_subgroup",
     "from_permutation_group", "gl_is_solvable", "has_regular_embedding",
-    "holomorph", "inner_and_outer", "is_cube_free", "is_regular_subgroup",
-    "is_solvable_number", "left_regular", "load_group", "load_manifest",
-    "mersenne_gcd_property", "nonsolvable_orders_up_to", "normal_subgroups",
-    "pair_test", "parse_group_text", "regular_generators", "render_report",
-    "right_regular", "save_group", "screen_order", "serialize_group",
-    "square_free_status", "subgroup_table", "suzuki_exponent_check",
+    "holomorph", "inner_and_outer", "is_cube_free", "is_solvable_number",
+    "load_group", "load_manifest", "mersenne_gcd_property",
+    "nonsolvable_orders_up_to", "normal_subgroups", "pair_test",
+    "parse_group_text", "regular_generators", "render_report", "save_group",
+    "screen_order", "serialize_group", "square_free_status",
+    "subgroup_table", "suzuki_exponent_check",
     "suzuki_order", "sylow_subgroup", "validate_corpus", "verify_crossed_pair",
     "wieferich_scan", "write_index",
 ]

@@ -38,8 +38,6 @@ class AutGroup:
         self.elements: tuple[Perm, ...] = tuple(sorted(elements))
         if not self.elements or self.elements[0] != tuple(range(base.n)):
             raise ValueError("automorphism list must contain the identity")
-        self.index: dict[Perm, int] = {p: i for i, p in
-                                       enumerate(self.elements)}
 
     @property
     def order(self) -> int:
@@ -182,8 +180,5 @@ def characteristic_subgroups(N: GroupTable, aut: AutGroup) -> list[Subgroup]:
     for sub in normal_subgroups(N):
         elems = set(sub.elements)
         if all({phi[x] for x in elems} == elems for phi in aut.generators):
-            sub.characteristic = True
             out.append(sub)
-        else:
-            sub.characteristic = False
     return out

@@ -284,6 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"holoscreen {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # What each cap and budget flag bounds.
+    bounds = {
+        "aut": "largest order of N whose Aut(N) is enumerated "
+               "(default %(default)s); it bounds |N|, not |Aut(N)|",
+        "subgroup": "largest order of an insolvable group whose subgroups "
+                    "are enumerated for the order sets (default %(default)s)",
+        "budget": "search nodes per holomorph; a run that exhausts them is "
+                  "undecided (default %(default)s)",
+        "order": "largest order of N whose holomorph is searched "
+                 "(default %(default)s)",
+    }
 
     p = sub.add_parser("screen", help="run the screening pipeline on a corpus")
     p.add_argument("--order", type=int, default=None)
@@ -292,8 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default=max(os.cpu_count() or 1, 1))
     p.add_argument("--skip-outer", action="store_true",
                    help="skip the gcd(n, |Out|) filter")
-    p.add_argument("--subgroup-cap", type=positive_int, default=SUBGROUP_CAP)
-    p.add_argument("--aut-cap", type=positive_int, default=AUT_TABLE_CAP)
+    p.add_argument("--subgroup-cap", type=positive_int, default=SUBGROUP_CAP,
+                   help=bounds["subgroup"])
+    p.add_argument("--aut-cap", type=positive_int, default=AUT_TABLE_CAP,
+                   help=bounds["aut"])
     p.add_argument("--out", default=None, help="also write the text report here")
     p.add_argument("--json", default=None, help="write a JSON report here")
     p.add_argument("--timings", action="store_true",
@@ -304,8 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate regular subgroups of each holomorph")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--budget", type=positive_int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--order-cap", type=positive_int, default=HOL_ORDER_CAP)
+    p.add_argument("--budget", type=positive_int, default=DEFAULT_NODE_BUDGET,
+                   help=bounds["budget"])
+    p.add_argument("--order-cap", type=positive_int, default=HOL_ORDER_CAP,
+                   help=bounds["order"])
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_direct)
 
@@ -336,12 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="a .grp file or a constructor expression")
         if name == "aut":
             q.add_argument("--aut-cap", type=positive_int,
-                           default=AUT_TABLE_CAP)
+                           default=AUT_TABLE_CAP, help=bounds["aut"])
         if name == "regulars":
             q.add_argument("--budget", type=positive_int,
-                           default=DEFAULT_NODE_BUDGET)
+                           default=DEFAULT_NODE_BUDGET, help=bounds["budget"])
             q.add_argument("--order-cap", type=positive_int,
-                           default=HOL_ORDER_CAP)
+                           default=HOL_ORDER_CAP, help=bounds["order"])
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("corpus", help="corpus handling")

@@ -27,7 +27,7 @@ two routes must agree, and the tests hold them to that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,33 +36,11 @@ from .automorphisms import AutGroup, automorphism_group
 from .errors import CapExceeded
 from .isomorphism import (GeneratorTower, are_isomorphic, hom_images,
                           iso_invariants)
-from .perms import Perm, PermutationGroup
 from .tables import GroupTable
 
 HOL_ORDER_CAP = 64
 HOL_AUT_CAP = 2048  # bounds the int32 |Aut|^2 table (16 MB); C7xC7 needs 2016
 DEFAULT_NODE_BUDGET = 50_000_000
-
-
-def left_translation(N: GroupTable, a: int) -> Perm:
-    """x -> a*x."""
-    return tuple(N.mul[a])
-
-
-def right_translation(N: GroupTable, a: int) -> Perm:
-    """x -> x * a^-1."""
-    ia = N.inv[a]
-    return tuple(N.mul[x][ia] for x in range(N.n))
-
-
-def left_regular(N: GroupTable) -> PermutationGroup:
-    return PermutationGroup(
-        N.n, [left_translation(N, g) for g in N.generating_sequence()])
-
-
-def right_regular(N: GroupTable) -> PermutationGroup:
-    return PermutationGroup(
-        N.n, [right_translation(N, g) for g in N.generating_sequence()])
 
 
 class HolomorphGroup:
@@ -250,8 +228,9 @@ class RegularEnumeration:
 
 
 def subgroup_table(hol: HolomorphGroup, codes: Sequence[int]) -> GroupTable:
-    """Multiplication table of a set of codes closed under the product,
-    listed with the identity code 0 first and the rest in any order."""
+    """Multiplication table of a set of distinct codes closed under the
+    product, listed with the identity code 0 first and the rest in any
+    order."""
     c = np.asarray(codes)
     if c[0] != 0:
         raise ValueError("code set must start with the identity")
@@ -259,6 +238,8 @@ def subgroup_table(hol: HolomorphGroup, codes: Sequence[int]) -> GroupTable:
     # where[t] is the position of code t in the set, or -1 if unlisted.
     where = np.full(hol.order, -1, dtype=np.int32)
     where[c] = np.arange(len(c))
+    if (where[c] != np.arange(len(c))).any():
+        raise ValueError("code set lists a code twice")
     pos = where[prod]
     if (pos < 0).any():
         raise ValueError("code set is not closed under the product")
@@ -292,23 +273,6 @@ def enumerate_regular_subgroups(
     records = [RegularSubgroupRecord(codes=tuple(codes)) for codes in subgroups]
     return RegularEnumeration(hol=hol, records=records, nodes=nodes,
                               exhausted=exhausted)
-
-
-def is_regular_subgroup(perms: Iterable[Perm], degree: int) -> bool:
-    """Replay check on raw permutations: a subgroup acting regularly.
-
-    Independent of the coded search; used to verify enumeration output."""
-    elems = set(tuple(p) for p in perms)
-    if len(elems) != degree:
-        return False
-    if tuple(range(degree)) not in elems:
-        return False
-    for p in elems:
-        for q in elems:
-            if tuple(p[x] for x in q) not in elems:
-                return False
-    images = {p[0] for p in elems}
-    return len(images) == degree
 
 
 # -- the (f, g) fixed-point search --------------------------------------

@@ -127,7 +127,7 @@ def normal_subgroups(G: GroupTable) -> list[Subgroup]:
                     found[key] = join
                     changed = True
     subs = sorted(found.values(), key=lambda e: (len(e), e))
-    return [G.subgroup(e, normal=True) for e in subs]
+    return [G.subgroup(e) for e in subs]
 
 
 def sylow_subgroup(G: GroupTable, p: int) -> Subgroup:
@@ -175,7 +175,7 @@ def p_core(G: GroupTable, p: int) -> Subgroup:
             break
         conj = {G.conjugate(g, x) for x in syl.elements}
         core &= conj
-    return G.subgroup(core, normal=True)
+    return G.subgroup(core)
 
 
 def fitting_subgroup(G: GroupTable) -> Subgroup:
@@ -183,4 +183,4 @@ def fitting_subgroup(G: GroupTable) -> Subgroup:
     elems: set[int] = {0}
     for p in _prime_factors(G.n):
         elems.update(p_core(G, p).elements)
-    return G.subgroup(G.closure(elems), normal=True)
+    return G.subgroup(G.closure(elems))

@@ -56,8 +56,7 @@ def inverse(p: Sequence[int]) -> Perm:
 class PermutationGroup:
     """A finite permutation group given by generators.
 
-    The group is listed by breadth-first closure over its generators; that
-    listing also gives its order.
+    The group is listed by breadth-first closure over its generators.
     """
 
     def __init__(self, degree: int, generators: Iterable[Sequence[int]]):
@@ -70,9 +69,6 @@ class PermutationGroup:
             if not is_identity(p):
                 gens.append(p)
         self.generators: tuple[Perm, ...] = tuple(gens)
-
-    def order(self) -> int:
-        return len(self.elements())
 
     def elements(self, cap: int | None = None) -> list[Perm]:
         """All elements by breadth-first closure over the generators.

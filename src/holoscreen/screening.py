@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .automorphisms import (AUT_TABLE_CAP, automorphism_group,
+from .automorphisms import (AUT_LIST_CAP, AUT_TABLE_CAP, automorphism_group,
                             characteristic_subgroups, inner_and_outer)
 from .corpus import CorpusManifest, GroupRecord, corpus_hash, load_manifest
 from .errors import CapExceeded
@@ -126,7 +126,9 @@ class Candidate:
 
     @cached_property
     def aut(self):
-        return automorphism_group(self.record.table, cap=self.aut_cap)
+        """Aut(N), listed under the ``group aut`` bound on n * |Aut(N)|."""
+        return automorphism_group(self.record.table, cap=self.aut_cap,
+                                  order_cap=AUT_LIST_CAP // self.record.order)
 
     @cached_property
     def char_orders(self) -> tuple[int, ...]:

@@ -5,6 +5,11 @@ identity always at index 0.  Tables produced from permutation groups list
 elements in breadth-first closure order (identity first, then products with
 generators in listed order), which makes every derived table reproducible
 byte for byte.
+
+``normal_closure`` is the one closure routine for tables and Aut(N).
+``PermutationGroup.elements`` and ``isomorphism.GeneratorTower`` keep their
+own loops: their element order fixes table indices, report bytes and the
+frozen embedding node totals.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import CapExceeded
 from .perms import PermutationGroup, Perm
 
 # Full associativity validation is cubic; beyond this size we rely on tables
@@ -31,11 +35,18 @@ def normal_closure(seed: Iterable[E], gens: Sequence[E],
                    one: E) -> tuple[list[E], list[E]]:
     """Normal closure of ``seed`` in the group generated by ``gens``.
 
-    Returns (generators, elements) of the closure.  The subgroup grows by
-    breadth-first right multiplication; every conjugate g^-1 k g of an
-    adjoined generator k by some g in ``gens`` is queued and adjoined in
-    turn unless it already lies in the subgroup.  A subgroup that contains
-    these conjugates of its generators is normal.
+    Returns (generators, elements) of the closure.  Each element of ``seed``
+    that the subgroup does not yet contain is adjoined as a new generator k:
+    the elements closed so far are multiplied on the right by k only, and
+    each new element by every generator (Dimino's algorithm; Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991).
+    Every conjugate g^-1 k g of k by some g in ``gens`` is queued and
+    adjoined in turn unless it already lies in the subgroup.  A subgroup
+    that contains these conjugates of its generators is normal.
+
+    With no ``gens`` this is the plain closure of ``seed``, and the
+    generators returned are the greedy sequence: each element of ``seed``
+    not generated by the earlier ones, in order.
     """
     ks: list[E] = []
     elements = [one]
@@ -134,18 +145,6 @@ class GroupTable:
         """g * a * g^-1."""
         return self.mul[self.mul[g][a]][self.inv[g]]
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv[a], -k)
-        out = 0
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul[out][base]
-            base = self.mul[base][base]
-            k >>= 1
-        return out
-
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
         orders = [1] * self.n
@@ -216,24 +215,7 @@ class GroupTable:
 
     def closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Subgroup generated by ``seed``, as a sorted element tuple."""
-        gens = [s for s in seed if s != 0]
-        members = {0}
-        frontier = []
-        for s in gens:
-            if s not in members:
-                members.add(s)
-                frontier.append(s)
-        order = [0] + frontier[:]
-        qi = 0
-        while qi < len(order):
-            x = order[qi]
-            qi += 1
-            for g in gens:
-                y = self.mul[x][g]
-                if y not in members:
-                    members.add(y)
-                    order.append(y)
-        return tuple(sorted(members))
+        return tuple(sorted(self._closure(seed)[1]))
 
     def generating_sequence(self) -> tuple[int, ...]:
         """Greedy generating sequence: repeatedly adjoin the smallest element
@@ -243,15 +225,15 @@ class GroupTable:
 
     @cached_property
     def _generating_sequence(self) -> tuple[int, ...]:
-        gens: list[int] = []
-        have = {0}
-        while len(have) < self.n:
-            gens.append(next(a for a in range(1, self.n) if a not in have))
-            have = set(self.closure(gens))
-        return tuple(gens)
+        return tuple(self._closure(range(1, self.n))[0])
 
-    def subgroup(self, elements: Iterable[int], **flags) -> "Subgroup":
-        return Subgroup(self, tuple(sorted(set(elements))), **flags)
+    def _closure(self, seed: Iterable[int]) -> tuple[list[int], list[int]]:
+        m = self.mul
+        return normal_closure(seed, (), lambda a, b: m[a][b],
+                              self.inv.__getitem__, 0)
+
+    def subgroup(self, elements: Iterable[int]) -> "Subgroup":
+        return Subgroup(self, tuple(sorted(set(elements))))
 
     # -- structure -------------------------------------------------------
 
@@ -267,49 +249,11 @@ class GroupTable:
         return tuple(tuple(sorted(term))
                      for term in self._commutator_series(lower=False))
 
-    def derived_series(self) -> list["Subgroup"]:
-        return [self.subgroup(term, normal=True) for term in self.derived_terms]
-
     def is_solvable(self) -> bool:
         return len(self.derived_terms[-1]) == 1
 
-    def lower_central_series(self) -> list["Subgroup"]:
-        return [self.subgroup(term, normal=True)
-                for term in self._commutator_series(lower=True)]
-
     def is_nilpotent(self) -> bool:
         return len(self._commutator_series(lower=True)[-1]) == 1
-
-    def quotient(self, sub: "Subgroup") -> tuple["GroupTable", "Homomorphism"]:
-        """Quotient by a normal subgroup, with the projection map.
-
-        Cosets are indexed by their smallest member, in increasing order, so
-        the identity coset gets index 0.
-        """
-        if sub.parent is not self:
-            raise ValueError("subgroup belongs to a different table")
-        members = set(sub.elements)
-        if not self._is_normal_set(members):
-            raise ValueError("subgroup is not normal; quotient undefined")
-        coset_of = [-1] * self.n
-        reps = []
-        for a in range(self.n):
-            if coset_of[a] >= 0:
-                continue
-            idx = len(reps)
-            reps.append(a)
-            for h in members:
-                coset_of[self.mul[a][h]] = idx
-        k = len(reps)
-        qmul = [[coset_of[self.mul[reps[i]][reps[j]]] for j in range(k)]
-                for i in range(k)]
-        q = GroupTable(qmul, validate=False)
-        proj = Homomorphism(self, q, tuple(coset_of))
-        return q, proj
-
-    def _is_normal_set(self, members: set[int]) -> bool:
-        return all(self.conjugate(g, h) in members
-                   for h in members for g in range(self.n))
 
     def __repr__(self) -> str:
         label = " %r" % (self.name,) if self.name else ""
@@ -318,41 +262,14 @@ class GroupTable:
 
 @dataclass
 class Subgroup:
-    """A subgroup of a GroupTable, stored as a sorted element tuple.
-
-    The two flags are tri-state caches: None means not yet determined.
-    """
+    """A subgroup of a GroupTable, stored as a sorted element tuple."""
 
     parent: GroupTable
     elements: tuple[int, ...]
-    normal: bool | None = None
-    characteristic: bool | None = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, a: int) -> bool:
-        return a in set(self.elements)
-
-    def validate(self) -> None:
-        els = set(self.elements)
-        if 0 not in els:
-            raise ValueError("subgroup does not contain the identity")
-        if self.parent.n % len(els) != 0:
-            raise ValueError("order %d does not divide %d"
-                             % (len(els), self.parent.n))
-        for a in els:
-            if self.parent.inv[a] not in els:
-                raise ValueError("subgroup not closed under inverses")
-            for b in els:
-                if self.parent.mul[a][b] not in els:
-                    raise ValueError("subgroup not closed under products")
-
-    def is_normal(self) -> bool:
-        if self.normal is None:
-            self.normal = self.parent._is_normal_set(set(self.elements))
-        return self.normal
 
     def to_table(self) -> tuple["GroupTable", dict[int, int]]:
         """Reindexed table of this subgroup plus the parent-to-local index map."""
@@ -388,11 +305,6 @@ class Homomorphism:
     def is_bijective(self) -> bool:
         return (len(self.images) == self.target.n
                 and len(set(self.images)) == self.target.n)
-
-    def kernel(self) -> Subgroup:
-        return self.source.subgroup(
-            (a for a in range(self.source.n) if self.images[a] == 0),
-            normal=True)
 
 
 def from_permutation_group(group: PermutationGroup, *, cap: int = TABLE_CAP,

@@ -2,25 +2,30 @@
 
 A code ``a * na + phi`` stands for the permutation x -> a * phi(x) of the
 base group.  The coded-element helpers go through permutations, the
-automorphism list and its index dict, never through the package's coded
-tables.  ``pairwise_morphism_images`` and ``per_row_aut_table`` are the
-direct forms of the Aut(N) layer: every pair of a level checked against
-the homomorphism equations, and every row of the composition table looked
-up and compared in full.  ``pairwise_search_regular`` is the search
-kernel with closure by all products, in place of cosets, and
-``unbounded_tower`` is ``GeneratorTower`` without its stop once the group
-is full.  ``conjugates`` maps a code set by every automorphism in turn,
-where ``HolomorphGroup.orbit`` walks generators.  The permutation and
-table helpers at the top serve tests only, so they live here, not in the
-package.
+automorphism list and an index dict built from it, never through the
+package's coded tables.  ``pairwise_morphism_images`` and
+``per_row_aut_table`` are the direct forms of the Aut(N) layer: every pair
+of a level checked against the homomorphism equations, and every row of
+the composition table looked up and compared in full.
+``pairwise_search_regular`` is the search kernel with closure by all
+products, in place of cosets, and ``unbounded_tower`` is
+``GeneratorTower`` without its stop once the group is full.
+``conjugates`` maps a code set by every automorphism in turn, where
+``HolomorphGroup.orbit`` walks generators.  ``bfs_closure`` multiplies
+every listed element by every generator, where the package's
+``normal_closure`` multiplies the elements already closed only by the
+newest generator.  The subgroup predicates check their definitions over
+every element.  The permutation, translation and table helpers serve
+tests only, so they live here, not in the package.
 """
 
 import math
+import weakref
 
 import numpy as np
 
 from holoscreen.isomorphism import GeneratorTower
-from holoscreen.perms import check_perm, compose, inverse
+from holoscreen.perms import PermutationGroup, check_perm, compose, inverse
 
 
 def cycles(p, include_fixed=False):
@@ -76,6 +81,107 @@ def commutator(table, a, b):
     return m[m[m[inv[a]][inv[b]]][a]][b]
 
 
+def bfs_closure(table, seed):
+    """Subgroup generated by ``seed``, as a sorted element tuple: each
+    listed element is multiplied on the right by every generator, in
+    breadth-first order."""
+    gens = [s for s in seed if s != 0]
+    members = {0}
+    order = [0]
+    for s in gens:
+        if s not in members:
+            members.add(s)
+            order.append(s)
+    for x in order:  # grows while it is walked
+        for g in gens:
+            y = table.mul[x][g]
+            if y not in members:
+                members.add(y)
+                order.append(y)
+    return tuple(sorted(members))
+
+
+def bfs_generating_sequence(table):
+    """Adjoin the smallest element outside the closure of the earlier
+    ones, recomputing the closure from scratch each time."""
+    gens = []
+    have = {0}
+    while len(have) < table.n:
+        gens.append(next(a for a in range(1, table.n) if a not in have))
+        have = set(bfs_closure(table, gens))
+    return tuple(gens)
+
+
+def is_subgroup(table, elements):
+    """Whether ``elements`` holds the identity and is closed under
+    inverses and products."""
+    els = set(elements)
+    return (0 in els and table.n % len(els) == 0
+            and all(table.inv[a] in els for a in els)
+            and all(table.mul[a][b] in els for a in els for b in els))
+
+
+def is_normal(table, elements):
+    """Whether every conjugate of every element lies in ``elements``."""
+    els = set(elements)
+    return all(table.conjugate(g, h) in els
+               for h in els for g in range(table.n))
+
+
+def is_characteristic(aut, elements):
+    """Whether every listed automorphism maps ``elements`` onto itself."""
+    els = set(elements)
+    return all({phi[x] for x in els} == els for phi in aut.elements)
+
+
+_AUT_INDEX = weakref.WeakKeyDictionary()
+
+
+def aut_index(aut):
+    """Position of each automorphism in ``aut.elements``, cached per group."""
+    if aut not in _AUT_INDEX:
+        _AUT_INDEX[aut] = {p: i for i, p in enumerate(aut.elements)}
+    return _AUT_INDEX[aut]
+
+
+def left_translation(N, a):
+    """x -> a*x."""
+    return tuple(N.mul[a])
+
+
+def right_translation(N, a):
+    """x -> x * a^-1."""
+    ia = N.inv[a]
+    return tuple(N.mul[x][ia] for x in range(N.n))
+
+
+def left_regular(N):
+    return PermutationGroup(
+        N.n, [left_translation(N, g) for g in N.generating_sequence()])
+
+
+def right_regular(N):
+    return PermutationGroup(
+        N.n, [right_translation(N, g) for g in N.generating_sequence()])
+
+
+def is_regular_subgroup(perms, degree):
+    """Replay check on raw permutations: a subgroup acting regularly.
+
+    Independent of the coded search; used to verify enumeration output."""
+    elems = set(tuple(p) for p in perms)
+    if len(elems) != degree:
+        return False
+    if tuple(range(degree)) not in elems:
+        return False
+    for p in elems:
+        for q in elems:
+            if tuple(p[x] for x in q) not in elems:
+                return False
+    images = {p[0] for p in elems}
+    return len(images) == degree
+
+
 def perm_of_code(hol, code):
     """The permutation x -> a * phi(x)."""
     a, f = divmod(code, hol.na)
@@ -88,7 +194,7 @@ def code_of_perm(hol, p):
     a = p[0]
     ia = hol.base.inv[a]
     phi = tuple(hol.base.mul[ia][p[x]] for x in range(hol.n))
-    idx = hol.aut.index.get(phi)
+    idx = aut_index(hol.aut).get(phi)
     if idx is None:
         raise ValueError("permutation is not in the holomorph")
     return a * hol.na + idx
@@ -98,7 +204,7 @@ def code_inv(hol, code):
     """(a, phi)^-1 = (phi^-1(a^-1), phi^-1)."""
     a, f = divmod(code, hol.na)
     phi_inv = inverse(hol.aut.elements[f])
-    return phi_inv[hol.base.inv[a]] * hol.na + hol.aut.index[phi_inv]
+    return phi_inv[hol.base.inv[a]] * hol.na + aut_index(hol.aut)[phi_inv]
 
 
 def record_permutations(hol, rec):
@@ -115,7 +221,7 @@ def right_regular_codes(hol):
     automorphism of a), sorted."""
     return tuple(sorted(
         hol.base.inv[a] * hol.na
-        + hol.aut.index[inner_automorphism(hol.base, a)]
+        + aut_index(hol.aut)[inner_automorphism(hol.base, a)]
         for a in range(hol.n)))
 
 
@@ -124,7 +230,7 @@ def conjugate_code(hol, phi_index, code):
     a, f = divmod(code, hol.na)
     phi = hol.aut.elements[phi_index]
     g = compose(compose(phi, hol.aut.elements[f]), inverse(phi))
-    return phi[a] * hol.na + hol.aut.index[g]
+    return phi[a] * hol.na + aut_index(hol.aut)[g]
 
 
 def conjugates(hol, codes):

@@ -11,10 +11,12 @@ from holoscreen.automorphisms import (AutGroup, automorphism_group,
                                       inner_and_outer)
 from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
+from holoscreen.lattice import normal_subgroups
 from holoscreen.perms import PermutationGroup, compose, inverse
 from holoscreen.tables import Homomorphism
 
-from oracles import inner_automorphism, per_row_aut_table
+from oracles import (aut_index, inner_automorphism, is_characteristic,
+                     per_row_aut_table)
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -23,11 +25,16 @@ def T(expr):
     return construct(expr).table
 
 
+def shipped_tables():
+    return [record.table for directory in sorted(CORPORA.iterdir())
+            for record in load_manifest(directory).records]
+
+
 def composition_reference(aut):
     """The composition table by definition, as a reference: one ``compose``
     and one index lookup per entry, ``[i][j]`` for elements[i] o elements[j]."""
-    E = aut.elements
-    return [[aut.index[compose(p, q)] for q in E] for p in E]
+    E, index = aut.elements, aut_index(aut)
+    return [[index[compose(p, q)] for q in E] for p in E]
 
 
 def test_automorphism_group_orders():
@@ -75,7 +82,7 @@ def test_elements_are_verified_automorphisms():
 def test_generators_generate():
     aut = automorphism_group(T("abelian(2,2,2)"))
     assert aut.order == 168
-    assert PermutationGroup(8, aut.generators).order() == 168
+    assert len(PermutationGroup(8, aut.generators).elements()) == 168
     assert len(aut.generators) <= 4
     assert not aut.is_solvable()
 
@@ -83,8 +90,7 @@ def test_generators_generate():
 def test_generators_are_greedy_from_the_element_list():
     # By definition: generator i is the first listed automorphism outside
     # the group the earlier ones generate, and together they list Aut(N).
-    bases = [record.table for directory in sorted(CORPORA.iterdir())
-             for record in load_manifest(directory).records]
+    bases = shipped_tables()
     bases.append(T("abelian(2,2,2,2)"))
     for table in bases:
         aut = automorphism_group(table)
@@ -111,8 +117,7 @@ def test_aut_table_matches_composition():
 
 
 def test_aut_table_matches_reference_on_shipped_bases():
-    bases = [record.table for directory in sorted(CORPORA.iterdir())
-             for record in load_manifest(directory).records]
+    bases = shipped_tables()
     assert len(bases) == 30
     bases += [T("abelian(5,5)"), T("abelian(5,5,2)")]
     for base in bases:
@@ -143,8 +148,7 @@ def test_aut_table_rejects_lists_that_are_not_groups():
 
 
 def test_aut_table_matches_per_row_oracle():
-    bases = [record.table for directory in sorted(CORPORA.iterdir())
-             for record in load_manifest(directory).records]
+    bases = shipped_tables()
     bases.append(T("abelian(7,7)"))
     for base in bases:
         aut = automorphism_group(base)
@@ -155,7 +159,7 @@ def test_aut_table_matches_per_row_oracle():
 def test_inverses_match_perm_inverse():
     for expr in ("symmetric(4)", "abelian(5,5)", "dihedral(12)"):
         aut = automorphism_group(T(expr))
-        expected = [aut.index[inverse(p)] for p in aut.elements]
+        expected = [aut_index(aut)[inverse(p)] for p in aut.elements]
         assert aut.inverses.tolist() == expected, expr
 
 
@@ -204,7 +208,7 @@ def test_inner_automorphisms_are_automorphisms():
     aut = automorphism_group(table)
     for g in range(table.n):
         phi = inner_automorphism(table, g)
-        assert phi in aut.index
+        assert phi in aut_index(aut)
     distinct = {inner_automorphism(table, g) for g in range(table.n)}
     assert len(distinct) == 24  # trivial center
 
@@ -216,7 +220,7 @@ def test_characteristic_subgroups_of_cyclic_group():
     # Every subgroup of a cyclic group is characteristic.
     assert sorted(sub.order for sub in chars) == [
         1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
-    assert all(sub.characteristic for sub in chars)
+    assert all(is_characteristic(aut, sub.elements) for sub in chars)
 
 
 def test_characteristic_subgroups_of_d8():
@@ -241,3 +245,26 @@ def test_characteristic_subgroups_of_elementary_abelian():
 def test_cap():
     with pytest.raises(CapExceeded):
         automorphism_group(T("cyclic(30)"), cap=16)
+
+
+def test_characteristic_subgroups_match_all_automorphisms():
+    # Reference: the normal subgroups fixed by every automorphism, where
+    # the package checks only the generators.
+    for table in shipped_tables():
+        aut = automorphism_group(table)
+        expected = [sub.elements for sub in normal_subgroups(table)
+                    if is_characteristic(aut, sub.elements)]
+        got = [sub.elements for sub in characteristic_subgroups(table, aut)]
+        assert got == expected, table.name
+
+
+def test_generators_are_the_looked_up_rows():
+    # Both take, in list order, each automorphism outside the group
+    # generated by the earlier ones.
+    bases = shipped_tables() + [
+        T(expr) for expr in ("abelian(5,5)", "abelian(5,5,2)",
+                             "abelian(7,7)")]
+    for base in bases:
+        aut = automorphism_group(base)
+        assert aut.generators == tuple(
+            aut.elements[s] for s in aut.table_generators), base.name

@@ -16,16 +16,15 @@ from holoscreen.errors import CapExceeded
 from holoscreen.holomorph import (HOL_AUT_CAP, EmbeddingSearchResult,
                                   enumerate_regular_subgroups,
                                   has_regular_embedding, holomorph,
-                                  is_regular_subgroup, left_regular,
-                                  left_translation, right_regular,
-                                  right_translation, subgroup_table,
-                                  verify_crossed_pair)
+                                  subgroup_table, verify_crossed_pair)
 from holoscreen.isomorphism import are_isomorphic
 from holoscreen.perms import compose, identity_perm
 from holoscreen.tables import GroupTable
-from oracles import (code_inv, code_of_perm, conjugate_code, conjugates,
-                     left_regular_codes, perm_of_code, perm_order,
-                     record_permutations, right_regular_codes)
+from oracles import (aut_index, code_inv, code_of_perm, conjugate_code,
+                     conjugates, is_regular_subgroup, left_regular,
+                     left_regular_codes, left_translation, perm_of_code,
+                     perm_order, record_permutations, right_regular,
+                     right_regular_codes, right_translation)
 
 # The package exports the function ``holomorph`` under the module's name.
 holomorph_module = importlib.import_module("holoscreen.holomorph")
@@ -50,7 +49,7 @@ def scalar_code_mul(hol, x, y):
 def composed_index(aut, f, g):
     """Index of elements[f] o elements[g], from ``compose`` and the index
     dict; not read from ``aut.table``."""
-    return aut.index[compose(aut.elements[f], aut.elements[g])]
+    return aut_index(aut)[compose(aut.elements[f], aut.elements[g])]
 
 
 def reference_table(hol, codes):
@@ -74,7 +73,7 @@ def test_translations():
 def test_regular_representations():
     n = T("symmetric(3)")
     lam, rho = left_regular(n), right_regular(n)
-    assert lam.order() == 6 and rho.order() == 6
+    assert len(lam.elements()) == 6 and len(rho.elements()) == 6
     assert is_regular_subgroup(lam.elements(), 6)
     assert is_regular_subgroup(rho.elements(), 6)
 
@@ -542,6 +541,15 @@ def test_subgroup_table_rejects_unlisted_codes_below_the_largest():
                 with pytest.raises(ValueError, match="not closed"):
                     subgroup_table(hol, codes)
     assert cases
+
+
+def test_subgroup_table_rejects_repeated_codes():
+    # A repeated code used to give a 5-row table that is not a group.
+    hol = holomorph(T("cyclic(4)"))
+    codes = enumerate_regular_subgroups(hol).records[0].codes
+    for listing in (codes + (codes[1],), codes[:2] + codes[1:]):
+        with pytest.raises(ValueError, match="twice"):
+            subgroup_table(hol, listing)
 
 
 def test_holomorph_caps_the_automorphism_count(monkeypatch):

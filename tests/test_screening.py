@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from holoscreen import screening
-from holoscreen.automorphisms import AUT_TABLE_CAP
+from holoscreen.automorphisms import AUT_LIST_CAP, AUT_TABLE_CAP
 from holoscreen.corpus import CorpusManifest, construct, load_manifest
 from holoscreen.errors import CapExceeded
 from holoscreen.lattice import fitting_subgroup
@@ -438,3 +438,15 @@ def test_every_stage_aut_cap_error(monkeypatch, stage_cases):
         "error": "table size 8 exceeds automorphism cap 4"}
     assert "  c8     error: table size 8 exceeds automorphism cap 4" in (
         render_report(report))
+
+
+def test_aut_stage_caps_the_automorphism_count():
+    # |Aut(C2^5)| = 9,999,360: with order sets that pass the Fitting
+    # stage, the Aut stage stops at n * |Aut| = AUT_LIST_CAP.
+    record = construct("abelian(2,2,2,2,2)", name="c2^5")
+    trace = _trace_one((record, divisor_sets(32), False, AUT_TABLE_CAP,
+                        False))
+    assert trace.passed_fitting is True
+    assert trace.aut_order is None
+    assert trace.error == ("|Aut| exceeds automorphism order cap %d"
+                           % (AUT_LIST_CAP // 32))

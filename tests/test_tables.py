@@ -1,4 +1,4 @@
-"""Multiplication tables, subgroups, homomorphisms, quotients."""
+"""Multiplication tables, subgroups, homomorphisms, closures."""
 
 from pathlib import Path
 
@@ -7,8 +7,10 @@ import pytest
 from holoscreen.automorphisms import automorphism_group
 from holoscreen.corpus import construct, load_manifest
 from holoscreen.perms import PermutationGroup
-from holoscreen.tables import (GroupTable, Homomorphism, from_permutation_group)
-from oracles import commutator
+from holoscreen.tables import (GroupTable, Homomorphism, commutator_series,
+                               from_permutation_group)
+from oracles import (bfs_closure, bfs_generating_sequence, commutator,
+                     is_normal, is_subgroup)
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -65,17 +67,6 @@ def test_inverses():
     for a in range(6):
         assert table.mul[a][table.inv[a]] == 0
         assert table.mul[table.inv[a]][a] == 0
-
-
-def test_powers():
-    table, _ = table_of(6, C6)
-    g = table.element_orders.index(6)
-    x = 0
-    for k in range(13):
-        assert table.power(g, k) == x
-        x = table.mul[x][g]
-    assert table.power(g, -1) == table.inv[g]
-    assert table.power(g, -5) == table.power(g, 1)
 
 
 def test_order_spectra():
@@ -146,25 +137,22 @@ def test_solvability_flags():
 
 def test_derived_series_orders():
     s4, _ = table_of(4, S4)
-    assert [sub.order for sub in s4.derived_series()] == [24, 12, 4, 1]
+    assert [len(term) for term in s4.derived_terms] == [24, 12, 4, 1]
     a4, _ = table_of(4, A4)
-    assert [sub.order for sub in a4.derived_series()] == [12, 4, 1]
+    assert [len(term) for term in a4.derived_terms] == [12, 4, 1]
     a5, _ = table_of(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]])
-    assert [sub.order for sub in a5.derived_series()] == [60]
+    assert [len(term) for term in a5.derived_terms] == [60]
 
 
 def test_subgroup_validate():
+    # The reference predicates that the lattice tests rely on.
     s3, _ = table_of(3, S3)
-    whole = s3.subgroup(range(6))
-    whole.validate()
+    assert is_subgroup(s3, range(6)) and is_normal(s3, range(6))
     flip = s3.element_orders.index(2)
-    pair = s3.subgroup([0, flip])
-    pair.validate()
-    assert not pair.is_normal()
-    with pytest.raises(ValueError):
-        s3.subgroup([0, flip, s3.element_orders.index(3)]).validate()
-    with pytest.raises(ValueError):
-        s3.subgroup([flip]).validate()
+    assert is_subgroup(s3, [0, flip])
+    assert not is_normal(s3, [0, flip])
+    assert not is_subgroup(s3, [0, flip, s3.element_orders.index(3)])
+    assert not is_subgroup(s3, [flip])
 
 
 def test_subgroup_to_table():
@@ -172,30 +160,13 @@ def test_subgroup_to_table():
     rotations = [a for a in range(24) if s4.element_orders[a] in (1, 2)]
     # The Klein four-group inside S4: identity plus the three double flips,
     # which are exactly the central involutions of the two Sylow choices;
-    # pick it as the kernel of the quotient below instead of guessing.
-    derived2 = s4.derived_series()[2]
+    # pick it as the second derived subgroup instead of guessing.
+    derived2 = s4.subgroup(s4.derived_terms[2])
     assert derived2.order == 4
     table, local = derived2.to_table()
     assert table.order_spectrum == ((1, 1), (2, 3))
     assert local[0] == 0
     assert set(rotations) >= set(derived2.elements)
-
-
-def test_quotient_s4_by_klein_is_s3():
-    s4, _ = table_of(4, S4)
-    klein = s4.derived_series()[2]
-    q, proj = s4.quotient(klein)
-    assert q.n == 6
-    assert q.order_spectrum == ((1, 1), (2, 3), (3, 2))
-    assert proj.verify()
-    assert proj.kernel().elements == klein.elements
-
-
-def test_quotient_rejects_non_normal():
-    s3, _ = table_of(3, S3)
-    flip = s3.element_orders.index(2)
-    with pytest.raises(ValueError, match="not normal"):
-        s3.quotient(s3.subgroup([0, flip]))
 
 
 def test_homomorphism_sign_map():
@@ -218,7 +189,7 @@ def test_homomorphism_sign_map():
     sign = Homomorphism(s3, c2, tuple(parity(p) for p in elements))
     assert sign.verify()
     assert not sign.is_bijective()
-    assert sign.kernel().order == 3
+    assert sum(sign(a) == 0 for a in range(s3.n)) == 3
 
     broken = Homomorphism(s3, c2, (0,) * 6)
     assert broken.verify()  # trivial map is a homomorphism
@@ -244,13 +215,20 @@ def all_pairs_series(table, *, lower=False):
     while True:
         cur = series[-1]
         left = series[0] if lower else cur
-        nxt = table.closure({commutator(table, a, b)
-                             for a in left for b in cur})
+        nxt = bfs_closure(table, {commutator(table, a, b)
+                                  for a in left for b in cur})
         if len(nxt) == len(cur):
             return series
         series.append(nxt)
         if len(nxt) == 1:
             return series
+
+
+def lower_central_series(table):
+    m = table.mul
+    return commutator_series(table.generating_sequence(),
+                             lambda a, b: m[a][b], table.inv.__getitem__, 0,
+                             lower=True)
 
 
 def shipped_records():
@@ -265,12 +243,37 @@ def test_series_match_all_pairs_definition():
     assert len(records) == 34
     for record in records:
         table = record.table
-        derived = [sub.elements for sub in table.derived_series()]
-        lower = [sub.elements for sub in table.lower_central_series()]
+        derived = list(table.derived_terms)
+        lower = [tuple(sorted(term)) for term in lower_central_series(table)]
         assert derived == all_pairs_series(table), record.name
         assert lower == all_pairs_series(table, lower=True), record.name
         assert table.is_solvable() == (len(derived[-1]) == 1)
         assert table.is_nilpotent() == (len(lower[-1]) == 1)
+
+
+def reference_tables():
+    return [record.table for record in shipped_records()] + [
+        construct(expr).table
+        for expr in ("symmetric(4)", "gl(2,3)", "sl(2,5)")]
+
+
+def test_closure_matches_breadth_first_reference():
+    # The closure of a set does not depend on its order, so unordered
+    # pairs cover every 2-element seed.
+    tables = reference_tables()
+    assert len(tables) == 33
+    for table in tables:
+        for a in range(table.n):
+            assert table.closure((a,)) == bfs_closure(table, (a,))
+            for b in range(a + 1, table.n):
+                assert (table.closure((a, b))
+                        == bfs_closure(table, (a, b))), (table.name, a, b)
+
+
+def test_generating_sequence_matches_repeated_closure():
+    for table in reference_tables():
+        assert (table.generating_sequence()
+                == bfs_generating_sequence(table)), table.name
 
 
 def test_invariants_match_all_element_definitions():
