@@ -70,30 +70,45 @@ class PermutationGroup:
                 gens.append(p)
         self.generators: tuple[Perm, ...] = tuple(gens)
 
-    def elements(self, cap: int | None = None) -> list[Perm]:
-        """All elements by breadth-first closure over the generators.
+    def listing(self, cap: int | None = None
+                ) -> tuple[list[Perm], list[list[int]], list[tuple[int, int]]]:
+        """Breadth-first closure over the generators, with its Schreier tree.
 
-        Deterministic: elements are multiplied on the right by generators in
-        listed order, starting from the identity.  Raises CapExceeded if the
-        group is larger than ``cap``.
+        Returns (elements, right, parents).  Elements are multiplied on the
+        right by generators in listed order, starting from the identity, so
+        the listing is deterministic.  ``right[s][m]`` is the index of
+        ``elements[m] * generators[s]``, and ``parents[j - 1] == (k, s)``
+        says that element j was first reached as ``elements[k] *
+        generators[s]``, with k < j.  Raises CapExceeded on the first new
+        element once ``cap`` are listed.
         """
         ident = identity_perm(self.degree)
         out = [ident]
-        seen = {ident}
+        index = {ident: 0}
+        right: list[list[int]] = [[] for _ in self.generators]
+        parents: list[tuple[int, int]] = []
         qi = 0
         while qi < len(out):
             x = out[qi]
-            qi += 1
-            for g in self.generators:
-                y = compose(x, g)
-                if y not in seen:
+            for s, g in enumerate(self.generators):
+                y = tuple(map(x.__getitem__, g))  # compose(x, g)
+                j = index.get(y)
+                if j is None:
                     if cap is not None and len(out) >= cap:
                         raise CapExceeded(
                             "group has more than %d elements" % (cap,)
                         )
-                    seen.add(y)
+                    j = index[y] = len(out)
                     out.append(y)
-        return out
+                    parents.append((qi, s))
+                right[s].append(j)
+            qi += 1
+        return out, right, parents
+
+    def elements(self, cap: int | None = None) -> list[Perm]:
+        """All elements in the breadth-first order of ``listing``.  Raises
+        CapExceeded if the group is larger than ``cap``."""
+        return self.listing(cap)[0]
 
     def __repr__(self) -> str:
         return "PermutationGroup(degree=%d, ngens=%d)" % (

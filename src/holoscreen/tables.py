@@ -7,9 +7,13 @@ generators in listed order), which makes every derived table reproducible
 byte for byte.
 
 ``normal_closure`` is the one closure routine for tables and Aut(N).
-``PermutationGroup.elements`` and ``isomorphism.GeneratorTower`` keep their
+``PermutationGroup.listing`` and ``isomorphism.GeneratorTower`` keep their
 own loops: their element order fixes table indices, report bytes and the
-frozen embedding node totals.
+frozen embedding node totals.  ``from_permutation_group`` reads its table
+off the Schreier tree that ``PermutationGroup.listing`` records and
+multiplies no permutations of its own: if E_j = E_k * g_s, then column j
+is column k mapped through the right multiplication by g_s, which is exact
+because E_i * E_j = (E_i * E_k) * g_s by associativity.
 """
 
 from __future__ import annotations
@@ -313,10 +317,16 @@ def from_permutation_group(group: PermutationGroup, *, cap: int = TABLE_CAP,
 
     Returns the table and the element list in table order (index i of the
     table is ``elements[i]``).  Deterministic, so repeated conversions agree.
-    """
-    elements = group.elements(cap=cap)
-    index = {p: i for i, p in enumerate(elements)}
-    from .perms import compose
 
-    mul = [[index[compose(p, q)] for q in elements] for p in elements]
-    return GroupTable(mul, validate=False, name=name), elements
+    The table is read off the Schreier tree of the listing, one column at a
+    time, with no permutation product beyond those of the listing.  Column 0
+    is the identity column.  If element j was reached as E_j = E_k * g_s,
+    then E_i * E_j = (E_i * E_k) * g_s for every i, by associativity, so
+    column j is column k mapped through the right-multiplication column of
+    g_s.  Since k < j, column k is already built.
+    """
+    elements, right, parents = group.listing(cap=cap)
+    cols: list[Sequence[int]] = [range(len(elements))]
+    for k, s in parents:
+        cols.append(list(map(right[s].__getitem__, cols[k])))
+    return GroupTable(tuple(zip(*cols)), validate=False, name=name), elements

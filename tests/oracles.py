@@ -14,7 +14,10 @@ products, in place of cosets, and ``unbounded_tower`` is
 ``HolomorphGroup.orbit`` walks generators.  ``bfs_closure`` multiplies
 every listed element by every generator, where the package's
 ``normal_closure`` multiplies the elements already closed only by the
-newest generator.  The subgroup predicates check their definitions over
+newest generator.  ``compose_table`` lists a permutation group with its
+own breadth-first loop and fills the table by n^2 permutation products,
+where ``from_permutation_group`` reads it off the Schreier tree of the
+listing.  The subgroup predicates check their definitions over
 every element.  The permutation, translation and table helpers serve
 tests only, so they live here, not in the package.
 """
@@ -25,7 +28,8 @@ import weakref
 import numpy as np
 
 from holoscreen.isomorphism import GeneratorTower
-from holoscreen.perms import PermutationGroup, check_perm, compose, inverse
+from holoscreen.perms import (PermutationGroup, check_perm, compose,
+                              identity_perm, inverse)
 
 
 def cycles(p, include_fixed=False):
@@ -99,6 +103,26 @@ def bfs_closure(table, seed):
                 members.add(y)
                 order.append(y)
     return tuple(sorted(members))
+
+
+def compose_table(group):
+    """(rows, elements) of a permutation group: the elements by
+    breadth-first closure, each multiplied on the right by every generator
+    in listed order, and row i, column j the index of the product
+    ``compose(elements[i], elements[j])``."""
+    ident = identity_perm(group.degree)
+    elements = [ident]
+    seen = {ident}
+    for x in elements:  # grows while it is walked
+        for g in group.generators:
+            y = compose(x, g)
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+    index = {p: i for i, p in enumerate(elements)}
+    rows = tuple(tuple(index[compose(p, q)] for q in elements)
+                 for p in elements)
+    return rows, elements
 
 
 def bfs_generating_sequence(table):

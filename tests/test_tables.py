@@ -5,12 +5,14 @@ from pathlib import Path
 import pytest
 
 from holoscreen.automorphisms import automorphism_group
-from holoscreen.corpus import construct, load_manifest
+from holoscreen.corpus import (construct, load_group, load_manifest,
+                               regular_generators)
+from holoscreen.errors import CapExceeded
 from holoscreen.perms import PermutationGroup
 from holoscreen.tables import (GroupTable, Homomorphism, commutator_series,
                                from_permutation_group)
 from oracles import (bfs_closure, bfs_generating_sequence, commutator,
-                     is_normal, is_subgroup)
+                     compose_table, is_normal, is_subgroup)
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -203,6 +205,52 @@ def test_from_permutation_group_is_deterministic():
     assert t1.mul == t2.mul
     assert e1 == e2
     assert e1[0] == (0, 1, 2, 3)
+
+
+# -- tables read off the Schreier tree against n^2 products --------------
+
+CONSTRUCTS = ["abelian(5,5)", "abelian(5,5,2)", "abelian(7,7)",
+              "symmetric(5)", "alternating(5)", "gl(2,3)", "sl(2,5)",
+              "semidirect(cyclic(3),cyclic(4),[[0,2,1]])",
+              "cyclic(1)"]  # the trivial group
+SOURCES = ([pytest.param(path, id=f"{path.parent.name}/{path.stem}")
+            for path in sorted(CORPORA.rglob("*.grp"))]
+           + [pytest.param(expr, id=expr) for expr in CONSTRUCTS])
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_table_matches_compose_oracle(source):
+    """Every shipped corpus group and each construct above.  A construct
+    built as a table, such as a semidirect product, acts on its elements
+    by left translation, as ``scripts/gen_corpora.py`` writes it."""
+    if isinstance(source, Path):
+        record = load_group(source)
+    else:
+        record = construct(source)
+    if record.generators is None:
+        group = PermutationGroup(*regular_generators(record.table))
+    else:
+        group = PermutationGroup(record.degree, record.generators)
+    rows, elements = compose_table(group)
+    table, listed = from_permutation_group(group)
+    assert listed == elements
+    assert table.mul == rows
+    if record.generators is not None:
+        assert record.elements == tuple(elements)
+        assert record.table.mul == rows
+
+
+@pytest.mark.parametrize("degree,gens", [(4, S4), (8, Q8), (6, C6)],
+                         ids=["s4", "q8", "c6"])
+def test_listing_cap_boundary(degree, gens):
+    group = PermutationGroup(degree, [tuple(g) for g in gens])
+    m = len(compose_table(group)[1])
+    assert len(group.elements(cap=m)) == m
+    assert from_permutation_group(group, cap=m)[0].n == m
+    with pytest.raises(CapExceeded):
+        group.elements(cap=m - 1)
+    with pytest.raises(CapExceeded):
+        from_permutation_group(group, cap=m - 1)
 
 
 # -- commutator series against the all-pairs definition ------------------
