@@ -35,11 +35,19 @@ acting group, each entry an image list describing an automorphism of the
 normal component by where it sends each element index of that component's
 table.  The assignment is validated both as automorphisms and as a
 homomorphism of the whole acting group.
+
+Expressions are read with Python's parser (``ast.parse``) and never
+evaluated.  Every argument is a decimal integer literal of at least 1
+(no sign, base prefix or underscore), a nested constructor call, or the
+action spec; anything else raises CorpusError.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -238,100 +246,53 @@ def regular_generators(table: GroupTable) -> tuple[int, list[Perm]]:
 
 # --- constructor expressions -------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z_]\w*|\d+|[(),\[\]])")
-
-
-def _tokenize(expr: str, source: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(expr):
-        m = _TOKEN_RE.match(expr, pos)
-        if m is None:
-            if expr[pos:].strip():
-                _fail(f"bad character {expr[pos]!r} in expression", source)
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[str], source: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.source = source
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            _fail("unexpected end of expression", self.source)
-        if expected is not None and tok != expected:
-            _fail(f"expected {expected!r}, got {tok!r}", self.source)
-        self.pos += 1
-        return tok
-
-    def int_value(self) -> int:
-        tok = self.take()
-        if not tok.isdigit():
-            _fail(f"expected a number, got {tok!r}", self.source)
-        return int(tok)
-
-    def int_list(self) -> list[int]:
-        self.take("[")
-        out = [self.int_value()]
-        while self.peek() == ",":
-            self.take(",")
-            out.append(self.int_value())
-        self.take("]")
-        return out
-
-    def action_spec(self) -> list[list[int]]:
-        self.take("[")
-        out = [self.int_list()]
-        while self.peek() == ",":
-            self.take(",")
-            out.append(self.int_list())
-        self.take("]")
-        return out
-
-
 def construct(expr: str, name: str | None = None) -> GroupRecord:
-    """Build a validated GroupRecord from a constructor expression."""
-    parser = _Parser(_tokenize(expr, expr), expr)
-    record = _build(parser, expr)
-    if parser.peek() is not None:
-        _fail(f"trailing tokens after expression: {parser.peek()!r}", expr)
+    """Build a validated GroupRecord from a constructor expression.
+
+    Python's parser reads the expression, which is never evaluated.  Only
+    constructor calls by bare name, decimal integer literals and an action
+    spec made of a list of integer lists are accepted."""
+    source = expr.strip()  # the parser takes leading blanks as an indent
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        _fail(f"bad expression: {exc.msg}", source)
+    except (ValueError, MemoryError, RecursionError):
+        # Null bytes before Python 3.12, or past the parser's own limits.
+        _fail("bad expression: the parser rejects it", source)
+    # Every literal must be spelled in decimal digits alone, which rejects
+    # a base prefix, an underscore, a bool, a float and a string.  Offsets
+    # count UTF-8 bytes; the lines are split once, where
+    # ``ast.get_source_segment`` would split them again for each literal.
+    lines = source.encode().splitlines()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and not (
+                lines[node.lineno - 1][node.col_offset:node.end_col_offset]
+                .isdigit()):
+            _expected("a number", node, source)
+    record = _build(tree.body, source)
     if name is not None:
         record.name = name
         record.table.name = name
     return record
 
 
-def _build(parser: _Parser, source: str) -> GroupRecord:
-    head = parser.take()
-    parser.take("(")
+def _build(node: ast.expr, source: str) -> GroupRecord:
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and not node.keywords):
+        _expected("a constructor call", node, source)
+    head, args = node.func.id, node.args
     if head == "cyclic":
-        n = parser.int_value()
-        parser.take(")")
-        return _perm_record(f"cyclic({n})", n, *_cyclic_gens(n), source)
+        n, = _sizes(head, _args(head, args, 1, source), source)
+        cycle = tuple((i + 1) % n for i in range(n))
+        return _perm_record(f"cyclic({n})", n, n, [cycle], source)
     if head == "abelian":
-        parts = [parser.int_value()]
-        while parser.peek() == ",":
-            parser.take(",")
-            parts.append(parser.int_value())
-        parser.take(")")
+        parts = _sizes(head, args, source)
         degree, gens = _abelian_gens(parts)
-        order = 1
-        for k in parts:
-            order *= k
         label = "abelian(" + ",".join(str(k) for k in parts) + ")"
-        return _perm_record(label, order, degree, gens, source)
+        return _perm_record(label, math.prod(parts), degree, gens, source)
     if head == "dihedral":
-        n = parser.int_value()
-        parser.take(")")
+        n, = _sizes(head, _args(head, args, 1, source), source)
         if n < 4 or n % 2:
             _fail(f"dihedral takes an even order >= 4, got {n}", source)
         m = n // 2
@@ -339,45 +300,60 @@ def _build(parser: _Parser, source: str) -> GroupRecord:
         flip = tuple((m - i) % m for i in range(m))
         return _perm_record(f"dihedral({n})", n, m, [rot, flip], source)
     if head in ("symmetric", "alternating"):
-        m = parser.int_value()
-        parser.take(")")
-        if m < 1:
-            _fail(f"{head} needs a degree >= 1, got {m}", source)
+        m, = _sizes(head, _args(head, args, 1, source), source)
         if head == "symmetric":
-            order = _factorial(m)
+            order = math.factorial(m)
             gens = _symmetric_gens(m)
         else:
-            order = _factorial(m) // 2 if m >= 3 else 1
+            order = math.factorial(m) // 2 if m >= 3 else 1
             gens = _alternating_gens(m)
-        return _perm_record(f"{head}({m})", order, max(m, 1), gens, source)
+        return _perm_record(f"{head}({m})", order, m, gens, source)
     if head == "direct":
-        left = _build(parser, source)
-        parser.take(",")
-        right = _build(parser, source)
-        parser.take(")")
-        return _direct(left, right, source)
+        left, right = _args(head, args, 2, source)
+        return _direct(_build(left, source), _build(right, source), source)
     if head == "semidirect":
-        normal = _build(parser, source)
-        parser.take(",")
-        acting = _build(parser, source)
-        parser.take(",")
-        spec = parser.action_spec()
-        parser.take(")")
-        return _semidirect(normal, acting, spec, source)
+        normal, acting, spec = _args(head, args, 3, source)
+        return _semidirect(_build(normal, source), _build(acting, source),
+                           _action_spec(spec, source), source)
     if head in ("gl", "sl"):
-        m = parser.int_value()
-        parser.take(",")
-        p = parser.int_value()
-        parser.take(")")
+        m, p = _sizes(head, _args(head, args, 2, source), source)
         return _linear(head, m, p, source)
     _fail(f"unknown constructor {head!r}", source)
 
 
-def _factorial(m: int) -> int:
-    out = 1
-    for k in range(2, m + 1):
-        out *= k
-    return out
+def _args(head: str, args: list[ast.expr], count: int,
+          source: str) -> list[ast.expr]:
+    if len(args) != count:
+        _fail(f"wrong number of arguments to {head}: expected {count}, "
+              f"got {len(args)}", source)
+    return args
+
+
+def _sizes(head: str, args: list[ast.expr], source: str) -> list[int]:
+    """The values of a constructor's integer arguments, each at least 1."""
+    values = [_int(arg, source) for arg in args]
+    if not values or min(values) < 1:
+        _fail(f"{head} takes integers >= 1, got {values}", source)
+    return values
+
+
+def _int(node: ast.expr, source: str) -> int:
+    # ``construct`` has checked that every literal is a decimal integer.
+    if not isinstance(node, ast.Constant):
+        _expected("a number", node, source)
+    return node.value
+
+
+def _expected(what: str, node: ast.expr, source: str):
+    _fail(f"expected {what}, got {ast.get_source_segment(source, node)!r}",
+          source)
+
+
+def _action_spec(node: ast.expr, source: str) -> list[list[int]]:
+    if not (isinstance(node, ast.List)
+            and all(isinstance(entry, ast.List) for entry in node.elts)):
+        _fail("the action spec must be a list of integer lists", source)
+    return [[_int(x, source) for x in entry.elts] for entry in node.elts]
 
 
 def _perm_record(label: str, order: int, degree: int, gens, source: str) -> GroupRecord:
@@ -386,14 +362,8 @@ def _perm_record(label: str, order: int, degree: int, gens, source: str) -> Grou
                              (f"constructed: {label}",))
 
 
-def _cyclic_gens(n: int) -> tuple[int, list[Perm]]:
-    if n == 1:
-        return 1, []
-    return n, [tuple((i + 1) % n for i in range(n))]
-
-
 def _abelian_gens(parts: list[int]) -> tuple[int, list[Perm]]:
-    degree = sum(max(k, 1) for k in parts)
+    degree = sum(parts)
     gens = []
     offset = 0
     for k in parts:
@@ -402,7 +372,7 @@ def _abelian_gens(parts: list[int]) -> tuple[int, list[Perm]]:
             for i in range(k):
                 images[offset + i] = offset + (i + 1) % k
             gens.append(tuple(images))
-        offset += max(k, 1)
+        offset += k
     return degree, gens
 
 
@@ -518,14 +488,10 @@ def _linear(kind: str, m: int, p: int, source: str) -> GroupRecord:
     # Imported here to keep sympy out of start-up, as in numbers.py.
     from sympy import isprime, primitive_root
 
-    if m < 1:
-        _fail(f"{kind} needs dimension >= 1, got {m}", source)
     if not isprime(p):
         _fail(f"{kind} needs a prime field size, got {p}", source)
     label = f"{kind}({m},{p})"
-    gl_order = 1
-    for i in range(m):
-        gl_order *= p**m - p**i
+    gl_order = math.prod(p**m - p**i for i in range(m))
     order = gl_order if kind == "gl" else gl_order // (p - 1)
 
     mats = []
@@ -561,15 +527,7 @@ def _linear(kind: str, m: int, p: int, source: str) -> GroupRecord:
 
 
 def _nonzero_vectors(m: int, p: int) -> list[tuple[int, ...]]:
-    out = []
-    for code in range(1, p**m):
-        v = []
-        rest = code
-        for _ in range(m):
-            v.append(rest % p)
-            rest //= p
-        out.append(tuple(reversed(v)))
-    return out
+    return list(itertools.product(range(p), repeat=m))[1:]
 
 
 def _mat_apply(mat, v, p: int) -> tuple[int, ...]:

@@ -7,9 +7,11 @@ generators in listed order), which makes every derived table reproducible
 byte for byte.
 
 ``normal_closure`` is the one closure routine for tables and Aut(N).
-``PermutationGroup.listing`` and ``isomorphism.GeneratorTower`` keep their
-own loops: their element order fixes table indices, report bytes and the
-frozen embedding node totals.  ``from_permutation_group`` reads its table
+``PermutationGroup.listing`` keeps its own loop because its element order
+fixes table indices and report bytes.  ``isomorphism.GeneratorTower``
+keeps its own because it records a factorization u*v of each element and
+the segment of elements each generator adds, and ``normal_closure``
+returns neither.  ``from_permutation_group`` reads its table
 off the Schreier tree that ``PermutationGroup.listing`` records and
 multiplies no permutations of its own: if E_j = E_k * g_s, then column j
 is column k mapped through the right multiplication by g_s, which is exact

@@ -137,6 +137,16 @@ def test_group_bad_path(capsys):
     assert err.startswith("error:")
 
 
+def test_group_deeply_nested_expression(capsys):
+    depth = 2000
+    expr = "direct(" * depth + "cyclic(1)" + ",cyclic(1))" * depth
+    code, out, err = run(["group", "info", expr], capsys)
+    assert code == 1
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_screen_order_60(capsys):
     code, out, _ = run(["screen", "--order", 60, "--corpus", CORPORA / "o60",
                         "--jobs", 1], capsys)

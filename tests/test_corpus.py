@@ -138,9 +138,12 @@ def test_dicyclic_semidirect_structure():
 
 
 def test_semidirect_with_trivial_action_is_direct():
-    trivial = construct("semidirect(cyclic(3),cyclic(2),[[0,1,2]])")
-    c6 = construct("cyclic(6)")
-    assert are_isomorphic(trivial.table, c6.table)[0]
+    # A trivial acting group has no generators, so its spec is empty.
+    for expr, direct in [("semidirect(cyclic(3),cyclic(2),[[0,1,2]])",
+                          "cyclic(6)"),
+                         ("semidirect(cyclic(3),cyclic(1),[])", "cyclic(3)")]:
+        assert are_isomorphic(construct(expr).table,
+                              construct(direct).table)[0]
 
 
 def test_semidirect_errors():
@@ -156,8 +159,21 @@ def test_semidirect_errors():
 
 def test_construct_parse_errors():
     for expr in ("nonsense(3)", "cyclic", "cyclic(", "cyclic(3))",
-                 "dihedral(7)", "gl(2,4)", "gl(0,2)", "cyclic(x)"):
+                 "dihedral(7)", "gl(2,4)", "gl(0,2)", "cyclic(x)",
+                 # Sizes below 1.
+                 "cyclic(0)", "abelian(2,0)", "direct(cyclic(2),cyclic(0))",
+                 # Valid Python that is not a constructor expression.
+                 "cyclic(n=3)", "cyclic(3.0)", "cyclic(-3)", "cyclic(True)",
+                 "cyclic('3')", "cyclic(0x10)", "cyclic(1_0)", "cyclic(*[3])",
+                 "os.system(1)", "__import__('os')",
+                 "semidirect(cyclic(3),cyclic(2),[0,2,1])"):
         with pytest.raises(CorpusError):
+            construct(expr)
+    for expr, message in [("cyclic(0)", "cyclic takes integers >= 1"),
+                          ("abelian(2,0)", "abelian takes integers >= 1"),
+                          ("direct(cyclic(2),cyclic(0))",
+                           "cyclic takes integers >= 1")]:
+        with pytest.raises(CorpusError, match=message):
             construct(expr)
 
 

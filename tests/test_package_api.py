@@ -1,6 +1,7 @@
-"""No package API that only tests reach.
+"""No package code that only tests reach, or that nothing reaches.
 
-Every public function, class and method under ``src/holoscreen`` must be
+Every module-level function, class and constant under ``src/holoscreen``,
+public or private, and every method other than a dunder, must be
 referenced somewhere in the package outside its own definition.  A
 reference is a name or an attribute access, matched by name alone, so a
 method counts as reached when any object's attribute of that name is
@@ -15,8 +16,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "holoscreen"
 
-# Entry points that no package code calls.  Each must be called from
-# scripts/ or named in the README; the test checks that it is.
+# Entry points that no package code calls.  Each must be named in scripts/
+# or perfbench/, or in the README; the test checks that it is.
 ALLOWED = {
     "save_group": "scripts/gen_corpora.py writes each corpus file with it",
     "regular_generators": "scripts/gen_corpora.py builds permutation "
@@ -31,18 +32,30 @@ ALLOWED = {
                       "library use",
     "mersenne_gcd_property": "an arithmetic helper the README lists under "
                              "library use",
+    "HAVE_COMPILED": "perfbench/worker.py reads it; it goes together with "
+                     "perfbench's backend comparison",
 }
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree):
-    """(qualified name, bare name, node) of each module-level function and
-    class, and of each method."""
+    """(qualified name, bare name, node) of each module-level function,
+    class and constant, and of each method that is not a dunder."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not is_dunder(target.id):
+                    yield target.id, target.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef):
+                if (isinstance(item, ast.FunctionDef)
+                        and not is_dunder(item.name)):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
@@ -62,8 +75,6 @@ def unreached():
     out = []
     for path, tree in trees.items():
         for qualname, name, node in definitions(tree):
-            if name.startswith("_"):
-                continue
             reached = any(
                 ref == name and not (other == path
                                      and node.lineno <= line <= node.end_lineno)
@@ -79,7 +90,8 @@ def test_every_public_definition_is_reached_in_the_package():
 
 def test_allowed_names_are_entry_points():
     scripts = "".join(path.read_text()
-                      for path in sorted((ROOT / "scripts").glob("*.py")))
+                      for folder in ("scripts", "perfbench")
+                      for path in sorted((ROOT / folder).glob("*.py")))
     readme = (ROOT / "README.md").read_text()
     for name in ALLOWED:
         assert (re.search(rf"\b{name}\b", scripts)
