@@ -295,10 +295,13 @@ def _build(node: ast.expr, source: str) -> GroupRecord:
         n, = _sizes(head, _args(head, args, 1, source), source)
         if n < 4 or n % 2:
             _fail(f"dihedral takes an even order >= 4, got {n}", source)
+        # The symmetries of a regular m-gon on its m vertices; for m = 2
+        # that flip is the identity, so the 2-gon is drawn on a square.
         m = n // 2
-        rot = tuple((i + 1) % m for i in range(m))
-        flip = tuple((m - i) % m for i in range(m))
-        return _perm_record(f"dihedral({n})", n, m, [rot, flip], source)
+        d = 4 if m == 2 else m
+        rot = tuple((i + d // m) % d for i in range(d))
+        flip = tuple((d - i) % d for i in range(d))
+        return _perm_record(f"dihedral({n})", n, d, [rot, flip], source)
     if head in ("symmetric", "alternating"):
         m, = _sizes(head, _args(head, args, 1, source), source)
         if head == "symmetric":

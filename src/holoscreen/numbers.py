@@ -13,7 +13,8 @@ multiple of its order.
 
 Factorization-backed answers are honest about effort: past the trial bound
 they fall back to Pollard rho and, when the budget runs out, report
-``unknown`` instead of guessing.  The primality, sieving and factoring
+``unknown`` instead of guessing.  Trial division walks the primes of a
+segmented sieve kept in this module; the primality and factoring
 primitives come from sympy, which is loaded on first use.
 """
 
@@ -24,9 +25,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 # sympy is imported inside the functions that call it, not here: it is most
 # of the package's import time, and commands that do no number theory never
-# need it.
+# need it.  Its prime iterators are not used: past its global sieve they
+# test each candidate with isprime, so the prime walks read ``_primes``.
 
 __all__ = [
     "SimpleOrderTable",
@@ -55,6 +59,7 @@ __all__ = [
 TRIAL_BOUND = 10**7
 RHO_RETRIES = 16
 WIEFERICH_CAP = 10**8
+_SEGMENT = 1 << 16
 
 VERDICT_SOLVABLE = "trivial-solvable"
 VERDICT_DOUBLING = "doubling-family"
@@ -186,6 +191,35 @@ def suzuki_order(ell: int) -> int:
     return q * (q + 1) * ((1 << ell) - 1)
 
 
+def _primes(stop: int):
+    """Yield the primes below ``stop`` in ascending order.
+
+    A segmented sieve: the base primes up to sqrt(stop) come from a small
+    bytearray sieve, and each window of ``_SEGMENT`` numbers is a numpy bool
+    array crossed off by them.  One window is held at a time and nothing is
+    kept between calls, so memory stays bounded whatever ``stop`` is.
+    """
+    if stop <= 2:
+        return
+    root = math.isqrt(stop - 1)
+    small = bytearray([1]) * (root + 1)
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p::p] = bytes(len(range(p * p, root + 1, p)))
+    base = [p for p in range(2, root + 1) if small[p]]
+    for lo in range(0, stop, _SEGMENT):
+        hi = min(lo + _SEGMENT, stop)
+        window = np.ones(hi - lo, dtype=bool)
+        if lo == 0:
+            window[:2] = False
+        for p in base:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            window[start - lo::p] = False
+        yield from (np.flatnonzero(window) + lo).tolist()
+
+
 def _rho_divisor(n: int) -> int | None:
     """A certified nontrivial divisor of composite n, or None on give-up."""
     from sympy.ntheory import pollard_rho
@@ -206,14 +240,15 @@ def square_free_status(
     budget ran out before a decision.  When status is False the witness is
     a prime whose square divides n, when one was identified.
     """
-    from sympy import isprime, primerange
+    from sympy import isprime
 
     if n < 1:
         raise ValueError("argument must be positive")
     m = n
-    # A prime cofactor ends the search without walking the trial primes.
+    # A prime cofactor ends the search without walking the trial primes,
+    # and no prime past sqrt(n) can end it either.
     prime = isprime(m)
-    for p in primerange(2, trial_bound + 1):
+    for p in _primes(min(trial_bound, math.isqrt(n)) + 1):
         if prime or p * p > m:
             break
         if m % p == 0:
@@ -312,11 +347,9 @@ def suzuki_exponent_check(ell: int, *, trial_bound: int = TRIAL_BOUND) -> Suzuki
 
 def wieferich_scan(limit: int) -> list[int]:
     """Primes p <= limit with 2**(p-1) = 1 modulo p*p."""
-    from sympy import primerange
-
     if limit > WIEFERICH_CAP:
         raise ValueError(f"scan limit capped at {WIEFERICH_CAP}")
-    return [p for p in primerange(2, limit + 1) if pow(2, p - 1, p * p) == 1]
+    return [p for p in _primes(limit + 1) if pow(2, p - 1, p * p) == 1]
 
 
 def mersenne_gcd_property(a: int, b: int) -> bool:
@@ -436,8 +469,6 @@ def doubling_family_base(n: int) -> tuple[int, int] | None:
     exponent.  Returns (n0, r) or None.  The power of two inside n0 itself
     is accounted for, so for example 240 gives (60, 2).
     """
-    from sympy import primerange
-
     if n < 1:
         raise ValueError("order must be positive")
     v = (n & -n).bit_length() - 1
@@ -446,7 +477,7 @@ def doubling_family_base(n: int) -> tuple[int, int] | None:
         return 60, v - 2
     if odd == 153 and v >= 4:
         return 2448, v - 4
-    for ell in primerange(3, 2 * odd.bit_length() + 3):
+    for ell in _primes(2 * odd.bit_length() + 3):
         if ell % 2 == 0:
             continue
         part = ((1 << (2 * ell)) + 1) * ((1 << ell) - 1)

@@ -354,9 +354,11 @@ def test_numtheory_wieferich(capsys):
     code, out, _ = run(["numtheory", "wieferich", "--limit", 10000], capsys)
     assert code == 0
     assert out.strip() == "1093 3511"
-    code, out, _ = run(["numtheory", "wieferich", "--limit", 100], capsys)
-    assert code == 0
-    assert out.strip() == "none"
+    for limit in (100, 2, 1, 0, -5):
+        code, out, _ = run(["numtheory", "wieferich", "--limit", limit],
+                           capsys)
+        assert code == 0
+        assert out.strip() == "none"
 
 
 def test_numtheory_suzuki(capsys):

@@ -146,6 +146,13 @@ def test_semidirect_with_trivial_action_is_direct():
                               construct(direct).table)[0]
 
 
+def test_dihedral_four_is_the_klein_group():
+    # On m = 2 points the flip is the identity; the action must be faithful.
+    record = construct("dihedral(4)")
+    assert record.order == 4
+    assert are_isomorphic(record.table, construct("abelian(2,2)").table)[0]
+
+
 def test_semidirect_errors():
     with pytest.raises(CorpusError, match="not an automorphism"):
         construct("semidirect(cyclic(3),cyclic(2),[[1,0,2]])")

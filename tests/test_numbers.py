@@ -1,12 +1,15 @@
 """Arithmetic order criteria: solvable numbers, families, classification."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import primerange
 
-from holoscreen.numbers import (SimpleOrderTable, classify_order,
+from holoscreen.numbers import (_SEGMENT, TRIAL_BOUND, SimpleOrderTable,
+                                _primes, classify_order,
                                 default_table, doubling_family_base,
                                 doubling_family_conditions, gl_is_solvable,
                                 is_cube_free, is_solvable_number,
@@ -112,10 +115,12 @@ def test_square_free_status():
     assert square_free_status(4 * (2**61 - 1)) == (False, 2)
     status, witness = square_free_status(3**4 * (2**61 - 1))
     assert status is False and witness == 3
-    # A square of a large prime, found past the trial bound.
+    # A square of a large prime, found past the trial bound: every prime
+    # below the default bound is tried before the perfect-power test.
     p = 2**61 - 1
     status, witness = square_free_status(p * p, trial_bound=100)
     assert status is False
+    assert square_free_status(p * p) == (False, p)
     # Primes past the trial bound, so Pollard rho splits the cofactor.
     # For p*p*q it splits off q and the part p*p is a perfect power; for
     # q*q*p it splits off q, and q is the gcd of the two parts.
@@ -123,6 +128,33 @@ def test_square_free_status():
     assert square_free_status(p * q, trial_bound=100) == (True, None)
     assert square_free_status(p * p * q, trial_bound=100) == (False, p)
     assert square_free_status(q * q * p, trial_bound=100) == (False, q)
+
+
+# 10 and 257**2 + 1 end just past the square of a base prime.
+@pytest.mark.parametrize("stop", [-5, 0, 1, 2, 3, 4, 10, _SEGMENT - 1, _SEGMENT,
+                                  _SEGMENT + 1, 257**2 + 1, 2 * _SEGMENT + 1,
+                                  10**5 + 1])
+def test_primes_match_sympy(stop):
+    assert list(_primes(stop)) == list(primerange(2, stop))
+
+
+def test_primes_to_trial_bound():
+    count = last = 0
+    for last in _primes(TRIAL_BOUND + 1):
+        count += 1
+    assert (count, last) == (664579, 9999991)
+
+
+def test_primes_hold_one_window_at_a_time():
+    # A list of the 78,498 primes below 10**6 would take about 2.8 MB.
+    tracemalloc.start()
+    try:
+        for _ in _primes(10**6 + 1):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_suzuki_exponent_check():
@@ -146,10 +178,22 @@ def test_suzuki_exponent_check():
         suzuki_exponent_check(1)
 
 
+def test_suzuki_exponents_frozen():
+    # Each of the three parts for 67 keeps a composite cofactor with no
+    # factor below the trial bound, so each walks every prime below it.
+    for ell in (3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 67):
+        check = suzuki_exponent_check(ell)
+        assert check.status == "eligible", ell
+        assert check.base_order == suzuki_order(ell)
+    assert suzuki_exponent_check(5).status == "ineligible"
+
+
 def test_wieferich_scan():
     assert wieferich_scan(1000) == []
     assert wieferich_scan(1093) == [1093]
     assert wieferich_scan(10**4) == [1093, 3511]
+    for limit in (-5, 0, 1, 2):
+        assert wieferich_scan(limit) == []
     with pytest.raises(ValueError):
         wieferich_scan(10**9)
 
