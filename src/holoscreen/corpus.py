@@ -284,17 +284,20 @@ def _build(node: ast.expr, source: str) -> GroupRecord:
     head, args = node.func.id, node.args
     if head == "cyclic":
         n, = _sizes(head, _args(head, args, 1, source), source)
+        _capped_order([n], source)
         cycle = tuple((i + 1) % n for i in range(n))
         return _perm_record(f"cyclic({n})", n, n, [cycle], source)
     if head == "abelian":
         parts = _sizes(head, args, source)
+        order = _capped_order(parts, source)
         degree, gens = _abelian_gens(parts)
         label = "abelian(" + ",".join(str(k) for k in parts) + ")"
-        return _perm_record(label, math.prod(parts), degree, gens, source)
+        return _perm_record(label, order, degree, gens, source)
     if head == "dihedral":
         n, = _sizes(head, _args(head, args, 1, source), source)
         if n < 4 or n % 2:
             _fail(f"dihedral takes an even order >= 4, got {n}", source)
+        _capped_order([n], source)
         # The symmetries of a regular m-gon on its m vertices; for m = 2
         # that flip is the identity, so the 2-gon is drawn on a square.
         m = n // 2
@@ -304,11 +307,12 @@ def _build(node: ast.expr, source: str) -> GroupRecord:
         return _perm_record(f"dihedral({n})", n, d, [rot, flip], source)
     if head in ("symmetric", "alternating"):
         m, = _sizes(head, _args(head, args, 1, source), source)
+        # m! and m!/2 are the products of 2..m and 3..m.
         if head == "symmetric":
-            order = math.factorial(m)
+            order = _capped_order(range(2, m + 1), source)
             gens = _symmetric_gens(m)
         else:
-            order = math.factorial(m) // 2 if m >= 3 else 1
+            order = _capped_order(range(3, m + 1), source)
             gens = _alternating_gens(m)
         return _perm_record(f"{head}({m})", order, m, gens, source)
     if head == "direct":
@@ -322,6 +326,18 @@ def _build(node: ast.expr, source: str) -> GroupRecord:
         m, p = _sizes(head, _args(head, args, 2, source), source)
         return _linear(head, m, p, source)
     _fail(f"unknown constructor {head!r}", source)
+
+
+def _capped_order(factors, source: str) -> int:
+    """The product of ``factors``.  It fails as soon as a partial product
+    passes the table cap, before any generator is built and before a huge
+    order is computed or formatted."""
+    order = 1
+    for k in factors:
+        order *= k
+        if order > TABLE_CAP:
+            _fail(f"order exceeds the table cap {TABLE_CAP}", source)
+    return order
 
 
 def _args(head: str, args: list[ast.expr], count: int,

@@ -269,7 +269,7 @@ def enumerate_regular_subgroups(
                       if n % orders[a * na + phi] == 0]
     subgroups, nodes, exhausted = _kernel.search_regular(
         n, na, hol.nmul, hol.amul, hol.act, allowed, node_budget,
-        hol.closable())
+        hol.closable(), hol.aut.inverses)
     records = [RegularSubgroupRecord(codes=tuple(codes)) for codes in subgroups]
     return RegularEnumeration(hol=hol, records=records, nodes=nodes,
                               exhausted=exhausted)

@@ -8,7 +8,7 @@ package's coded tables.  ``pairwise_morphism_images`` and
 of a level checked against the homomorphism equations, and every row of
 the composition table looked up and compared in full.
 ``pairwise_search_regular`` is the search kernel with closure by all
-products, in place of cosets, and ``unbounded_tower`` is
+products of members, in place of coset keys, and ``unbounded_tower`` is
 ``GeneratorTower`` without its stop once the group is full.
 ``conjugates`` maps a code set by every automorphism in turn, where
 ``HolomorphGroup.orbit`` walks generators.  ``bfs_closure`` multiplies
@@ -401,11 +401,12 @@ def per_row_aut_table(aut):
 
 
 def pairwise_search_regular(n, na, nmul, amul, act, allowed, budget,
-                            closable):
+                            closable, ainv):
     """``holoscreen._kernel.pure.search_regular`` closing each adjoined
     element under products with every member in both orders, from a stack,
-    instead of by right cosets; the same branching, node count and budget.
-    It ignores ``closable``, so agreeing with it shows the mask exact."""
+    instead of by one key per right coset; the same branching, node count
+    and budget.  It ignores ``closable``, so agreeing with it shows the
+    mask exact, and ``ainv``, since it never inverts."""
     nmul, amul, act = nmul.tolist(), amul.tolist(), act.tolist()
     fiber_elem = [-1] * n
     in_set = bytearray(n * na)

@@ -35,6 +35,12 @@ DIRECT_60 = {
     "a4xc5": (138, 6), "f20xc3": (64, 6), "c15sc4": (256, 6),
     "dic15": (896, 11), "dic5xc3": (192, 11), "dic3xc5": (112, 11),
 }
+# Search nodes (closure attempts) of the same enumerations, 248,256 in all.
+DIRECT_60_NODES = {
+    "c60": 256, "c30xc2": 2544, "d60": 72240, "s3xd10": 28440,
+    "s3xc10": 3696, "d10xc6": 6480, "a4xc5": 21792, "f20xc3": 1280,
+    "c15sc4": 10680, "dic15": 86640, "dic5xc3": 10080, "dic3xc5": 4128,
+}
 
 
 def manifest(name):
@@ -69,7 +75,7 @@ def test_criterion_01_screen_order_60_holds():
 
 def test_criterion_02_direct_order_60_all_regulars_solvable():
     start = time.monotonic()
-    seen = {}
+    seen, nodes = {}, {}
     for record in manifest("o60").records:
         if not record.is_solvable():
             continue
@@ -78,8 +84,11 @@ def test_criterion_02_direct_order_60_all_regulars_solvable():
         assert enum.complete, record.name
         assert not enum.insolvable_records(), record.name
         seen[record.name] = (len(enum.records), len(enum.class_reps))
+        nodes[record.name] = enum.nodes
     elapsed = time.monotonic() - start
     assert seen == DIRECT_60
+    assert nodes == DIRECT_60_NODES
+    assert sum(nodes.values()) == 248_256
     assert elapsed < 1800
     total = sum(count for count, _ in seen.values())
     print(f"\nPASS criterion 02: {total} regular subgroups over 12 solvable "

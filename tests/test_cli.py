@@ -137,6 +137,14 @@ def test_group_bad_path(capsys):
     assert err.startswith("error:")
 
 
+def test_group_past_the_table_cap(capsys):
+    # m! is never formatted: Python would refuse to print 300000!.
+    code, out, err = run(["group", "info", "symmetric(300000)"], capsys)
+    assert code == 1
+    assert not out
+    assert "order exceeds the table cap 10000" in err
+
+
 def test_group_deeply_nested_expression(capsys):
     depth = 2000
     expr = "direct(" * depth + "cyclic(1)" + ",cyclic(1))" * depth

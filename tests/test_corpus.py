@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from holoscreen import corpus
 from holoscreen.corpus import (CorpusError, construct, corpus_hash, load_group,
                                load_manifest, parse_group_text,
                                regular_generators, save_group,
@@ -182,6 +183,27 @@ def test_construct_parse_errors():
                            "cyclic takes integers >= 1")]:
         with pytest.raises(CorpusError, match=message):
             construct(expr)
+
+
+@pytest.mark.parametrize("expr", [
+    "cyclic(10001)", "cyclic(1000000)",
+    "abelian(2,5001)",
+    pytest.param("abelian(" + ",".join(["2"] * 5000) + ")",
+                 id="abelian(2,...,2)-5000-parts"),
+    "dihedral(10002)", "dihedral(1000000)",
+    "symmetric(8)", "symmetric(300000)",
+    "alternating(8)", "alternating(300000)",
+])
+def test_constructors_check_the_cap_before_building(monkeypatch, expr):
+    # Each input lies just or far past TABLE_CAP = 10000.  The builders
+    # raise if reached, so a check made too late fails fast here.
+    def reached(*args):
+        raise AssertionError(f"{expr} reached a builder")
+
+    for name in ("PermutationGroup", "_abelian_gens", "_perm_record"):
+        monkeypatch.setattr(corpus, name, reached)
+    with pytest.raises(CorpusError, match="order exceeds the table cap"):
+        construct(expr)
 
 
 def test_linear_groups_are_correct():

@@ -2,12 +2,15 @@
 
 The reference, ``oracles.pairwise_search_regular``, branches like the kernel
 but closes each adjoined element by products with every member in both
-orders, where the kernel lists right cosets.  Both run on the tables and
+orders, where the kernel keys each right coset by the orbits of the group
+closed so far and lists no member.  Both run on the tables and
 candidate lists that ``enumerate_regular_subgroups`` builds.  The reference
 ignores the ``closable`` mask that lets the kernel abandon a closure early,
 so agreeing with it, node for node, shows that the mask is exact.
 """
 
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,9 @@ HOLOMORPH_BASES = [
     # The mask rejects 90 and 146 candidates of order dividing 60 here.
     "cyclic(60)",
     "o60/f20xc3",
+    # 768 of its 2,544 nodes sit under an H whose next fiber lies in an
+    # orbit of H that is not free.
+    "o60/c30xc2",
 ]
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
@@ -85,3 +91,25 @@ def test_backends_agree_under_budget_pressure():
                 [r.codes for r in b.records], (expr, budget)
             assert a.nodes == b.nodes == budget + 1, (expr, budget)
             assert a.exhausted and b.exhausted, (expr, budget)
+
+
+def test_kernel_leaves_no_reference_cycle(monkeypatch):
+    # |Aut(C5xC5)| = 480 > 257, so the kernel reads amul in place through
+    # a memoryview.  With the collector off, only reference counting can
+    # free the table once the caller drops it.
+    hol = holomorph(base_table("abelian(5,5)"))
+    calls = []
+    monkeypatch.setattr(_kernel, "search_regular",
+                        lambda *args: calls.append(args) or ([], 0, False))
+    enumerate_regular_subgroups(hol)
+    (args,) = calls
+    amul = args[3].copy()
+    alive = weakref.ref(amul)
+    gc.disable()
+    try:
+        subgroups, _, _ = pure.search_regular(*args[:3], amul, *args[4:])
+        del amul
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert len(subgroups) == 25
