@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -103,9 +102,8 @@ def cmd_direct(args) -> int:
                          "candidate base group)")
             doc["groups"].append({"name": record.name, "skipped": True})
             continue
-        hol = holomorph(record.table)
-        enum = enumerate_regular_subgroups(hol, node_budget=args.budget,
-                                           order_cap=args.order_cap)
+        hol = holomorph(record.table, order_cap=args.order_cap)
+        enum = enumerate_regular_subgroups(hol, node_budget=args.budget)
         bad = enum.insolvable_records()
         note = "search budget exhausted" if enum.exhausted else "complete"
         lines.append(
@@ -240,9 +238,8 @@ def cmd_group(args) -> int:
         print(f"Hol solvable: {'yes' if solvable else 'no'}")
         return EXIT_HOLDS
     if args.group_command == "regulars":
-        hol = holomorph(table)
-        enum = enumerate_regular_subgroups(hol, node_budget=args.budget,
-                                           order_cap=args.order_cap)
+        hol = holomorph(table, order_cap=args.order_cap)
+        enum = enumerate_regular_subgroups(hol, node_budget=args.budget)
         reps = enum.classify()
         print(f"|Hol| = {hol.order}")
         print(f"regular subgroups: {len(enum.records)} "
@@ -299,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("screen", help="run the screening pipeline on a corpus")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--jobs", type=positive_int,
-                   default=max(os.cpu_count() or 1, 1))
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--skip-outer", action="store_true",
                    help="skip the gcd(n, |Out|) filter")
     p.add_argument("--subgroup-cap", type=positive_int, default=SUBGROUP_CAP,

@@ -47,10 +47,10 @@ from __future__ import annotations
 import ast
 import hashlib
 import itertools
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .errors import CapExceeded, CorpusError
 from .isomorphism import GeneratorTower, are_isomorphic
@@ -270,42 +270,64 @@ def construct(expr: str, name: str | None = None) -> GroupRecord:
                 lines[node.lineno - 1][node.col_offset:node.end_col_offset]
                 .isdigit()):
             _expected("a number", node, source)
-    record = _build(tree.body, source)
+    _, build = _build(tree.body, source)
+    record = build()
     if name is not None:
         record.name = name
         record.table.name = name
     return record
 
 
-def _build(node: ast.expr, source: str) -> GroupRecord:
+def _build(node: ast.expr,
+           source: str) -> tuple[int, Callable[[], GroupRecord]]:
+    """The order of the group that ``node`` names, and a function that
+    builds the group.  Orders are checked against the cap by arithmetic,
+    and a permutation family lists its generators only once its own order
+    has passed, so ``construct`` builds no group, no table of pairs and no
+    vector list until the whole expression has passed."""
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and not node.keywords):
         _expected("a constructor call", node, source)
     head, args = node.func.id, node.args
+    if head == "direct":
+        (n_left, left), (n_right, right) = (
+            _build(arg, source) for arg in _args(head, args, 2, source))
+        return _capped_order([n_left, n_right], source), lambda: _direct(
+            left(), right(), source)
+    if head == "semidirect":
+        normal, acting, spec = _args(head, args, 3, source)
+        (n_normal, normal), (n_acting, acting) = (_build(normal, source),
+                                                  _build(acting, source))
+        action = _action_spec(spec, source)
+        return _capped_order([n_normal, n_acting], source), lambda: (
+            _semidirect(normal(), acting(), action, source))
+    if head in ("gl", "sl"):
+        m, p = _sizes(head, _args(head, args, 2, source), source)
+        order = _linear_order(head, m, p, source)
+        return order, lambda: _linear(head, m, p, order, source)
     if head == "cyclic":
         n, = _sizes(head, _args(head, args, 1, source), source)
-        _capped_order([n], source)
-        cycle = tuple((i + 1) % n for i in range(n))
-        return _perm_record(f"cyclic({n})", n, n, [cycle], source)
-    if head == "abelian":
+        order = _capped_order([n], source)
+        label, degree = f"cyclic({n})", n
+        gens = [tuple((i + 1) % n for i in range(n))]
+    elif head == "abelian":
         parts = _sizes(head, args, source)
         order = _capped_order(parts, source)
         degree, gens = _abelian_gens(parts)
         label = "abelian(" + ",".join(str(k) for k in parts) + ")"
-        return _perm_record(label, order, degree, gens, source)
-    if head == "dihedral":
+    elif head == "dihedral":
         n, = _sizes(head, _args(head, args, 1, source), source)
         if n < 4 or n % 2:
             _fail(f"dihedral takes an even order >= 4, got {n}", source)
-        _capped_order([n], source)
+        order = _capped_order([n], source)
         # The symmetries of a regular m-gon on its m vertices; for m = 2
         # that flip is the identity, so the 2-gon is drawn on a square.
         m = n // 2
         d = 4 if m == 2 else m
         rot = tuple((i + d // m) % d for i in range(d))
         flip = tuple((d - i) % d for i in range(d))
-        return _perm_record(f"dihedral({n})", n, d, [rot, flip], source)
-    if head in ("symmetric", "alternating"):
+        label, degree, gens = f"dihedral({n})", d, [rot, flip]
+    elif head in ("symmetric", "alternating"):
         m, = _sizes(head, _args(head, args, 1, source), source)
         # m! and m!/2 are the products of 2..m and 3..m.
         if head == "symmetric":
@@ -314,18 +336,10 @@ def _build(node: ast.expr, source: str) -> GroupRecord:
         else:
             order = _capped_order(range(3, m + 1), source)
             gens = _alternating_gens(m)
-        return _perm_record(f"{head}({m})", order, m, gens, source)
-    if head == "direct":
-        left, right = _args(head, args, 2, source)
-        return _direct(_build(left, source), _build(right, source), source)
-    if head == "semidirect":
-        normal, acting, spec = _args(head, args, 3, source)
-        return _semidirect(_build(normal, source), _build(acting, source),
-                           _action_spec(spec, source), source)
-    if head in ("gl", "sl"):
-        m, p = _sizes(head, _args(head, args, 2, source), source)
-        return _linear(head, m, p, source)
-    _fail(f"unknown constructor {head!r}", source)
+        label, degree = f"{head}({m})", m
+    else:
+        _fail(f"unknown constructor {head!r}", source)
+    return order, lambda: _perm_record(label, order, degree, gens, source)
 
 
 def _capped_order(factors, source: str) -> int:
@@ -503,16 +517,25 @@ def _semidirect(normal: GroupRecord, acting: GroupRecord,
                        table=table, provenance=(f"constructed: {label}",))
 
 
-def _linear(kind: str, m: int, p: int, source: str) -> GroupRecord:
-    # Imported here to keep sympy out of start-up, as in numbers.py.
-    from sympy import isprime, primitive_root
+def _linear_order(kind: str, m: int, p: int, source: str) -> int:
+    """|GL(m, p)| or |SL(m, p)|, checked against the cap."""
+    from sympy import isprime  # kept out of start-up, as in numbers.py
 
     if not isprime(p):
         _fail(f"{kind} needs a prime field size, got {p}", source)
-    label = f"{kind}({m},{p})"
-    gl_order = math.prod(p**m - p**i for i in range(m))
-    order = gl_order if kind == "gl" else gl_order // (p - 1)
+    # |GL(m, p)| = (p - 1)(p^2 - 1)...(p^m - 1) * p^(m(m-1)/2), and SL drops
+    # the factor p - 1.  Every other factor is at least 2, so the product
+    # passes the cap within a few terms however large m is.
+    return _capped_order(itertools.chain(
+        (p**k - 1 for k in range(1 if kind == "gl" else 2, m + 1)),
+        (p for _ in range(m * (m - 1) // 2))), source)
 
+
+def _linear(kind: str, m: int, p: int, order: int,
+            source: str) -> GroupRecord:
+    from sympy import primitive_root
+
+    label = f"{kind}({m},{p})"
     mats = []
     if m == 1:
         if kind == "gl" and p > 2:

@@ -139,8 +139,13 @@ class HolomorphGroup:
             self.n, self.na, self.order)
 
 
-def holomorph(N: GroupTable, aut: AutGroup | None = None) -> HolomorphGroup:
-    """Hol(N); |Aut(N)| is capped while it streams, before any table."""
+def holomorph(N: GroupTable, aut: AutGroup | None = None, *,
+              order_cap: int = HOL_ORDER_CAP) -> HolomorphGroup:
+    """Hol(N).  |N| is capped before Aut(N) is listed, and |Aut(N)| while
+    it streams, before any table."""
+    if N.n > order_cap:
+        raise CapExceeded("base order %d exceeds holomorph search cap %d"
+                          % (N.n, order_cap))
     if aut is None:
         aut = automorphism_group(N, order_cap=HOL_AUT_CAP)
     return HolomorphGroup(N, aut)
@@ -250,7 +255,6 @@ def enumerate_regular_subgroups(
     hol: HolomorphGroup,
     *,
     node_budget: int | None = DEFAULT_NODE_BUDGET,
-    order_cap: int = HOL_ORDER_CAP,
 ) -> RegularEnumeration:
     """All regular subgroups of the holomorph, by fiber backtracking.
 
@@ -259,9 +263,6 @@ def enumerate_regular_subgroups(
     never as proof of absence.
     """
     n, na = hol.n, hol.na
-    if n > order_cap:
-        raise CapExceeded("base order %d exceeds holomorph search cap %d"
-                          % (n, order_cap))
     orders = hol.element_orders()
     allowed = [[] for _ in range(n)]
     for a in range(1, n):

@@ -1,17 +1,20 @@
 """Subgroup enumeration and the nilpotent core of a table group.
 
-The enumeration strategy is seed-and-extend:
+``all_subgroups`` walks the conjugacy classes of subgroups upwards from the
+trivial group, one element at a time (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005):
 
-  * seeds: the trivial subgroup, every cyclic subgroup, and every subgroup
-    generated by two elements (one taken from each conjugacy class
-    representative, completed under conjugation).  Two-generator seeding is
-    what picks up perfect subgroups, which no chain of prime-index steps can
-    reach from below; for the group sizes this package caps at, every perfect
-    subgroup is generated by two elements.
-  * extension: a subgroup H grows to <H, g> whenever g normalizes H and the
-    coset of g has prime order modulo H.  Every subgroup sits on top of a
-    perfect subgroup through such prime steps, so iterating the extension to
-    a fixpoint enumerates the full lattice.
+  * for each class representative R, and for one g from each right coset
+    R*g with g outside R, close <R, g>;
+  * when <R, g> is new, record its whole conjugacy class, its orbit under
+    conjugation by the generating sequence of G, and keep <R, g> as the
+    representative that is extended later.
+
+Every subgroup K > 1 is reached, by induction on |K|.  K = <M, g> for a
+maximal subgroup M of K and any g in K outside M.  M = x R x^-1 for some
+representative R, so K is conjugate to <R, x^-1 g x>, and x^-1 g x lies
+outside R.  And <R, g> = <R, r*g> for every r in R, so one g per coset is
+enough.
 
 Everything is deterministic and deduplicated by element set.
 """
@@ -41,66 +44,38 @@ def _prime_factors(n: int) -> list[int]:
 def all_subgroups(G: GroupTable, *, cap: int = SUBGROUP_CAP) -> list[Subgroup]:
     """Every subgroup of G, sorted by (order, elements).
 
-    Raises CapExceeded when |G| > cap; the cap guards the two-generator
-    seeding argument as well as the running time.
+    Raises CapExceeded when |G| > cap; the cap bounds the running time
+    only.
     """
     n = G.n
     if n > cap:
         raise CapExceeded("group order %d exceeds subgroup enumeration cap %d"
                           % (n, cap))
     mul = G.mul
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-
-    def record(elems: tuple[int, ...]) -> bool:
-        key = frozenset(elems)
-        if key in found:
-            return False
-        found[key] = elems
-        return True
-
-    record((0,))
-    for a in range(1, n):
-        record(G.closure((a,)))
-    reps = [cls[0] for cls in G.conjugacy_classes]
-    for a in reps:
-        for b in range(1, n):
-            record(G.closure((a, b)))
-    # Conjugation closure of the seeds (reps-only seeding needs it).
-    queue = list(found.values())
-    while queue:
-        elems = queue.pop()
+    conjugations = [[G.conjugate(s, x) for x in range(n)]
+                    for s in G.generating_sequence()]
+    # Closures and conjugates are sorted tuples, so a tuple names its set.
+    found = {(0,)}
+    reps = [(0,)]
+    for rep in reps:  # grows while it is walked
+        covered = set(rep)
         for g in range(1, n):
-            conj = tuple(sorted(G.conjugate(g, x) for x in elems))
-            if record(conj):
-                queue.append(conj)
-
-    # Prime-index extensions to a fixpoint.
-    queue = list(found.values())
-    while queue:
-        elems = queue.pop()
-        members = set(elems)
-        h = len(elems)
-        if h == n:
-            continue
-        for g in range(1, n):
-            if g in members:
+            if g in covered:
                 continue
-            # g must normalize H ...
-            if any(G.conjugate(g, x) not in members for x in elems):
+            covered.update(mul[r][g] for r in rep)
+            sub = G.closure(rep + (g,))
+            if sub in found:
                 continue
-            # ... and generate a prime-order coset over H.
-            k = 1
-            x = g
-            while x not in members:
-                x = mul[x][g]
-                k += 1
-            if len(_prime_factors(k)) != 1 or k != _prime_factors(k)[0]:
-                continue
-            new = G.closure(elems + (g,))
-            if len(new) == h * k and record(new):
-                queue.append(new)
-    subs = sorted(found.values(), key=lambda e: (len(e), e))
-    return [G.subgroup(e) for e in subs]
+            found.add(sub)
+            reps.append(sub)
+            orbit = [sub]
+            for elems in orbit:  # grows while it is walked
+                for conj in conjugations:
+                    image = tuple(sorted(conj[x] for x in elems))
+                    if image not in found:
+                        found.add(image)
+                        orbit.append(image)
+    return [G.subgroup(e) for e in sorted(found, key=lambda e: (len(e), e))]
 
 
 def normal_subgroups(G: GroupTable) -> list[Subgroup]:

@@ -14,12 +14,14 @@ products of members, in place of coset keys, and ``unbounded_tower`` is
 ``HolomorphGroup.orbit`` walks generators.  ``bfs_closure`` multiplies
 every listed element by every generator, where the package's
 ``normal_closure`` multiplies the elements already closed only by the
-newest generator.  ``compose_table`` lists a permutation group with its
-own breadth-first loop and fills the table by n^2 permutation products,
-where ``from_permutation_group`` reads it off the Schreier tree of the
-listing.  The subgroup predicates check their definitions over
-every element.  The permutation, translation and table helpers serve
-tests only, so they live here, not in the package.
+newest generator.  ``brute_subgroups`` extends every subgroup by every
+element outside it, where ``all_subgroups`` extends one subgroup per
+conjugacy class by one element per coset.  ``compose_table`` lists a
+permutation group with its own breadth-first loop and fills the table by
+n^2 permutation products, where ``from_permutation_group`` reads it off the
+Schreier tree of the listing.  The subgroup predicates check their
+definitions over every element.  The permutation, translation and table
+helpers serve tests only, so they live here, not in the package.
 """
 
 import math
@@ -134,6 +136,25 @@ def bfs_generating_sequence(table):
         gens.append(next(a for a in range(1, table.n) if a not in have))
         have = set(bfs_closure(table, gens))
     return tuple(gens)
+
+
+def brute_subgroups(table):
+    """Every subgroup as a sorted element tuple, sorted by (order,
+    elements): breadth-first from the trivial group, closing <H, g> with
+    ``bfs_closure`` for every subgroup H found and every g outside H.
+    Each subgroup keeps the generators it was first reached by."""
+    found = {(0,): ()}
+    queue = [(0,)]
+    for sub in queue:  # grows while it is walked
+        members = set(sub)
+        for g in range(1, table.n):
+            if g not in members:
+                gens = found[sub] + (g,)
+                bigger = bfs_closure(table, gens)
+                if bigger not in found:
+                    found[bigger] = gens
+                    queue.append(bigger)
+    return sorted(found, key=lambda e: (len(e), e))
 
 
 def is_subgroup(table, elements):

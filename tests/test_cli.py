@@ -1,6 +1,7 @@
 """Command-line interface, run in process via main(argv)."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ from holoscreen.corpus import construct, save_group, write_index
 from holoscreen.screening import ScreenReport
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
+# The package exports a function of the same name as this module.
+holomorph_module = importlib.import_module("holoscreen.holomorph")
 
 
 def run(argv, capsys):
@@ -96,8 +99,10 @@ def test_group_aut_and_hol_cap_the_element_list(command, capsys):
 @pytest.mark.parametrize("target", ["abelian(2,2,2,2)", "abelian(11,11)"])
 def test_group_regulars_caps_large_aut(target, capsys):
     # |Aut| is 20160 and 13200: the cap fires while Aut(N) streams, before
-    # the |Aut|^2 composition array is built.
-    code, out, err = run(["group", "regulars", target], capsys)
+    # the |Aut|^2 composition array is built.  The order cap is raised past
+    # 121, since it would otherwise fire first, before Aut(N) is listed.
+    code, out, err = run(["group", "regulars", target, "--order-cap", 121],
+                         capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "cap 2048" in err
@@ -112,6 +117,23 @@ def test_group_regulars(capsys):
     # One class is cyclic, one is the Klein four group.
     assert "element orders 1^1 2^1 4^2" in out
     assert "element orders 1^1 2^3" in out
+
+
+@pytest.mark.parametrize("argv,order,cap", [
+    (["group", "regulars", "cyclic(65)"], 65, 64),
+    (["direct", "--corpus", CORPORA / "o12", "--order-cap", 11], 12, 11),
+])
+def test_holomorph_order_cap_fires_before_aut(argv, order, cap, monkeypatch,
+                                             capsys):
+    # The base order is compared with the cap before Aut(N) is listed.
+    def reached(*args, **kwargs):
+        raise AssertionError("Aut(N) was listed")
+
+    monkeypatch.setattr(holomorph_module, "automorphism_group", reached)
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert err == (f"error: base order {order} exceeds holomorph search cap "
+                   f"{cap}\n")
 
 
 def test_group_regulars_budget_exhausted(capsys):

@@ -193,6 +193,12 @@ def test_construct_parse_errors():
     "dihedral(10002)", "dihedral(1000000)",
     "symmetric(8)", "symmetric(300000)",
     "alternating(8)", "alternating(300000)",
+    "direct(cyclic(2),cyclic(5001))", "direct(cyclic(10000),cyclic(10000))",
+    # A table-backed factor takes the table of pairs in place of generators.
+    "direct(semidirect(cyclic(3),cyclic(4),[[0,2,1]]),cyclic(834))",
+    "semidirect(cyclic(5001),cyclic(2),[[0]])",
+    "semidirect(cyclic(10000),cyclic(10000),[[0]])",
+    "gl(1,10007)", "gl(300,7)", "sl(2,23)", "sl(300,7)",
 ])
 def test_constructors_check_the_cap_before_building(monkeypatch, expr):
     # Each input lies just or far past TABLE_CAP = 10000.  The builders
@@ -200,7 +206,8 @@ def test_constructors_check_the_cap_before_building(monkeypatch, expr):
     def reached(*args):
         raise AssertionError(f"{expr} reached a builder")
 
-    for name in ("PermutationGroup", "_abelian_gens", "_perm_record"):
+    for name in ("PermutationGroup", "_abelian_gens", "_perm_record",
+                 "_nonzero_vectors", "_pair_table"):
         monkeypatch.setattr(corpus, name, reached)
     with pytest.raises(CorpusError, match="order exceeds the table cap"):
         construct(expr)

@@ -414,9 +414,8 @@ def test_budget_exhaustion_is_reported():
 
 
 def test_order_cap():
-    hol = holomorph(T("cyclic(8)"))
     with pytest.raises(CapExceeded):
-        enumerate_regular_subgroups(hol, order_cap=4)
+        holomorph(T("cyclic(8)"), order_cap=4)
 
 
 def test_has_regular_embedding_same_group():

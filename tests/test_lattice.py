@@ -10,7 +10,7 @@ from holoscreen.lattice import (all_subgroups, fitting_subgroup,
                                 normal_subgroups, p_core, sylow_subgroup)
 from holoscreen.perms import PermutationGroup
 from holoscreen.tables import from_permutation_group
-from oracles import is_normal, is_subgroup
+from oracles import brute_subgroups, is_normal, is_subgroup
 
 A5_GENS = [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
@@ -35,6 +35,11 @@ def test_subgroup_counts():
                       [0, 1, 2, 3, 5, 4]]), 16),                     # C2^3
         (table_of(4, [[1, 0, 2, 3], [1, 2, 3, 0]]), 30),             # S4
         (table_of(5, A5_GENS), 59),                                  # A5
+        (construct("symmetric(5)").table, 156),
+        (construct("gl(3,2)").table, 179),
+        (construct("gl(2,3)").table, 55),
+        (construct("abelian(2,2,2,2)").table, 67),
+        (construct("dihedral(16)").table, 19),
     ]
     for table, count in cases:
         subs = all_subgroups(table)
@@ -43,6 +48,21 @@ def test_subgroup_counts():
         assert 1 in orders and table.n in orders
         for s in subs:
             assert is_subgroup(table, s.elements)
+
+
+def test_subgroups_match_brute_force():
+    # Every record of the complete corpora, against an oracle that extends
+    # every subgroup by every element outside it.
+    total = 0
+    for directory in sorted(CORPORA.iterdir()):
+        manifest = load_manifest(directory)
+        if not manifest.complete:
+            continue
+        for record in manifest.records:
+            got = [s.elements for s in all_subgroups(record.table)]
+            assert got == brute_subgroups(record.table), record.name
+            total += len(got)
+    assert total == 579
 
 
 def test_subgroups_are_distinct():
