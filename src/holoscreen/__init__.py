@@ -22,48 +22,41 @@ from .corpus import (CorpusManifest, CorpusReport, GroupRecord, construct,
                      regular_generators, save_group, serialize_group,
                      validate_corpus, write_index)
 from .errors import CapExceeded, CorpusError, HoloscreenError
-from .holomorph import (DEFAULT_NODE_BUDGET, HOL_ORDER_CAP,
-                        EmbeddingSearchResult, HolomorphGroup,
+from .holomorph import (DEFAULT_NODE_BUDGET, HOL_ORDER_CAP, HolomorphGroup,
                         RegularEnumeration, RegularSubgroupRecord,
-                        enumerate_regular_subgroups, has_regular_embedding,
-                        holomorph, subgroup_table, verify_crossed_pair)
+                        enumerate_regular_subgroups, holomorph,
+                        subgroup_table)
 from .isomorphism import are_isomorphic
 from .lattice import (SUBGROUP_CAP, all_subgroups, fitting_subgroup,
                       normal_subgroups, sylow_subgroup)
 from .numbers import (DoublingFamilyConditions, OrderClassification,
                       SimpleOrderTable, SuzukiExponentCheck, classify_order,
                       default_table, doubling_family_base,
-                      doubling_family_conditions, gl_is_solvable, is_cube_free,
-                      is_solvable_number, mersenne_gcd_property,
-                      nonsolvable_orders_up_to, square_free_status,
+                      doubling_family_conditions, is_cube_free,
+                      is_solvable_number, square_free_status,
                       suzuki_exponent_check, suzuki_order, wieferich_scan)
 from .perms import PermutationGroup
-from .screening import (GroupTrace, PairTestResult, ScreenReport,
-                        SubgroupOrderSets, build_order_sets, pair_test,
-                        render_report, screen_order)
+from .screening import (GroupTrace, ScreenReport, SubgroupOrderSets,
+                        build_order_sets, render_report, screen_order)
 from .tables import GroupTable, Homomorphism, Subgroup, from_permutation_group
 
 __all__ = [
-    "AUT_TABLE_CAP", "AutGroup", "BACKEND_NAME", "CapExceeded",
-    "CorpusError", "CorpusManifest", "CorpusReport", "DEFAULT_NODE_BUDGET",
-    "DoublingFamilyConditions", "EmbeddingSearchResult", "GroupRecord",
-    "GroupTable", "GroupTrace", "HAVE_COMPILED", "HOL_ORDER_CAP",
-    "HolomorphGroup", "HoloscreenError", "Homomorphism",
-    "OrderClassification", "PairTestResult", "PermutationGroup",
+    "AUT_TABLE_CAP", "AutGroup", "BACKEND_NAME", "CapExceeded", "CorpusError",
+    "CorpusManifest", "CorpusReport", "DEFAULT_NODE_BUDGET",
+    "DoublingFamilyConditions", "GroupRecord", "GroupTable", "GroupTrace",
+    "HAVE_COMPILED", "HOL_ORDER_CAP", "HolomorphGroup", "HoloscreenError",
+    "Homomorphism", "OrderClassification", "PermutationGroup",
     "RegularEnumeration", "RegularSubgroupRecord", "SUBGROUP_CAP",
-    "ScreenReport", "SimpleOrderTable", "Subgroup",
-    "SubgroupOrderSets", "SuzukiExponentCheck", "all_subgroups",
-    "are_isomorphic", "automorphism_group", "build_order_sets",
-    "characteristic_subgroups", "classify_order", "construct", "corpus_hash",
-    "default_table", "doubling_family_base", "doubling_family_conditions",
+    "ScreenReport", "SimpleOrderTable", "Subgroup", "SubgroupOrderSets",
+    "SuzukiExponentCheck", "all_subgroups", "are_isomorphic",
+    "automorphism_group", "build_order_sets", "characteristic_subgroups",
+    "classify_order", "construct", "corpus_hash", "default_table",
+    "doubling_family_base", "doubling_family_conditions",
     "enumerate_regular_subgroups", "fitting_subgroup",
-    "from_permutation_group", "gl_is_solvable", "has_regular_embedding",
-    "holomorph", "inner_and_outer", "is_cube_free", "is_solvable_number",
-    "load_group", "load_manifest", "mersenne_gcd_property",
-    "nonsolvable_orders_up_to", "normal_subgroups", "pair_test",
+    "from_permutation_group", "holomorph", "inner_and_outer", "is_cube_free",
+    "is_solvable_number", "load_group", "load_manifest", "normal_subgroups",
     "parse_group_text", "regular_generators", "render_report", "save_group",
-    "screen_order", "serialize_group", "square_free_status",
-    "subgroup_table", "suzuki_exponent_check",
-    "suzuki_order", "sylow_subgroup", "validate_corpus", "verify_crossed_pair",
-    "wieferich_scan", "write_index",
+    "screen_order", "serialize_group", "square_free_status", "subgroup_table",
+    "suzuki_exponent_check", "suzuki_order", "sylow_subgroup",
+    "validate_corpus", "wieferich_scan", "write_index",
 ]

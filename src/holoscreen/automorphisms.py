@@ -30,8 +30,7 @@ class AutGroup:
     """The automorphism group of a base table, with every element listed.
 
     ``table`` is the composition table as an int32 array, which the
-    holomorph search reads; ``group_table`` wraps it as a GroupTable for
-    the crossed-map search.  Both are built on first use."""
+    holomorph search reads; it is built on first use."""
 
     def __init__(self, base: GroupTable, elements: list[Perm]):
         self.base = base
@@ -131,15 +130,9 @@ class AutGroup:
         ``table`` holds the identity 0 in that column."""
         return self.table.argmin(axis=1)
 
-    @cached_property
-    def group_table(self) -> GroupTable:
-        """``table`` wrapped as a GroupTable, for the crossed-map search;
-        regular-subgroup enumeration never builds it."""
-        return GroupTable(self.table.tolist(), validate=False)
-
     def is_solvable(self) -> bool:
         """Solvability, from the derived series of ``generators`` under
-        composition; neither ``table`` nor ``group_table`` is built."""
+        composition; ``table`` is not built."""
         series = commutator_series(self.generators, compose, inverse,
                                    self.elements[0])
         return len(series[-1]) == 1

@@ -518,7 +518,8 @@ def _semidirect(normal: GroupRecord, acting: GroupRecord,
 
 
 def _linear_order(kind: str, m: int, p: int, source: str) -> int:
-    """|GL(m, p)| or |SL(m, p)|, checked against the cap."""
+    """|GL(m, p)| or |SL(m, p)|, checked against the cap, and so is the
+    degree p^m - 1, the number of nonzero vectors the group acts on."""
     from sympy import isprime  # kept out of start-up, as in numbers.py
 
     if not isprime(p):
@@ -526,9 +527,15 @@ def _linear_order(kind: str, m: int, p: int, source: str) -> int:
     # |GL(m, p)| = (p - 1)(p^2 - 1)...(p^m - 1) * p^(m(m-1)/2), and SL drops
     # the factor p - 1.  Every other factor is at least 2, so the product
     # passes the cap within a few terms however large m is.
-    return _capped_order(itertools.chain(
+    order = _capped_order(itertools.chain(
         (p**k - 1 for k in range(1 if kind == "gl" else 2, m + 1)),
         (p for _ in range(m * (m - 1) // 2))), source)
+    # The order has p^m - 1 as a factor except for sl(1, p), the trivial
+    # group, so only there can the degree pass the cap.
+    degree = p**m - 1
+    if degree > TABLE_CAP:
+        _fail(f"degree {degree} exceeds the table cap {TABLE_CAP}", source)
+    return order
 
 
 def _linear(kind: str, m: int, p: int, order: int,

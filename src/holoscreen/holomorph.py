@@ -1,4 +1,4 @@
-"""Holomorphs, regular subgroups, and the paired fixed-point search.
+"""Holomorphs and their regular subgroups.
 
 The holomorph of N is the permutation group on the elements of N generated by
 the right translations together with all automorphisms.  Every element
@@ -12,16 +12,9 @@ The image of the identity under ``(a, phi)`` is ``a``, so the coded pairs
 sharing a first component form the fiber over ``a``; a subgroup is regular
 exactly when it hits every fiber once.
 
-Two independent searches live here.  ``enumerate_regular_subgroups`` finds
-all regular subgroups by fiber-transversal backtracking in the search
-kernel.  ``has_regular_embedding`` instead fixes an abstract group
-G and hunts for a pair of maps (f, g) from G into Aut(N) and N obeying
-
-    f(s*t) = f(s) o f(t)         (f a homomorphism)
-    g(s*t) = g(s) * f(s)(g(t))   (g a bijective crossed map)
-
-which is precisely a regular subgroup {(g(t), f(t))} isomorphic to G.  The
-two routes must agree, and the tests hold them to that.
+``enumerate_regular_subgroups`` finds all regular subgroups by
+fiber-transversal backtracking in the search kernel.  The tests hold it
+against an independent crossed-map search kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -34,8 +27,7 @@ import numpy as np
 from . import _kernel
 from .automorphisms import AutGroup, automorphism_group
 from .errors import CapExceeded
-from .isomorphism import (GeneratorTower, are_isomorphic, hom_images,
-                          iso_invariants)
+from .isomorphism import are_isomorphic, iso_invariants
 from .tables import GroupTable
 
 HOL_ORDER_CAP = 64
@@ -275,141 +267,3 @@ def enumerate_regular_subgroups(
     return RegularEnumeration(hol=hol, records=records, nodes=nodes,
                               exhausted=exhausted)
 
-
-# -- the (f, g) fixed-point search --------------------------------------
-
-
-@dataclass
-class EmbeddingSearchResult:
-    """Outcome of the crossed-map search for one (G, N) pair."""
-
-    found: bool
-    witness: tuple[tuple[int, ...], tuple[int, ...]] | None
-    nodes: int
-    exhausted: bool
-    pair_count: int | None = None
-
-
-def verify_crossed_pair(G: GroupTable, N: GroupTable, aut: AutGroup,
-                        f: Sequence[int], g: Sequence[int]) -> bool:
-    """Full replay of the two defining equations plus bijectivity of g."""
-    if len(f) != G.n or len(g) != G.n:
-        return False
-    if sorted(g) != list(range(N.n)):
-        return False
-    amul = aut.group_table.mul
-    for s in range(G.n):
-        for t in range(G.n):
-            st = G.mul[s][t]
-            if f[st] != amul[f[s]][f[t]]:
-                return False
-            if g[st] != N.mul[g[s]][aut.elements[f[s]][g[t]]]:
-                return False
-    return True
-
-
-def has_regular_embedding(
-    G: GroupTable,
-    N: GroupTable,
-    *,
-    aut: AutGroup | None = None,
-    count_all: bool = False,
-    node_budget: int | None = None,
-) -> EmbeddingSearchResult:
-    """Search for a crossed pair (f, g) realizing G as a regular subgroup.
-
-    Enumerates homomorphisms f from G into Aut(N) lazily; for each one,
-    backtracks over the images of G's generators under g, propagating g
-    through the crossed relation and pruning on collisions.  A found witness
-    is replay-verified before being reported.  With ``count_all`` the search
-    keeps going and reports how many (f, g) pairs exist in total (each
-    regular subgroup isomorphic to G is counted |Aut(G)| times).
-    """
-    if G.n != N.n:
-        raise ValueError("order mismatch: |G|=%d, |N|=%d" % (G.n, N.n))
-    if aut is None:
-        aut = automorphism_group(N, order_cap=HOL_AUT_CAP)
-    tower = GeneratorTower(G)
-    gens = tower.gens
-    nodes = 0
-    exhausted = False
-    pair_count = 0
-    witness = None
-
-    nmul = N.mul
-    aels = aut.elements
-    g_img = [-1] * G.n
-    g_img[0] = 0
-    used = [False] * N.n
-    used[0] = True
-
-    def assign(level: int, cand: int, f: Sequence[int]) -> int:
-        """Propagate g over tower segment ``level``; count placed or -1.
-
-        Besides injectivity, the crossed relation g(x*h) = g(x)*f(x)(g(h))
-        is checked for each x new at the level and each generator h so far,
-        which keeps wrong branches shallow.  Since f is a homomorphism, that
-        is the homomorphism check of t -> (g(t), f(t)) into Hol(N), and the
-        proof in ``isomorphism.morphism_images`` shows that it accepts
-        exactly the maps that pass the relation on every pair of the
-        subgroup generated so far."""
-        placed = 0
-        for e in tower.segments[level]:
-            pair = tower.expr[e]
-            if pair is None:
-                t = cand
-            else:
-                u, v = pair
-                t = nmul[g_img[u]][aels[f[u]][g_img[v]]]
-            if used[t]:
-                for ee in tower.segments[level][:placed]:
-                    used[g_img[ee]] = False
-                    g_img[ee] = -1
-                return -1
-            g_img[e] = t
-            used[t] = True
-            placed += 1
-        checks = gens[: level + 1]
-        for x in tower.segments[level]:
-            row, grow, fx = G.mul[x], nmul[g_img[x]], aels[f[x]]
-            for h in checks:
-                if g_img[row[h]] != grow[fx[g_img[h]]]:
-                    undo(level)
-                    return -1
-        return placed
-
-    def undo(level: int) -> None:
-        for e in tower.segments[level]:
-            used[g_img[e]] = False
-            g_img[e] = -1
-
-    def rec(level: int, f: Sequence[int]) -> bool:
-        nonlocal nodes, exhausted, pair_count, witness
-        if level == len(gens):
-            if verify_crossed_pair(G, N, aut, f, tuple(g_img)):
-                pair_count += 1
-                if witness is None:
-                    witness = (tuple(f), tuple(g_img))
-                return not count_all
-            return False
-        for cand in range(N.n):
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                exhausted = True
-                return False
-            if assign(level, cand, f) >= 0:
-                hit = rec(level + 1, f)
-                undo(level)
-                if hit or exhausted:
-                    return hit
-        return False
-
-    for f in hom_images(G, aut.group_table):
-        if rec(0, f):
-            break
-        if exhausted:
-            break
-    found = witness is not None
-    return EmbeddingSearchResult(found=found, witness=witness, nodes=nodes,
-                        exhausted=exhausted,
-                        pair_count=pair_count if count_all else None)

@@ -1,9 +1,8 @@
 """Isomorphism testing via backtracking over generator images.
 
-The same engine drives three consumers: are_isomorphic (first bijective
-morphism wins), automorphism group enumeration (all bijective self-maps), and
-homomorphism enumeration into an arbitrary target (used by the fixed-point
-search in the holomorph module).
+The same engine drives two consumers: are_isomorphic (the first
+isomorphism found wins) and automorphism group enumeration (every
+automorphism).
 
 The source group is closed level by level over a greedy generating sequence;
 each element's first-seen factorization into earlier elements lets a partial
@@ -67,12 +66,12 @@ def morphism_images(
     dst: GroupTable,
     candidates: Sequence[Sequence[int]],
     *,
-    bijective: bool,
     tower: GeneratorTower | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield image vectors of all morphisms src -> dst consistent with the
-    per-generator candidate lists.  Each yielded tuple maps every source
-    element to its image and satisfies the homomorphism equations in full.
+    """Yield image vectors of all injective morphisms src -> dst consistent
+    with the per-generator candidate lists.  Each yielded tuple maps every
+    source element to its image and satisfies the homomorphism equations in
+    full.
 
     Level k, with H_k = <g_1, ..., g_k>, checks img[x*h] = img[x]*img[h]
     for each x new at level k and each generator h among g_1..g_k.  Given
@@ -110,12 +109,11 @@ def morphism_images(
         for e in tower.segments[k]:
             pair = tower.expr[e]
             t = cand if pair is None else dmul[img[pair[0]]][img[pair[1]]]
-            if bijective and used[t]:
+            if used[t]:
                 ok = False
                 break
             img[e] = t
-            if bijective:
-                used[t] = True
+            used[t] = True
             placed.append(e)
         if ok:
             # Generators so far, with their images.
@@ -130,16 +128,14 @@ def morphism_images(
                     break
         if not ok:
             for e in placed:
-                if bijective:
-                    used[img[e]] = False
+                used[img[e]] = False
                 img[e] = -1
             return False
         return True
 
     def undo_level(k: int) -> None:
         for e in tower.segments[k]:
-            if bijective:
-                used[img[e]] = False
+            used[img[e]] = False
             img[e] = -1
 
     def rec(k: int) -> Iterator[tuple[int, ...]]:
@@ -188,8 +184,7 @@ def are_isomorphic(G: GroupTable, H: GroupTable) -> tuple[bool, Homomorphism | N
         return False, None
     tower = GeneratorTower(G)
     candidates = _matching_candidates(G, H, tower.gens)
-    for images in morphism_images(G, H, candidates, bijective=True,
-                                  tower=tower):
+    for images in morphism_images(G, H, candidates, tower=tower):
         witness = Homomorphism(G, H, images)
         return True, witness
     return False, None
@@ -199,15 +194,5 @@ def automorphism_images(N: GroupTable) -> Iterator[tuple[int, ...]]:
     """All automorphisms of N as image vectors, lazily."""
     tower = GeneratorTower(N)
     candidates = _matching_candidates(N, N, tower.gens)
-    return morphism_images(N, N, candidates, bijective=True, tower=tower)
+    return morphism_images(N, N, candidates, tower=tower)
 
-
-def hom_images(G: GroupTable, target: GroupTable) -> Iterator[tuple[int, ...]]:
-    """All homomorphisms G -> target, lazily."""
-    tower = GeneratorTower(G)
-    orders = target.element_orders
-    candidates = []
-    for g in tower.gens:
-        og = G.element_orders[g]
-        candidates.append([x for x in range(target.n) if og % orders[x] == 0])
-    return morphism_images(G, target, candidates, bijective=False, tower=tower)

@@ -36,15 +36,12 @@ __all__ = [
     "SimpleOrderTable",
     "default_table",
     "is_solvable_number",
-    "nonsolvable_orders_up_to",
     "is_cube_free",
-    "gl_is_solvable",
     "suzuki_order",
     "SuzukiExponentCheck",
     "suzuki_exponent_check",
     "square_free_status",
     "wieferich_scan",
-    "mersenne_gcd_property",
     "DoublingFamilyConditions",
     "doubling_family_conditions",
     "doubling_family_base",
@@ -58,7 +55,7 @@ __all__ = [
 
 TRIAL_BOUND = 10**7
 RHO_RETRIES = 16
-WIEFERICH_CAP = 10**8
+WIEFERICH_CAP = 10**7
 _SEGMENT = 1 << 16
 
 VERDICT_SOLVABLE = "trivial-solvable"
@@ -140,19 +137,6 @@ def is_solvable_number(n: int, table: SimpleOrderTable | None = None) -> bool:
     return table.nonsolvable_witness(n) is None
 
 
-def nonsolvable_orders_up_to(limit: int, table: SimpleOrderTable | None = None) -> list[int]:
-    """All non-solvable numbers up to ``limit``, ascending."""
-    table = table or default_table()
-    table.require(limit)
-    marked = bytearray(limit + 1)
-    for d in table.orders:
-        if d > limit:
-            break
-        for k in range(d, limit + 1, d):
-            marked[k] = 1
-    return [n for n in range(1, limit + 1) if marked[n]]
-
-
 def is_cube_free(n: int) -> bool:
     if n < 1:
         raise ValueError("order must be positive")
@@ -162,21 +146,6 @@ def is_cube_free(n: int) -> bool:
             return False
         p += 1 if p == 2 else 2
     return True
-
-
-def gl_is_solvable(m: int, p: int) -> bool:
-    """Solvability of the general linear group of degree m over p elements.
-
-    The group is solvable exactly for degree 1, and degree 2 over 2 or 3
-    elements; every other case contains a non-abelian simple section.
-    """
-    from sympy import isprime
-
-    if m < 1:
-        raise ValueError("degree must be at least 1")
-    if not isprime(p):
-        raise ValueError(f"{p} is not prime")
-    return m == 1 or (m == 2 and p <= 3)
 
 
 def suzuki_order(ell: int) -> int:
@@ -350,13 +319,6 @@ def wieferich_scan(limit: int) -> list[int]:
     if limit > WIEFERICH_CAP:
         raise ValueError(f"scan limit capped at {WIEFERICH_CAP}")
     return [p for p in _primes(limit + 1) if pow(2, p - 1, p * p) == 1]
-
-
-def mersenne_gcd_property(a: int, b: int) -> bool:
-    """Check gcd(2**a - 1, 2**b - 1) == 2**gcd(a, b) - 1 for this pair."""
-    if a < 1 or b < 1:
-        raise ValueError("exponents must be positive")
-    return math.gcd(2**a - 1, 2**b - 1) == 2 ** math.gcd(a, b) - 1
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,6 @@ __all__ = [
     "ScreenReport",
     "screen_order",
     "render_report",
-    "PairTestResult",
-    "pair_test",
 ]
 
 REPORT_SCHEMA = "holoscreen.screen/1"
@@ -168,8 +166,7 @@ class Stage:
     without ``drop``, ``name=yes/no``.  Failing a stage with a ``drop``
     reason ends the trace.  Failing a ``conditional`` stage reduces the
     question to order n/2.  ``skippable`` stages are left out under
-    skip_outer.  Stages with a ``pair_reason(G, N, value)`` run in
-    ``pair_test``.
+    skip_outer.
     """
 
     name: str
@@ -181,7 +178,6 @@ class Stage:
     drop: str | None = None
     conditional: bool = False
     skippable: bool = False
-    pair_reason: Callable | None = None
 
     def evaluate(self, candidate: Candidate) -> tuple[object, bool]:
         """(value, whether N survives) for ``candidate``."""
@@ -193,9 +189,7 @@ STAGES = (
     Stage("fitting", "fitting_order", "passed_fitting", "fit",
           lambda c: fitting_subgroup(c.record.table).order,
           lambda c, fit: fit in c.sets.solvable_orders,
-          drop="fitting order not a solvable subgroup order",
-          pair_reason=lambda g, n, fit: (
-              f"{g} has no solvable subgroup of order |Fit({n})| = {fit}")),
+          drop="fitting order not a solvable subgroup order"),
     Stage("aut", "aut_order", "aut_insolvable", "|Aut|",
           lambda c: c.aut.order,
           lambda c, _: not c.aut.is_solvable(),
@@ -206,10 +200,7 @@ STAGES = (
           conditional=True),
     Stage("char-orders", None, "passed_char_orders", None,
           lambda c: sorted(set(c.char_orders) - c.sets.all_orders),
-          lambda c, missing: not missing,
-          pair_reason=lambda g, n, missing: (
-              f"characteristic subgroup orders {missing} of {n} are not "
-              f"subgroup orders of {g}")),
+          lambda c, missing: not missing),
     Stage("outer-gcd", "outer_order", "passed_outer_gcd", "|Out|",
           lambda c: inner_and_outer(c.record.table, c.aut)[1],
           lambda c, outer: not is_solvable_number(
@@ -449,36 +440,3 @@ def render_report(report: ScreenReport) -> str:
     lines.append(f"verdict: {report.verdict}")
     return "\n".join(lines) + "\n"
 
-
-@dataclass(frozen=True)
-class PairTestResult:
-    verdict: str  # "excluded" | "possible"
-    reason: str | None = None
-
-
-def pair_test(G: GroupRecord, N: GroupRecord, *,
-              cap: int = SUBGROUP_CAP) -> PairTestResult:
-    """Necessary-condition test for one (insolvable G, solvable N) pair.
-
-    ``excluded`` means G cannot occur as a regular subgroup of the
-    holomorph of N: either G has no solvable subgroup of order |Fit(N)|,
-    or some characteristic subgroup order of N is missing from the
-    subgroup orders of G.  ``possible`` only means these tests did not
-    rule the pair out; it claims nothing further.
-    """
-    if G.order != N.order:
-        raise ValueError(f"orders differ: {G.order} vs {N.order}")
-    if G.is_solvable():
-        raise ValueError(f"{G.name} is solvable; the first argument must be "
-                         "insolvable")
-    if not N.is_solvable():
-        raise ValueError(f"{N.name} is insolvable; the second argument must "
-                         "be solvable")
-    candidate = Candidate(N, build_order_sets([G], cap=cap))
-    for entry in STAGES:
-        if entry.pair_reason:
-            value, passed = entry.evaluate(candidate)
-            if not passed:
-                return PairTestResult(
-                    "excluded", entry.pair_reason(G.name, N.name, value))
-    return PairTestResult("possible")

@@ -20,18 +20,26 @@ conjugacy class by one element per coset.  ``compose_table`` lists a
 permutation group with its own breadth-first loop and fills the table by
 n^2 permutation products, where ``from_permutation_group`` reads it off the
 Schreier tree of the listing.  The subgroup predicates check their
-definitions over every element.  The permutation, translation and table
-helpers serve tests only, so they live here, not in the package.
+definitions over every element.  ``has_regular_embedding`` is the
+crossed-map search, a second exact route to the regular subgroups of
+Hol(N) that the tests hold against enumeration; it draws the
+homomorphisms G -> Aut(N) from ``hom_images`` over the all-pairs engine.
+The permutation, translation and table helpers and the crossed-map search
+serve tests only, so they live here, not in the package.
 """
 
 import math
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
+from holoscreen.automorphisms import automorphism_group
+from holoscreen.holomorph import HOL_AUT_CAP
 from holoscreen.isomorphism import GeneratorTower
 from holoscreen.perms import (PermutationGroup, check_perm, compose,
                               identity_perm, inverse)
+from holoscreen.tables import GroupTable
 
 
 def cycles(p, include_fixed=False):
@@ -180,6 +188,7 @@ def is_characteristic(aut, elements):
 
 
 _AUT_INDEX = weakref.WeakKeyDictionary()
+_AUT_TABLE = weakref.WeakKeyDictionary()
 
 
 def aut_index(aut):
@@ -187,6 +196,13 @@ def aut_index(aut):
     if aut not in _AUT_INDEX:
         _AUT_INDEX[aut] = {p: i for i, p in enumerate(aut.elements)}
     return _AUT_INDEX[aut]
+
+
+def aut_group_table(aut):
+    """``aut.table`` wrapped as a GroupTable, cached per group."""
+    if aut not in _AUT_TABLE:
+        _AUT_TABLE[aut] = GroupTable(aut.table.tolist(), validate=False)
+    return _AUT_TABLE[aut]
 
 
 def left_translation(N, a):
@@ -326,7 +342,8 @@ def unbounded_tower(G, gens=None):
     return gens, order, expr, segments
 
 
-def pairwise_morphism_images(src, dst, candidates, *, bijective, tower=None):
+def pairwise_morphism_images(src, dst, candidates, *, bijective=True,
+                             tower=None):
     """``isomorphism.morphism_images`` with the all-pairs level check: each
     new element u of level k is multiplied by every v known after level k,
     in both orders."""
@@ -487,3 +504,157 @@ def pairwise_search_regular(n, na, nmul, amul, act, allowed, budget,
         raise AssertionError("identity seed failed")
     rec()
     return results, nodes, exhausted
+
+
+def hom_images(G, target):
+    """All homomorphisms G -> target, lazily, from the all-pairs engine:
+    each generator's candidates are the elements whose order divides its
+    own."""
+    tower = GeneratorTower(G)
+    orders = target.element_orders
+    candidates = [[x for x in range(target.n)
+                   if G.element_orders[g] % orders[x] == 0]
+                  for g in tower.gens]
+    return pairwise_morphism_images(G, target, candidates, bijective=False,
+                                    tower=tower)
+
+
+# -- the (f, g) fixed-point search ---------------------------------------
+#
+# Fix an abstract group G and hunt for a pair of maps (f, g) from G into
+# Aut(N) and N obeying
+#
+#     f(s*t) = f(s) o f(t)         (f a homomorphism)
+#     g(s*t) = g(s) * f(s)(g(t))   (g a bijective crossed map)
+#
+# which is precisely a regular subgroup {(g(t), f(t))} isomorphic to G.
+
+
+@dataclass
+class EmbeddingSearchResult:
+    """Outcome of the crossed-map search for one (G, N) pair."""
+
+    found: bool
+    witness: tuple[tuple[int, ...], tuple[int, ...]] | None
+    nodes: int
+    exhausted: bool
+    pair_count: int | None = None
+
+
+def verify_crossed_pair(G, N, aut, f, g):
+    """Full replay of the two defining equations plus bijectivity of g."""
+    if len(f) != G.n or len(g) != G.n:
+        return False
+    if sorted(g) != list(range(N.n)):
+        return False
+    amul = aut_group_table(aut).mul
+    for s in range(G.n):
+        for t in range(G.n):
+            st = G.mul[s][t]
+            if f[st] != amul[f[s]][f[t]]:
+                return False
+            if g[st] != N.mul[g[s]][aut.elements[f[s]][g[t]]]:
+                return False
+    return True
+
+
+def has_regular_embedding(G, N, *, aut=None, count_all=False,
+                          node_budget=None):
+    """Search for a crossed pair (f, g) realizing G as a regular subgroup.
+
+    Enumerates homomorphisms f from G into Aut(N) lazily; for each one,
+    backtracks over the images of G's generators under g, propagating g
+    through the crossed relation and pruning on collisions.  A found witness
+    is replay-verified before being reported.  With ``count_all`` the search
+    keeps going and reports how many (f, g) pairs exist in total (each
+    regular subgroup isomorphic to G is counted |Aut(G)| times).  Without
+    a given ``aut`` it lists Aut(N) under ``HOL_AUT_CAP``, like
+    ``holomorph()``.
+    """
+    if G.n != N.n:
+        raise ValueError("order mismatch: |G|=%d, |N|=%d" % (G.n, N.n))
+    if aut is None:
+        aut = automorphism_group(N, order_cap=HOL_AUT_CAP)
+    tower = GeneratorTower(G)
+    gens = tower.gens
+    nodes = 0
+    exhausted = False
+    pair_count = 0
+    witness = None
+
+    nmul = N.mul
+    aels = aut.elements
+    g_img = [-1] * G.n
+    g_img[0] = 0
+    used = [False] * N.n
+    used[0] = True
+
+    def assign(level, cand, f):
+        """Propagate g over tower segment ``level``; count placed or -1.
+
+        Besides injectivity, the crossed relation g(x*h) = g(x)*f(x)(g(h))
+        is checked for each x new at the level and each generator h so far,
+        which keeps wrong branches shallow.  Since f is a homomorphism, that
+        is the homomorphism check of t -> (g(t), f(t)) into Hol(N), and the
+        proof in ``isomorphism.morphism_images`` shows that it accepts
+        exactly the maps that pass the relation on every pair of the
+        subgroup generated so far."""
+        placed = 0
+        for e in tower.segments[level]:
+            pair = tower.expr[e]
+            if pair is None:
+                t = cand
+            else:
+                u, v = pair
+                t = nmul[g_img[u]][aels[f[u]][g_img[v]]]
+            if used[t]:
+                for ee in tower.segments[level][:placed]:
+                    used[g_img[ee]] = False
+                    g_img[ee] = -1
+                return -1
+            g_img[e] = t
+            used[t] = True
+            placed += 1
+        checks = gens[: level + 1]
+        for x in tower.segments[level]:
+            row, grow, fx = G.mul[x], nmul[g_img[x]], aels[f[x]]
+            for h in checks:
+                if g_img[row[h]] != grow[fx[g_img[h]]]:
+                    undo(level)
+                    return -1
+        return placed
+
+    def undo(level):
+        for e in tower.segments[level]:
+            used[g_img[e]] = False
+            g_img[e] = -1
+
+    def rec(level, f):
+        nonlocal nodes, exhausted, pair_count, witness
+        if level == len(gens):
+            if verify_crossed_pair(G, N, aut, f, tuple(g_img)):
+                pair_count += 1
+                if witness is None:
+                    witness = (tuple(f), tuple(g_img))
+                return not count_all
+            return False
+        for cand in range(N.n):
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                exhausted = True
+                return False
+            if assign(level, cand, f) >= 0:
+                hit = rec(level + 1, f)
+                undo(level)
+                if hit or exhausted:
+                    return hit
+        return False
+
+    for f in hom_images(G, aut_group_table(aut)):
+        if rec(0, f):
+            break
+        if exhausted:
+            break
+    return EmbeddingSearchResult(found=witness is not None, witness=witness,
+                                 nodes=nodes, exhausted=exhausted,
+                                 pair_count=pair_count if count_all else None)

@@ -380,7 +380,7 @@ def test_classify_needs_screening(capsys):
     assert "verdict: needs-screening" in out
 
 
-def test_numtheory_wieferich(capsys):
+def test_numtheory_wieferich(capsys, monkeypatch):
     code, out, _ = run(["numtheory", "wieferich", "--limit", 10000], capsys)
     assert code == 0
     assert out.strip() == "1093 3511"
@@ -389,6 +389,16 @@ def test_numtheory_wieferich(capsys):
                            capsys)
         assert code == 0
         assert out.strip() == "none"
+    # Past the cap the command fails before it walks a single prime.
+    def reached(*args):
+        raise AssertionError("the scan walked the primes")
+
+    monkeypatch.setattr("holoscreen.numbers._primes", reached)
+    code, out, err = run(["numtheory", "wieferich", "--limit", 10**7 + 1],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert "capped at 10000000" in err
 
 
 def test_numtheory_suzuki(capsys):

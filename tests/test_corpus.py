@@ -185,6 +185,17 @@ def test_construct_parse_errors():
             construct(expr)
 
 
+@pytest.fixture
+def builders_raise(monkeypatch):
+    """The builders raise if reached, so a check made too late fails fast."""
+    def reached(*args):
+        raise AssertionError("a builder was reached")
+
+    for name in ("PermutationGroup", "_abelian_gens", "_perm_record",
+                 "_nonzero_vectors", "_pair_table"):
+        monkeypatch.setattr(corpus, name, reached)
+
+
 @pytest.mark.parametrize("expr", [
     "cyclic(10001)", "cyclic(1000000)",
     "abelian(2,5001)",
@@ -200,16 +211,19 @@ def test_construct_parse_errors():
     "semidirect(cyclic(10000),cyclic(10000),[[0]])",
     "gl(1,10007)", "gl(300,7)", "sl(2,23)", "sl(300,7)",
 ])
-def test_constructors_check_the_cap_before_building(monkeypatch, expr):
-    # Each input lies just or far past TABLE_CAP = 10000.  The builders
-    # raise if reached, so a check made too late fails fast here.
-    def reached(*args):
-        raise AssertionError(f"{expr} reached a builder")
-
-    for name in ("PermutationGroup", "_abelian_gens", "_perm_record",
-                 "_nonzero_vectors", "_pair_table"):
-        monkeypatch.setattr(corpus, name, reached)
+def test_constructors_check_the_cap_before_building(builders_raise, expr):
+    # Each input lies just or far past TABLE_CAP = 10000.
     with pytest.raises(CorpusError, match="order exceeds the table cap"):
+        construct(expr)
+
+
+@pytest.mark.parametrize("expr,degree", [("sl(1,10007)", 10006),
+                                         ("sl(1,1000003)", 1000002)])
+def test_linear_degree_is_capped_before_building(builders_raise, expr,
+                                                 degree):
+    # SL(1, p) is trivial, but it would act on the p - 1 nonzero vectors.
+    with pytest.raises(CorpusError,
+                       match=f"degree {degree} exceeds the table cap 10000"):
         construct(expr)
 
 
@@ -223,6 +237,9 @@ def test_linear_groups_are_correct():
     assert sl25.table.order_spectrum[0] == (1, 1)
     # SL(2,5) has a unique involution.
     assert dict(sl25.table.order_spectrum)[2] == 1
+    # SL(1,p) is trivial, acting on the p - 1 nonzero vectors.
+    sl15 = construct("sl(1,5)")
+    assert (sl15.order, sl15.degree) == (1, 4)
 
 
 def test_regular_generators():

@@ -1,4 +1,4 @@
-"""Screening pipeline: order sets, the stage table, reports, pair tests."""
+"""Screening pipeline: order sets, the stage table, reports, single pairs."""
 
 import dataclasses
 import hashlib
@@ -14,8 +14,8 @@ from holoscreen.errors import CapExceeded
 from holoscreen.lattice import fitting_subgroup
 from holoscreen.screening import (REPORT_SCHEMA, STAGES, Candidate,
                                   SubgroupOrderSets, _trace_one,
-                                  build_order_sets, get_stage, pair_test,
-                                  render_report, screen_order)
+                                  build_order_sets, get_stage, render_report,
+                                  screen_order)
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -83,8 +83,6 @@ def test_stage_table():
     assert [s.name for s in STAGES if s.drop] == ["fitting", "aut"]
     assert [s.name for s in STAGES if s.skippable] == ["outer-gcd"]
     assert [s.name for s in STAGES if s.conditional] == ["half-index"]
-    assert [s.name for s in STAGES if s.pair_reason] == ["fitting",
-                                                         "char-orders"]
 
 
 def test_fitting_orders_frozen(o60_records, sets60):
@@ -244,15 +242,11 @@ def test_timings_do_not_change_content(o60):
 
 
 def test_pair_test_fitting_exclusion(o60_records):
-    a5 = o60_records["a5"]
-    result = pair_test(a5, o60_records["c60"])
-    assert result.verdict == "excluded"
-    assert result.reason == ("a5 has no solvable subgroup of order "
-                             "|Fit(c60)| = 60")
-    result = pair_test(a5, o60_records["d60"])
-    assert result.verdict == "excluded"
-    assert result.reason == ("a5 has no solvable subgroup of order "
-                             "|Fit(d60)| = 30")
+    # A5 has no solvable subgroup of order |Fit(N)| for N = C60 or D60.
+    sets = build_order_sets([o60_records["a5"]])
+    fitting = get_stage("fitting")
+    assert fitting.evaluate(Candidate(o60_records["c60"], sets)) == (60, False)
+    assert fitting.evaluate(Candidate(o60_records["d60"], sets)) == (30, False)
 
 
 def test_pair_test_char_orders_exclusion():
@@ -261,24 +255,13 @@ def test_pair_test_char_orders_exclusion():
     assert Candidate(s4xc5).char_orders == (1, 4, 5, 12, 20, 24, 60, 120)
     # S5 has subgroups of every characteristic order of S4 x C5, and a
     # solvable one of order |Fit| = 20, so the pair survives.
-    assert pair_test(o120["s5"], s4xc5).verdict == "possible"
+    s5 = Candidate(s4xc5, build_order_sets([o120["s5"]]))
+    assert get_stage("fitting").evaluate(s5) == (20, True)
+    assert get_stage("char-orders").evaluate(s5) == ([], True)
     # SL(2,5) has no subgroup of order 60, which is characteristic here.
-    result = pair_test(o120["sl25"], s4xc5)
-    assert result.verdict == "excluded"
-    assert result.reason == ("characteristic subgroup orders [60] of s4xc5 "
-                             "are not subgroup orders of sl25")
-
-
-def test_pair_test_preconditions(o60_records):
-    a5 = o60_records["a5"]
-    c60 = o60_records["c60"]
-    c4 = load_manifest(CORPORA / "o4").records[0]
-    with pytest.raises(ValueError, match="orders differ"):
-        pair_test(a5, c4)
-    with pytest.raises(ValueError, match="must be insolvable"):
-        pair_test(c60, c60)
-    with pytest.raises(ValueError, match="must be solvable"):
-        pair_test(a5, a5)
+    sl25 = Candidate(s4xc5, build_order_sets([o120["sl25"]]))
+    assert get_stage("fitting").evaluate(sl25) == (20, True)
+    assert get_stage("char-orders").evaluate(sl25) == ([60], False)
 
 
 # -- every stage, driven by synthetic order sets ---------------------------

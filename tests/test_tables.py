@@ -347,9 +347,8 @@ def test_aut_solvability_matches_all_pairs_on_aut_table():
         aut = automorphism_group(record.table)
         if aut.order > 2016:
             continue
-        view = aut.group_table
-        assert view.mul == tuple(tuple(row) for row in aut.table.tolist())
-        reference = all_pairs_series(view)
+        reference = all_pairs_series(GroupTable(aut.table.tolist(),
+                                                validate=False))
         assert aut.is_solvable() == (len(reference[-1]) == 1), record.name
         checked += 1
     assert checked == 30
