@@ -27,8 +27,7 @@ from .holomorph import (DEFAULT_NODE_BUDGET, HOL_ORDER_CAP, HolomorphGroup,
                         enumerate_regular_subgroups, holomorph,
                         subgroup_table)
 from .isomorphism import are_isomorphic
-from .lattice import (SUBGROUP_CAP, all_subgroups, fitting_subgroup,
-                      normal_subgroups, sylow_subgroup)
+from .lattice import SUBGROUP_CAP, all_subgroups, fitting_subgroup
 from .numbers import (DoublingFamilyConditions, OrderClassification,
                       SimpleOrderTable, SuzukiExponentCheck, classify_order,
                       default_table, doubling_family_base,
@@ -54,9 +53,9 @@ __all__ = [
     "doubling_family_base", "doubling_family_conditions",
     "enumerate_regular_subgroups", "fitting_subgroup",
     "from_permutation_group", "holomorph", "inner_and_outer", "is_cube_free",
-    "is_solvable_number", "load_group", "load_manifest", "normal_subgroups",
-    "parse_group_text", "regular_generators", "render_report", "save_group",
-    "screen_order", "serialize_group", "square_free_status", "subgroup_table",
-    "suzuki_exponent_check", "suzuki_order", "sylow_subgroup",
-    "validate_corpus", "wieferich_scan", "write_index",
+    "is_solvable_number", "load_group", "load_manifest", "parse_group_text",
+    "regular_generators", "render_report", "save_group", "screen_order",
+    "serialize_group", "square_free_status", "subgroup_table",
+    "suzuki_exponent_check", "suzuki_order", "validate_corpus",
+    "wieferich_scan", "write_index",
 ]

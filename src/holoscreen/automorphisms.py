@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import CapExceeded
 from .isomorphism import automorphism_images
-from .lattice import normal_subgroups
 from .perms import Perm, compose, inverse
 from .tables import GroupTable, Subgroup, commutator_series, normal_closure
 
@@ -168,10 +167,40 @@ def inner_and_outer(N: GroupTable, aut: AutGroup) -> tuple[int, int]:
 
 
 def characteristic_subgroups(N: GroupTable, aut: AutGroup) -> list[Subgroup]:
-    """Normal subgroups fixed setwise by every automorphism generator."""
-    out = []
-    for sub in normal_subgroups(N):
-        elems = set(sub.elements)
-        if all({phi[x] for x in elems} == elems for phi in aut.generators):
-            out.append(sub)
-    return out
+    """Every characteristic subgroup of N, sorted by (order, elements).
+
+    An automorphism maps the closure <O> of an Aut(N)-orbit O onto
+    <phi(O)> = <O>, so <O> is characteristic, and so is every join of
+    characteristic subgroups.  A characteristic subgroup K is a union of
+    orbits, so it is the join of the closures of the orbits it contains.
+    The walk starts from the trivial group and joins each subgroup found
+    with each orbit closure; by induction on the number of closures joined,
+    it reaches every join of orbit closures, so every K.  The orbits are
+    walked under ``aut.generators``.
+    """
+    seen = [False] * N.n
+    closures: set[tuple[int, ...]] = set()
+    for a in range(1, N.n):
+        if seen[a]:
+            continue
+        seen[a] = True
+        orbit = [a]
+        for x in orbit:  # grows while it is walked
+            for phi in aut.generators:
+                y = phi[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        closures.add(N.closure(orbit))
+    found = {(0,)}
+    subs = [(0,)]
+    for sub in subs:  # grows while it is walked
+        members = set(sub)
+        for closure in closures:
+            if members.issuperset(closure):
+                continue
+            join = N.closure(sub + closure)
+            if join not in found:
+                found.add(join)
+                subs.append(join)
+    return [N.subgroup(e) for e in sorted(found, key=lambda e: (len(e), e))]

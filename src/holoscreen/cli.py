@@ -25,9 +25,9 @@ from .errors import HoloscreenError
 from .holomorph import (DEFAULT_NODE_BUDGET, HOL_ORDER_CAP,
                         enumerate_regular_subgroups, holomorph)
 from .lattice import SUBGROUP_CAP
-from .numbers import (classify_order, default_table, doubling_family_conditions,
-                      is_solvable_number, suzuki_exponent_check, suzuki_order,
-                      wieferich_scan)
+from .numbers import (WIEFERICH_CAP, classify_order, default_table,
+                      doubling_family_conditions, is_solvable_number,
+                      suzuki_exponent_check, suzuki_order, wieferich_scan)
 from .screening import render_report, screen_order
 
 EXIT_HOLDS = 0
@@ -292,11 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
         "order": "largest order of N whose holomorph is searched "
                  "(default %(default)s)",
     }
+    # The corpus flags of screen and direct.
+    corpus_help = "the corpus directory"
+    n_help = ("the order of the corpus; a corpus of another order is an "
+              "error (default: the corpus's own)")
 
     p = sub.add_parser("screen", help="run the screening pipeline on a corpus")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--jobs", type=positive_int, default=1)
+    p.add_argument("--order", type=int, default=None, help=n_help)
+    p.add_argument("--corpus", required=True, help=corpus_help)
+    p.add_argument("--jobs", type=positive_int, default=1,
+                   help="worker processes for the per-group stages "
+                        "(default %(default)s)")
     p.add_argument("--skip-outer", action="store_true",
                    help="skip the gcd(n, |Out|) filter")
     p.add_argument("--subgroup-cap", type=positive_int, default=SUBGROUP_CAP,
@@ -311,38 +317,51 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("direct",
                        help="enumerate regular subgroups of each holomorph")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--order", type=int, default=None, help=n_help)
+    p.add_argument("--corpus", required=True, help=corpus_help)
     p.add_argument("--budget", type=positive_int, default=DEFAULT_NODE_BUDGET,
                    help=bounds["budget"])
     p.add_argument("--order-cap", type=positive_int, default=HOL_ORDER_CAP,
                    help=bounds["order"])
-    p.add_argument("--json", default=None)
+    p.add_argument("--json", default=None, help="write a JSON report here")
     p.set_defaults(func=cmd_direct)
 
     p = sub.add_parser("classify", help="arithmetic classification of an order")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help="the group order to classify")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("numtheory", help="arithmetic helpers")
     nt = p.add_subparsers(dest="nt_command", required=True)
-    q = nt.add_parser("wieferich")
-    q.add_argument("--limit", type=int, required=True)
-    q = nt.add_parser("suzuki")
-    q.add_argument("--ell", type=int, required=True)
-    q = nt.add_parser("base-check")
-    q.add_argument("--ell", type=int, required=True)
-    q = nt.add_parser("solvable")
-    q.add_argument("n", type=int)
-    q = nt.add_parser("conditions")
-    q.add_argument("--n0", type=int, required=True)
-    q.add_argument("--r-max", type=int, default=None)
+    q = nt.add_parser("wieferich", help="list the Wieferich primes")
+    q.add_argument("--limit", type=int, required=True,
+                   help="list the Wieferich primes up to this bound, at "
+                        f"most {WIEFERICH_CAP}")
+    q = nt.add_parser("suzuki", help="order of a Suzuki group")
+    q.add_argument("--ell", type=int, required=True,
+                   help="print the order of Sz(2^ell), for odd ell >= 3")
+    q = nt.add_parser("base-check", help="check a Suzuki base exponent")
+    q.add_argument("--ell", type=int, required=True,
+                   help="check whether 2^ell gives a usable Suzuki base "
+                        "order")
+    q = nt.add_parser("solvable", help="whether n is a solvable number")
+    q.add_argument("n", type=int, help="the order to test")
+    q = nt.add_parser("conditions",
+                      help="side conditions of a doubling family")
+    q.add_argument("--n0", type=int, required=True,
+                   help="base order of the doubling family 2^r * n0")
+    q.add_argument("--r-max", type=int, default=None,
+                   help="largest doubling exponent r checked (default: as "
+                        "far as the simple-order table allows)")
     p.set_defaults(func=cmd_numtheory)
 
     p = sub.add_parser("group", help="inspect one group")
     g = p.add_subparsers(dest="group_command", required=True)
-    for name in ("info", "aut", "hol", "regulars"):
-        q = g.add_parser(name)
+    for name, text in (("info", "order, structure and element orders"),
+                       ("aut", "order and solvability of Aut(N)"),
+                       ("hol", "order and solvability of Hol(N)"),
+                       ("regulars", "regular subgroups of Hol(N), by "
+                                    "isomorphism type")):
+        q = g.add_parser(name, help=text)
         q.add_argument("target",
                        help="a .grp file or a constructor expression")
         if name == "aut":
@@ -357,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="corpus handling")
     c = p.add_subparsers(dest="corpus_command", required=True)
-    q = c.add_parser("validate")
-    q.add_argument("directory")
+    q = c.add_parser("validate", help="check a corpus directory")
+    q.add_argument("directory", help="the corpus directory to check")
     q.add_argument("--lax", action="store_true",
                    help="skip the pairwise isomorphism scan")
     p.set_defaults(func=cmd_corpus)

@@ -1,4 +1,4 @@
-"""Subgroup enumeration and the nilpotent core of a table group.
+"""Subgroup enumeration and the Fitting subgroup of a table group.
 
 ``all_subgroups`` walks the conjugacy classes of subgroups upwards from the
 trivial group, one element at a time (Holt, Eick and O'Brien, *Handbook of
@@ -16,6 +16,14 @@ representative R, so K is conjugate to <R, x^-1 g x>, and x^-1 g x lies
 outside R.  And <R, g> = <R, r*g> for every r in R, so one g per coset is
 enough.
 
+``fitting_subgroup`` reads Fit(G) off the conjugacy classes.  The closure
+<C> of a class C is normal, since C is closed under conjugation.  If C
+meets O_p(G), the largest normal p-subgroup, then C lies in it, so <C> is a
+p-group; and if <C> is a p-group, it is a normal p-subgroup, so C lies in
+O_p(G).  So O_p(G) is the union of the classes whose closure is a p-group,
+and Fit(G), the product of the O_p(G) over the primes p, is the closure of
+every class whose closure has prime-power order.
+
 Everything is deterministic and deduplicated by element set.
 """
 
@@ -25,20 +33,6 @@ from .errors import CapExceeded
 from .tables import GroupTable, Subgroup
 
 SUBGROUP_CAP = 400
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def all_subgroups(G: GroupTable, *, cap: int = SUBGROUP_CAP) -> list[Subgroup]:
@@ -78,84 +72,19 @@ def all_subgroups(G: GroupTable, *, cap: int = SUBGROUP_CAP) -> list[Subgroup]:
     return [G.subgroup(e) for e in sorted(found, key=lambda e: (len(e), e))]
 
 
-def normal_subgroups(G: GroupTable) -> list[Subgroup]:
-    """All normal subgroups, sorted by (order, elements).
-
-    Builds the normal lattice as the join-closure of conjugacy-class
-    closures: every normal subgroup is a union of conjugacy classes and
-    therefore the join of the class closures it contains.
-    """
-    seeds = {frozenset((0,)): (0,)}
-    for cls in G.conjugacy_classes:
-        c = G.closure(cls)
-        seeds.setdefault(frozenset(c), c)
-    found = dict(seeds)
-    changed = True
-    while changed:
-        changed = False
-        items = list(found.values())
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                join = G.closure(items[i] + items[j])
-                key = frozenset(join)
-                if key not in found:
-                    found[key] = join
-                    changed = True
-    subs = sorted(found.values(), key=lambda e: (len(e), e))
-    return [G.subgroup(e) for e in subs]
-
-
-def sylow_subgroup(G: GroupTable, p: int) -> Subgroup:
-    """A Sylow p-subgroup, by greedy extension with normalizing p-elements.
-
-    Starts from a cyclic p-subgroup and extends while some p-element
-    normalizes the current subgroup from outside; a proper p-subgroup always
-    admits such an extension, so the scan provably stops at full Sylow order.
-    The result is verified against the p-part of |G|.
-    """
-    n = G.n
-    target = 1
-    while n % (target * p) == 0:
-        target *= p
-    orders = G.element_orders
-    p_elements = [a for a in range(n)
-                  if a == 0 or len(_prime_factors(orders[a])) == 1
-                  and orders[a] % p == 0]
-    members = {0}
-    elems: tuple[int, ...] = (0,)
-    grown = True
-    while len(members) < target and grown:
-        grown = False
-        for g in p_elements:
-            if g in members:
-                continue
-            if any(G.conjugate(g, x) not in members for x in elems):
-                continue
-            elems = G.closure(elems + (g,))
-            members = set(elems)
-            grown = True
-            break
-    if len(members) != target:
-        raise RuntimeError("Sylow %d-subgroup search stalled at order %d"
-                           % (p, len(members)))
-    return G.subgroup(elems)
-
-
-def p_core(G: GroupTable, p: int) -> Subgroup:
-    """Largest normal p-subgroup: intersection of all Sylow p-subgroups."""
-    syl = sylow_subgroup(G, p)
-    core = set(syl.elements)
-    for g in range(1, G.n):
-        if len(core) == 1:
-            break
-        conj = {G.conjugate(g, x) for x in syl.elements}
-        core &= conj
-    return G.subgroup(core)
+def _is_prime_power(k: int) -> bool:
+    p = next(d for d in range(2, k + 1) if k % d == 0)
+    while k % p == 0:
+        k //= p
+    return k == 1
 
 
 def fitting_subgroup(G: GroupTable) -> Subgroup:
-    """Largest normal nilpotent subgroup, as the product of the p-cores."""
-    elems: set[int] = {0}
-    for p in _prime_factors(G.n):
-        elems.update(p_core(G, p).elements)
-    return G.subgroup(G.closure(elems))
+    """Largest normal nilpotent subgroup: the closure of the conjugacy
+    classes (other than the identity's) whose closure has prime-power
+    order."""
+    seed: list[int] = []
+    for cls in G.conjugacy_classes[1:]:
+        if _is_prime_power(len(G.closure(cls))):
+            seed.extend(cls)
+    return G.subgroup(G.closure(seed))

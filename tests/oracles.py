@@ -16,16 +16,26 @@ every listed element by every generator, where the package's
 ``normal_closure`` multiplies the elements already closed only by the
 newest generator.  ``brute_subgroups`` extends every subgroup by every
 element outside it, where ``all_subgroups`` extends one subgroup per
-conjugacy class by one element per coset.  ``compose_table`` lists a
-permutation group with its own breadth-first loop and fills the table by
-n^2 permutation products, where ``from_permutation_group`` reads it off the
-Schreier tree of the listing.  The subgroup predicates check their
-definitions over every element.  ``has_regular_embedding`` is the
-crossed-map search, a second exact route to the regular subgroups of
-Hol(N) that the tests hold against enumeration; it draws the
-homomorphisms G -> Aut(N) from ``hom_images`` over the all-pairs engine.
-The permutation, translation and table helpers and the crossed-map search
-serve tests only, so they live here, not in the package.
+conjugacy class by one element per coset.  Four oracles check the
+normal structure, each the route the package took before.
+``sylow_subgroup`` grows a Sylow p-subgroup greedily, ``p_core``
+intersects its conjugates by every element, and ``fitting_by_p_cores``
+closes the product of the p-cores over ``_prime_factors``: they are the
+reference for ``fitting_subgroup``, which closes the conjugacy classes
+whose closure has prime-power order.  ``normal_subgroups`` joins
+conjugacy class closures pairwise until nothing changes; the package
+filtered it for the characteristic subgroups, where
+``characteristic_subgroups`` now walks joins of Aut(N)-orbit closures.
+``compose_table`` lists a permutation group with its own breadth-first
+loop and fills the table by n^2 permutation products, where
+``from_permutation_group`` reads it off the Schreier tree of the
+listing.  The subgroup predicates check their definitions over every
+element.  ``has_regular_embedding`` is the crossed-map search, a second
+exact route to the regular subgroups of Hol(N) that the tests hold
+against enumeration; it draws the homomorphisms G -> Aut(N) from
+``hom_images`` over the all-pairs engine.  The permutation, translation
+and table helpers and the crossed-map search serve tests only, so they
+live here, not in the package.
 """
 
 import math
@@ -39,7 +49,7 @@ from holoscreen.holomorph import HOL_AUT_CAP
 from holoscreen.isomorphism import GeneratorTower
 from holoscreen.perms import (PermutationGroup, check_perm, compose,
                               identity_perm, inverse)
-from holoscreen.tables import GroupTable
+from holoscreen.tables import GroupTable, Subgroup
 
 
 def cycles(p, include_fixed=False):
@@ -163,6 +173,103 @@ def brute_subgroups(table):
                     found[bigger] = gens
                     queue.append(bigger)
     return sorted(found, key=lambda e: (len(e), e))
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def normal_subgroups(G: GroupTable) -> list[Subgroup]:
+    """All normal subgroups, sorted by (order, elements).
+
+    Builds the normal lattice as the join-closure of conjugacy-class
+    closures: every normal subgroup is a union of conjugacy classes and
+    therefore the join of the class closures it contains.
+    """
+    seeds = {frozenset((0,)): (0,)}
+    for cls in G.conjugacy_classes:
+        c = G.closure(cls)
+        seeds.setdefault(frozenset(c), c)
+    found = dict(seeds)
+    changed = True
+    while changed:
+        changed = False
+        items = list(found.values())
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                join = G.closure(items[i] + items[j])
+                key = frozenset(join)
+                if key not in found:
+                    found[key] = join
+                    changed = True
+    subs = sorted(found.values(), key=lambda e: (len(e), e))
+    return [G.subgroup(e) for e in subs]
+
+
+def sylow_subgroup(G: GroupTable, p: int) -> Subgroup:
+    """A Sylow p-subgroup, by greedy extension with normalizing p-elements.
+
+    Starts from a cyclic p-subgroup and extends while some p-element
+    normalizes the current subgroup from outside; a proper p-subgroup always
+    admits such an extension, so the scan provably stops at full Sylow order.
+    The result is verified against the p-part of |G|.
+    """
+    n = G.n
+    target = 1
+    while n % (target * p) == 0:
+        target *= p
+    orders = G.element_orders
+    p_elements = [a for a in range(n)
+                  if a == 0 or len(_prime_factors(orders[a])) == 1
+                  and orders[a] % p == 0]
+    members = {0}
+    elems: tuple[int, ...] = (0,)
+    grown = True
+    while len(members) < target and grown:
+        grown = False
+        for g in p_elements:
+            if g in members:
+                continue
+            if any(G.conjugate(g, x) not in members for x in elems):
+                continue
+            elems = G.closure(elems + (g,))
+            members = set(elems)
+            grown = True
+            break
+    if len(members) != target:
+        raise RuntimeError("Sylow %d-subgroup search stalled at order %d"
+                           % (p, len(members)))
+    return G.subgroup(elems)
+
+
+def p_core(G: GroupTable, p: int) -> Subgroup:
+    """Largest normal p-subgroup: intersection of all Sylow p-subgroups."""
+    syl = sylow_subgroup(G, p)
+    core = set(syl.elements)
+    for g in range(1, G.n):
+        if len(core) == 1:
+            break
+        conj = {G.conjugate(g, x) for x in syl.elements}
+        core &= conj
+    return G.subgroup(core)
+
+
+def fitting_by_p_cores(G):
+    """Largest normal nilpotent subgroup, as the product of the p-cores."""
+    elems = {0}
+    for p in _prime_factors(G.n):
+        elems.update(p_core(G, p).elements)
+    return G.subgroup(G.closure(elems))
 
 
 def is_subgroup(table, elements):

@@ -11,7 +11,7 @@ from holoscreen.automorphisms import (AutGroup, automorphism_group,
                                       inner_and_outer)
 from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
-from holoscreen.lattice import normal_subgroups
+from holoscreen.lattice import all_subgroups
 from holoscreen.perms import PermutationGroup, compose, inverse
 from holoscreen.tables import GroupTable, Homomorphism
 
@@ -247,11 +247,15 @@ def test_cap():
 
 
 def test_characteristic_subgroups_match_all_automorphisms():
-    # Reference: the normal subgroups fixed by every automorphism, where
-    # the package checks only the generators.
-    for table in shipped_tables():
+    # Reference: every subgroup that every automorphism fixes, where the
+    # package joins closures of orbits under the generators.  The added
+    # abelian groups have large Aut(N): 21504, 20160, 336 and 2048.
+    tables = shipped_tables() + [
+        T(expr) for expr in ("abelian(2,2,2,4)", "abelian(2,2,2,2)",
+                             "abelian(2,2,2,3)", "abelian(2,4,8)")]
+    for table in tables:
         aut = automorphism_group(table)
-        expected = [sub.elements for sub in normal_subgroups(table)
+        expected = [sub.elements for sub in all_subgroups(table)
                     if is_characteristic(aut, sub.elements)]
         got = [sub.elements for sub in characteristic_subgroups(table, aut)]
         assert got == expected, table.name

@@ -1,5 +1,6 @@
 """Command-line interface, run in process via main(argv)."""
 
+import argparse
 import hashlib
 import importlib
 import json
@@ -38,6 +39,30 @@ def test_no_command_is_a_usage_error(capsys):
     assert code == 1
     assert not out
     assert err.startswith("usage: holoscreen")
+
+
+def test_every_argument_has_help():
+    # Walks every subcommand; each argument other than -h, and each
+    # subcommand, must say what it is for.
+    missing = []
+    checked = 0
+    parsers = [("holoscreen", cli.build_parser())]
+    for prefix, parser in parsers:  # grows while it is walked
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if isinstance(action, argparse._SubParsersAction):
+                described = {a.dest for a in action._choices_actions}
+                for name, subparser in action.choices.items():
+                    parsers.append((f"{prefix} {name}", subparser))
+                    if name not in described:
+                        missing.append(f"{prefix} {name}")
+                continue
+            checked += 1
+            if not action.help:
+                missing.append(f"{prefix} {action.dest}")
+    assert missing == []
+    assert checked >= 30
 
 
 @pytest.mark.parametrize("argv", [
@@ -164,7 +189,7 @@ def test_group_past_the_table_cap(capsys):
     code, out, err = run(["group", "info", "symmetric(300000)"], capsys)
     assert code == 1
     assert not out
-    assert "order exceeds the table cap 10000" in err
+    assert "order exceeds the table cap 2000" in err
 
 
 def test_group_deeply_nested_expression(capsys):

@@ -197,33 +197,39 @@ def builders_raise(monkeypatch):
 
 
 @pytest.mark.parametrize("expr", [
-    "cyclic(10001)", "cyclic(1000000)",
-    "abelian(2,5001)",
+    "cyclic(2001)", "cyclic(10001)", "cyclic(1000000)",
+    "abelian(2,1001)", "abelian(2,5001)",
     pytest.param("abelian(" + ",".join(["2"] * 5000) + ")",
                  id="abelian(2,...,2)-5000-parts"),
-    "dihedral(10002)", "dihedral(1000000)",
-    "symmetric(8)", "symmetric(300000)",
-    "alternating(8)", "alternating(300000)",
-    "direct(cyclic(2),cyclic(5001))", "direct(cyclic(10000),cyclic(10000))",
+    "dihedral(2002)", "dihedral(10002)", "dihedral(1000000)",
+    "symmetric(7)", "symmetric(8)", "symmetric(300000)",
+    "alternating(7)", "alternating(8)", "alternating(300000)",
+    "direct(cyclic(2),cyclic(1001))", "direct(cyclic(2),cyclic(5001))",
+    "direct(cyclic(10000),cyclic(10000))",
     # A table-backed factor takes the table of pairs in place of generators.
+    "direct(semidirect(cyclic(3),cyclic(4),[[0,2,1]]),cyclic(167))",
     "direct(semidirect(cyclic(3),cyclic(4),[[0,2,1]]),cyclic(834))",
+    "semidirect(cyclic(1001),cyclic(2),[[0]])",
     "semidirect(cyclic(5001),cyclic(2),[[0]])",
     "semidirect(cyclic(10000),cyclic(10000),[[0]])",
-    "gl(1,10007)", "gl(300,7)", "sl(2,23)", "sl(300,7)",
+    "gl(1,2003)", "gl(1,10007)", "gl(300,7)",
+    "sl(2,13)", "sl(2,23)", "sl(300,7)",
 ])
 def test_constructors_check_the_cap_before_building(builders_raise, expr):
-    # Each input lies just or far past TABLE_CAP = 10000.
+    # Each input lies just past TABLE_CAP = 2000 (the first of each
+    # constructor's cases), five times past it, or far past it.
     with pytest.raises(CorpusError, match="order exceeds the table cap"):
         construct(expr)
 
 
-@pytest.mark.parametrize("expr,degree", [("sl(1,10007)", 10006),
+@pytest.mark.parametrize("expr,degree", [("sl(1,2003)", 2002),
+                                         ("sl(1,10007)", 10006),
                                          ("sl(1,1000003)", 1000002)])
 def test_linear_degree_is_capped_before_building(builders_raise, expr,
                                                  degree):
     # SL(1, p) is trivial, but it would act on the p - 1 nonzero vectors.
     with pytest.raises(CorpusError,
-                       match=f"degree {degree} exceeds the table cap 10000"):
+                       match=f"degree {degree} exceeds the table cap 2000"):
         construct(expr)
 
 

@@ -1,4 +1,5 @@
-"""Subgroup lattices, Sylow subgroups, p-cores, Fitting subgroups."""
+"""Subgroup lattices and Fitting subgroups, and the Sylow, p-core and
+normal-subgroup oracles that check them."""
 
 from pathlib import Path
 
@@ -6,11 +7,11 @@ import pytest
 
 from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
-from holoscreen.lattice import (all_subgroups, fitting_subgroup,
-                                normal_subgroups, p_core, sylow_subgroup)
+from holoscreen.lattice import all_subgroups, fitting_subgroup
 from holoscreen.perms import PermutationGroup
 from holoscreen.tables import from_permutation_group
-from oracles import brute_subgroups, is_normal, is_subgroup
+from oracles import (brute_subgroups, fitting_by_p_cores, is_normal,
+                     is_subgroup, normal_subgroups, p_core, sylow_subgroup)
 
 A5_GENS = [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
@@ -153,6 +154,22 @@ def test_fitting_subgroup():
         assert is_normal(table, fit.elements)
         fit_table, _ = fit.to_table()
         assert fit_table.is_nilpotent()
+
+
+def test_fitting_subgroup_matches_p_cores():
+    # Reference: the product of the p-cores, each the intersection of the
+    # conjugates of a Sylow p-subgroup.
+    tables = [record.table for directory in sorted(CORPORA.iterdir())
+              for record in load_manifest(directory).records]
+    assert len(tables) == 30
+    tables += [construct(expr).table for expr in (
+        "symmetric(4)", "symmetric(5)", "symmetric(6)", "gl(2,3)", "gl(3,2)",
+        "sl(2,5)", "alternating(6)", "dihedral(32)",
+        "direct(symmetric(3),symmetric(3))",
+        "direct(alternating(4),dihedral(8))", "abelian(2,2,2,4)")]
+    for table in tables:
+        assert (fitting_subgroup(table).elements
+                == fitting_by_p_cores(table).elements), table.name
 
 
 def test_subgroup_cap():
