@@ -11,13 +11,18 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 from itertools import islice
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapExceeded
 from .isomorphism import automorphism_images
 from .perms import Perm, compose, inverse
 from .tables import GroupTable, Subgroup, commutator_series, normal_closure
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside ``AutGroup.table``, which builds the one array
+# here, so that listing Aut(N) does not load it.
 
 AUT_TABLE_CAP = 2000
 # Bounds n * |Aut(N)|, the entries of the element list kept by callers that
@@ -73,6 +78,8 @@ class AutGroup:
         closed under composition and each derived entry is exact by
         associativity.  A list that is not a group raises.
         """
+        import numpy as np
+
         n, na = self.base.n, self.order
         E = np.array(self.elements, dtype=np.intp)
         gens = list(self.base.generating_sequence())

@@ -45,7 +45,6 @@ action spec; anything else raises CorpusError.
 from __future__ import annotations
 
 import ast
-import hashlib
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -649,6 +648,8 @@ def write_index(directory, order: int, complete: bool,
 
 def corpus_hash(manifest: CorpusManifest) -> str:
     """SHA-256 over the index claims and each member's canonical form."""
+    import hashlib
+
     digest = hashlib.sha256()
     digest.update(f"order {manifest.order}\n".encode())
     digest.update(f"complete {str(manifest.complete).lower()}\n".encode())

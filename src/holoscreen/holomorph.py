@@ -20,15 +20,19 @@ against an independent crossed-map search kept in ``tests/oracles.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import _kernel
 from .automorphisms import AutGroup, automorphism_group
 from .errors import CapExceeded
 from .isomorphism import are_isomorphic, iso_invariants
 from .tables import GroupTable
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the functions that build or read the coded
+# arrays, not here, so that commands which build no holomorph never load it.
 
 HOL_ORDER_CAP = 64
 HOL_AUT_CAP = 2048  # bounds the int32 |Aut|^2 table (16 MB); C7xC7 needs 2016
@@ -39,6 +43,8 @@ class HolomorphGroup:
     """Holomorph of a table group, with the coded-pair tables for searching."""
 
     def __init__(self, base: GroupTable, aut: AutGroup):
+        import numpy as np
+
         if aut.base is not base:
             raise ValueError("automorphism group belongs to a different table")
         if aut.order > HOL_AUT_CAP:
@@ -61,13 +67,15 @@ class HolomorphGroup:
     def code_mul(self, x, y):
         """The coded product, on ints or elementwise on int arrays."""
         na, n = self.na, self.n
-        a, f = np.divmod(x, na)
-        b, g = np.divmod(y, na)
+        a, f = divmod(x, na)
+        b, g = divmod(y, na)
         return (self.nmul[a * n + self.act[f * n + b]] * na
                 + self.amul[f * na + g])
 
     def element_orders(self) -> list[int]:
         """Order of every coded element, cached."""
+        import numpy as np
+
         if self._orders is None:
             orders = np.ones(self.order, dtype=np.int64)
             # stuck[t]: some power t^k with 0 < k < ord(t) lies over fiber 0.
@@ -106,6 +114,8 @@ class HolomorphGroup:
         That costs |S| images per orbit member, not |Aut| per orbit.  Per
         s only its ``act`` row and its conjugation map on Aut(N) are kept,
         n + |Aut| entries."""
+        import numpy as np
+
         if self._conjugators is None:
             table, inv = self.aut.table, self.aut.inverses
             act = self.act.reshape(self.na, self.n)
@@ -228,6 +238,8 @@ def subgroup_table(hol: HolomorphGroup, codes: Sequence[int]) -> GroupTable:
     """Multiplication table of a set of distinct codes closed under the
     product, listed with the identity code 0 first and the rest in any
     order."""
+    import numpy as np
+
     c = np.asarray(codes)
     if c[0] != 0:
         raise ValueError("code set must start with the identity")

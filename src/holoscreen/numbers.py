@@ -24,8 +24,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
-
-import numpy as np
+from itertools import compress
 
 # sympy is imported inside the functions that call it, not here: it is most
 # of the package's import time, and commands that do no number theory never
@@ -164,29 +163,35 @@ def _primes(stop: int):
     """Yield the primes below ``stop`` in ascending order.
 
     A segmented sieve: the base primes up to sqrt(stop) come from a small
-    bytearray sieve, and each window of ``_SEGMENT`` numbers is a numpy bool
-    array crossed off by them.  One window is held at a time and nothing is
-    kept between calls, so memory stays bounded whatever ``stop`` is.
+    bytearray sieve.  Each window of ``_SEGMENT`` numbers keeps one byte
+    per odd number, is crossed off by the odd base primes, and is read out
+    with ``itertools.compress``.  One window is held at a time and nothing
+    is kept between calls, so memory stays bounded whatever ``stop`` is.
     """
     if stop <= 2:
         return
+    yield 2
     root = math.isqrt(stop - 1)
     small = bytearray([1]) * (root + 1)
     for p in range(2, math.isqrt(root) + 1):
         if small[p]:
             small[p * p::p] = bytes(len(range(p * p, root + 1, p)))
-    base = [p for p in range(2, root + 1) if small[p]]
+    base = [p for p in range(3, root + 1) if small[p]]
     for lo in range(0, stop, _SEGMENT):
         hi = min(lo + _SEGMENT, stop)
-        window = np.ones(hi - lo, dtype=bool)
+        # window[i] stands for the odd number lo + 2i + 1.
+        size = (hi - lo) // 2
+        window = bytearray([1]) * size
         if lo == 0:
-            window[:2] = False
+            window[0] = 0  # 1 is not prime
         for p in base:
             if p * p >= hi:
                 break
-            start = max(p * p, -(-lo // p) * p)
-            window[start - lo::p] = False
-        yield from (np.flatnonzero(window) + lo).tolist()
+            # The first odd multiple of p from max(p * p, lo) on.
+            m = max(p * p, -(-lo // p) * p)
+            i = (m + (p if m % 2 == 0 else 0) - lo) // 2
+            window[i::p] = bytes(len(range(i, size, p)))
+        yield from compress(range(lo + 1, hi, 2), window)
 
 
 def _rho_divisor(n: int) -> int | None:

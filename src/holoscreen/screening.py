@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -356,6 +355,8 @@ def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
         # The pool starts all its workers at once, so no more than the work.
         workers = min(jobs, len(work))
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 traces = tuple(pool.map(_trace_one, work, chunksize=1))
         else:

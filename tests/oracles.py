@@ -26,8 +26,10 @@ whose closure has prime-power order.  ``normal_subgroups`` joins
 conjugacy class closures pairwise until nothing changes; the package
 filtered it for the characteristic subgroups, where
 ``characteristic_subgroups`` now walks joins of Aut(N)-orbit closures.
-``compose_table`` lists a permutation group with its own breadth-first
-loop and fills the table by n^2 permutation products, where
+``is_associative`` tests every triple of a table, the cubic check that
+``GroupTable`` ran before it took Light's test over its generating
+sequence.  ``compose_table`` lists a permutation group with its own
+breadth-first loop and fills the table by n^2 permutation products, where
 ``from_permutation_group`` reads it off the Schreier tree of the
 listing.  The subgroup predicates check their definitions over every
 element.  ``has_regular_embedding`` is the crossed-map search, a second
@@ -123,6 +125,13 @@ def bfs_closure(table, seed):
                 members.add(y)
                 order.append(y)
     return tuple(sorted(members))
+
+
+def is_associative(mul):
+    """(a*b)*c = a*(b*c) for every triple: row a of the table indexed by
+    each row b, against the table indexed through row a."""
+    m = np.array(mul, dtype=np.int64)
+    return all(np.array_equal(m[m[a], :], m[a][m]) for a in range(len(m)))
 
 
 def compose_table(group):

@@ -514,18 +514,34 @@ def test_corpus_validate_missing_directory(tmp_path, capsys):
 
 # Runs in a fresh interpreter, so that nothing imported by this test session
 # counts.  Prints, after the import and after each command, its exit code
-# and whether sympy is loaded.
-SYMPY_PROBE = """
+# and which of the modules named in its first argument are loaded.
+WATCHED = ["sympy", "numpy", "hashlib", "concurrent.futures.process"]
+MODULE_PROBE = """
 import contextlib, io, json, sys
 import holoscreen, holoscreen.cli
-steps = [[0, "sympy" in sys.modules]]
-for argv in json.loads(sys.argv[1]):
+watched = json.loads(sys.argv[1])
+def loaded():
+    return [m for m in watched if m in sys.modules]
+steps = [[0, loaded()]]
+for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         code = holoscreen.cli.main(argv)
-    steps.append([code, "sympy" in sys.modules])
+    steps.append([code, loaded()])
 print(json.dumps(steps))
 """
+
+
+def probe(commands):
+    """[exit code, set of loaded ``WATCHED`` modules] after the import (as
+    code 0) and after each command, all in one fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(CORPORA.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", MODULE_PROBE, json.dumps(WATCHED),
+         json.dumps(commands)],
+        env=env, cwd=CORPORA.parent, capture_output=True, text=True,
+        check=True)
+    return [[code, set(mods)] for code, mods in json.loads(done.stdout)]
 
 
 def test_only_number_theory_loads_sympy():
@@ -536,12 +552,30 @@ def test_only_number_theory_loads_sympy():
                   ["group", "regulars", "abelian(5,5)"]]
     # gl(2,3) runs first, so that its constructor is what loads sympy.
     arithmetic = [["group", "info", "gl(2,3)"], ["classify", "60"]]
-    env = dict(os.environ, PYTHONPATH=str(CORPORA.parent / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", SYMPY_PROBE,
-         json.dumps(group_side + arithmetic)],
-        env=env, cwd=CORPORA.parent, capture_output=True, text=True,
-        check=True)
-    steps = json.loads(done.stdout)
-    assert steps == ([[0, False]] * (1 + len(group_side))
-                     + [[0, True]] * len(arithmetic))
+    steps = probe(group_side + arithmetic)
+    assert [[code, "sympy" in mods] for code, mods in steps] == (
+        [[0, False]] * (1 + len(group_side)) + [[0, True]] * len(arithmetic))
+    # The import loads none of the watched modules, and direct is the first
+    # command here to build a holomorph.
+    assert steps[0][1] == set()
+    assert [("numpy" in mods, "concurrent.futures.process" in mods)
+            for _, mods in steps[1:4]] == [(False, False), (False, False),
+                                           (True, False)]
+
+
+def test_only_holomorphs_load_numpy():
+    o12 = str(CORPORA / "o12")
+    arithmetic = [["classify", "60"],
+                  ["numtheory", "wieferich", "--limit", "1000"],
+                  ["numtheory", "base-check", "--ell", "5"]]
+    corpus_side = [["corpus", "validate", o12],
+                   ["screen", "--jobs", "1", "--corpus", o12]]
+    steps = probe(arithmetic + corpus_side
+                  + [["group", "regulars", "abelian(5,5)"]])
+    assert [code for code, _ in steps] == [0] * len(steps)
+    loaded = [mods - {"sympy"} for _, mods in steps]
+    k = 1 + len(arithmetic)
+    assert loaded[:k] == [set()] * k
+    # The corpus commands hash the corpus and build no holomorph.
+    assert loaded[k:-1] == [{"hashlib"}] * len(corpus_side)
+    assert "numpy" in loaded[-1]

@@ -181,7 +181,7 @@ def test_pool_no_larger_than_the_work(monkeypatch):
         def map(self, fn, work, chunksize):
             return map(fn, work)
 
-    monkeypatch.setattr(screening, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     report = screen_order(CORPORA / "o4", jobs=10**6)
     assert sizes == [2]
     assert report.to_json() == screen_order(CORPORA / "o4").to_json()

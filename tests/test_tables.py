@@ -1,5 +1,6 @@
 """Multiplication tables, subgroups, homomorphisms, closures."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from holoscreen.perms import PermutationGroup
 from holoscreen.tables import (GroupTable, Homomorphism, commutator_series,
                                from_permutation_group)
 from oracles import (bfs_closure, bfs_generating_sequence, commutator,
-                     compose_table, is_normal, is_subgroup)
+                     compose_table, is_associative, is_normal, is_subgroup)
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -42,18 +43,85 @@ def test_validation_catches_bad_rows():
         GroupTable([[1, 0], [0, 1]])
 
 
+# A latin square with identity and inverses in which every element squares
+# to the identity; order 5 admits no such group, so it is a loop but not a
+# group.
+LOOP5 = (
+    (0, 1, 2, 3, 4),
+    (1, 0, 3, 4, 2),
+    (2, 4, 0, 1, 3),
+    (3, 2, 4, 0, 1),
+    (4, 3, 1, 2, 0),
+)
+
+
+def cyclic_rows(n):
+    return tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+
+
+def product_rows(left, right):
+    """Table of the pairs (a, b), index a * len(right) + b, multiplied
+    componentwise."""
+    k = len(right)
+    return tuple(tuple(left[a][c] * k + right[b][d]
+                       for c in range(len(left)) for d in range(k))
+                 for a in range(len(left)) for b in range(k))
+
+
+def random_loop(n, rng):
+    """A latin square of order n with identity 0, by randomized
+    backtracking over the cells in row order."""
+    rows = [list(range(n))] + [[a] + [None] * (n - 1) for a in range(1, n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            return True
+        a, b = cells[i]
+        used = set(rows[a][:b]) | {rows[c][b] for c in range(a)}
+        for x in rng.sample(range(n), n):
+            if x not in used:
+                rows[a][b] = x
+                if fill(i + 1):
+                    return True
+        rows[a][b] = None
+        return False
+
+    assert fill(0)
+    return tuple(map(tuple, rows))
+
+
+def light_accepts(rows):
+    """Whether ``GroupTable`` takes a latin square with identity 0.  Its
+    only check that such a square can fail before inverses is Light's
+    associativity test."""
+    try:
+        GroupTable(rows)
+    except ValueError as exc:
+        assert "associative" in str(exc)
+        return False
+    return True
+
+
 def test_validation_catches_non_associative_latin_square():
-    # A latin square with identity and inverses in which every element
-    # squares to the identity; order 5 admits no such group.
-    square = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
-    with pytest.raises(ValueError, match="associative"):
-        GroupTable(square)
+    # The product with C41 has order 205, past the size up to which tables
+    # were once checked for associativity.
+    for rows in (LOOP5, product_rows(LOOP5, cyclic_rows(41))):
+        with pytest.raises(ValueError, match="associative"):
+            GroupTable(rows)
+
+
+def test_light_test_matches_every_triple():
+    tables = [record.table.mul for d in sorted(CORPORA.iterdir())
+              for record in load_manifest(d).records]
+    tables += [LOOP5, product_rows(LOOP5, cyclic_rows(2)),
+               product_rows(cyclic_rows(3), LOOP5)]
+    rng = random.Random(2024)
+    tables += [random_loop(n, rng) for n in range(1, 9) for _ in range(25)]
+    verdicts = [(light_accepts(rows), is_associative(rows))
+                for rows in tables]
+    assert all(light == cubic for light, cubic in verdicts)
+    assert {light for light, _ in verdicts} == {True, False}
 
 
 def test_trivial_and_c2():
