@@ -135,7 +135,7 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
 
     rec([])
     # rec reaches itself through its closure, and with it amul, which may
-    # be the caller's |Aut|^2 table (16 MB for C7xC7).  Breaking the cycle
+    # be the caller's |Aut|^2 table (8 MB for C7xC7).  Breaking the cycle
     # frees the table by reference counting when the caller drops it, not
     # at some later garbage collection, when the next table may exist too.
     rec = None  # noqa: F841

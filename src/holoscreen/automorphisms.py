@@ -33,7 +33,7 @@ AUT_LIST_CAP = 1 << 21
 class AutGroup:
     """The automorphism group of a base table, with every element listed.
 
-    ``table`` is the composition table as an int32 array, which the
+    ``table`` is the composition table as an int16 array, which the
     holomorph search reads; it is built on first use."""
 
     def __init__(self, base: GroupTable, elements: list[Perm]):
@@ -56,7 +56,7 @@ class AutGroup:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Composition table, an int32 (|Aut|, |Aut|) array:
+        """Composition table, an int16 (|Aut|, |Aut|) array:
         ``table[i, j]`` indexes ``compose(elements[i], elements[j])``, and
         index 0 is the identity (the list is sorted), whose row is 0..na-1.
 
@@ -77,10 +77,19 @@ class AutGroup:
         s in S, and every listed map is a product of elements of S, so L is
         closed under composition and each derived entry is exact by
         associativity.  A list that is not a group raises.
+
+        Entries are indices below |Aut|, so int16 holds them while |Aut| is
+        at most 2**15; a longer list raises ``ValueError`` before anything
+        is allocated.  ``HOL_AUT_CAP`` keeps the holomorph's lists far
+        below that.
         """
         import numpy as np
 
         n, na = self.base.n, self.order
+        limit = np.iinfo(np.int16).max + 1
+        if na > limit:
+            raise ValueError("|Aut| = %d exceeds the int16 table limit %d"
+                             % (na, limit))
         E = np.array(self.elements, dtype=np.intp)
         gens = list(self.base.generating_sequence())
         if n ** len(gens) > np.iinfo(np.int64).max:
@@ -91,7 +100,7 @@ class AutGroup:
         keys = keys[order]
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("two automorphisms agree on the generators")
-        table = np.empty((na, na), dtype=np.int32)
+        table = np.empty((na, na), dtype=np.int16)
         table[0] = np.arange(na)
         known = np.zeros(na, dtype=bool)
         known[0] = True

@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 # arrays, not here, so that commands which build no holomorph never load it.
 
 HOL_ORDER_CAP = 64
-HOL_AUT_CAP = 2048  # bounds the int32 |Aut|^2 table (16 MB); C7xC7 needs 2016
+HOL_AUT_CAP = 2048  # bounds the int16 |Aut|^2 table (8 MB); C7xC7 needs 2016
 DEFAULT_NODE_BUDGET = 50_000_000
 
 
@@ -77,12 +77,14 @@ class HolomorphGroup:
         import numpy as np
 
         if self._orders is None:
-            orders = np.ones(self.order, dtype=np.int64)
+            # int32 holds every code (below n * |Aut| <= 64 * HOL_AUT_CAP)
+            # and every composition index (below |Aut|^2) of the walk.
+            orders = np.ones(self.order, dtype=np.int32)
             # stuck[t]: some power t^k with 0 < k < ord(t) lies over fiber 0.
             stuck = np.zeros(self.order, dtype=bool)
             stuck[1:self.na] = True
             # x[i] is live[i] to the k-th power, not yet the identity.
-            live = x = np.arange(1, self.order)
+            live = x = np.arange(1, self.order, dtype=np.int32)
             k = 1
             while live.size:
                 k += 1

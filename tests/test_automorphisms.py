@@ -1,6 +1,8 @@
 """Automorphism groups: orders, inner/outer split, characteristic subgroups."""
 
 import random
+import tracemalloc
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from holoscreen.automorphisms import (AutGroup, automorphism_group,
                                       inner_and_outer)
 from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
+from holoscreen.holomorph import HOL_AUT_CAP
 from holoscreen.lattice import all_subgroups
 from holoscreen.perms import PermutationGroup, compose, inverse
 from holoscreen.tables import GroupTable, Homomorphism
@@ -105,7 +108,7 @@ def test_aut_table_matches_composition():
     aut = automorphism_group(T("symmetric(3)"))
     table = aut.table
     assert isinstance(table, np.ndarray)
-    assert table.dtype == np.int32 and table.shape == (6, 6)
+    assert table.dtype == np.int16 and table.shape == (6, 6)
     assert table.tolist() == composition_reference(aut)
     # It validates as a group table.
     view = GroupTable(table.tolist())
@@ -144,6 +147,22 @@ def test_aut_table_rejects_lists_that_are_not_groups():
     assert len(c2_8.generating_sequence()) == 8
     with pytest.raises(ValueError, match="do not fit an int64 key"):
         AutGroup(c2_8, [tuple(range(256))]).table
+
+
+def test_aut_table_refuses_more_indices_than_int16_holds():
+    # All 8! = 40,320 permutations of C2^3's points: past 2**15, so the
+    # table raises on the length alone, before it builds any array.
+    aut = AutGroup(T("abelian(2,2,2)"), list(permutations(range(8))))
+    assert aut.order == 40_320
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="int16 table limit 32768"):
+            aut.table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # the element array alone would be 2.6 MB
+    assert HOL_AUT_CAP <= 2 ** 15
 
 
 def test_aut_table_matches_per_row_oracle():

@@ -161,6 +161,27 @@ def test_array_code_mul_matches_scalar():
                     == scalar_code_mul(hol, x, y))
 
 
+def test_largest_holomorph_walks_without_overflow():
+    # Hol(C7xC7), with the largest Aut(N) in use, has 98,784 codes and
+    # composition indices up to 2016**2 - 1; the power walk runs in int32
+    # over an int16 table.
+    hol = holomorph(T("abelian(7,7)"))
+    assert hol.order == 98_784
+    assert hol.aut.table.dtype == np.int16
+    assert hol.aut.table.nbytes == 2016 ** 2 * 2
+    codes = list(range(0, hol.order, 97)) + [hol.order - 1]
+    orders, mask = hol.element_orders(), hol.closable()
+    for code in codes:
+        assert orders[code] == perm_order(perm_of_code(hol, code)), code
+        assert mask[code] == closable_reference(hol, code), code
+    c = np.array(codes, dtype=np.int32)  # the walk's dtype
+    for x, y in ((c, c), (c, c[::-1])):
+        pairs = list(zip(x.tolist(), y.tolist()))
+        grid = hol.code_mul(x, y).tolist()
+        assert grid == [hol.code_mul(a, b) for a, b in pairs]
+        assert grid == [scalar_code_mul(hol, a, b) for a, b in pairs]
+
+
 def subgroup_table_cases():
     hol = holomorph(T("cyclic(4)"))
     yield hol, tuple(range(8))
@@ -585,7 +606,7 @@ def test_enumeration_builds_no_aut_group_table():
     enum = enumerate_regular_subgroups(hol)
     enum.classify()
     assert (len(enum.records), len(enum.class_reps), enum.nodes) == (25, 1, 650)
-    # The search reads Aut(N)'s one int32 table in place, not a copy.
+    # The search reads Aut(N)'s one int16 table in place, not a copy.
     assert np.shares_memory(hol.amul, hol.aut.__dict__["table"])
 
 
