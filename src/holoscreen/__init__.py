@@ -23,9 +23,9 @@ from .corpus import (CorpusManifest, CorpusReport, GroupRecord, construct,
                      validate_corpus, write_index)
 from .errors import CapExceeded, CorpusError, HoloscreenError
 from .holomorph import (DEFAULT_NODE_BUDGET, HOL_ORDER_CAP, HolomorphGroup,
-                        RegularEnumeration, RegularSubgroupRecord,
-                        enumerate_regular_subgroups, holomorph,
-                        subgroup_table)
+                        RegularClass, RegularEnumeration,
+                        RegularSubgroupRecord, enumerate_regular_subgroups,
+                        holomorph, subgroup_table)
 from .isomorphism import are_isomorphic
 from .lattice import SUBGROUP_CAP, all_subgroups, fitting_subgroup
 from .numbers import (DoublingFamilyConditions, OrderClassification,
@@ -44,7 +44,7 @@ __all__ = [
     "CorpusManifest", "CorpusReport", "DEFAULT_NODE_BUDGET",
     "DoublingFamilyConditions", "GroupRecord", "GroupTable", "GroupTrace",
     "HAVE_COMPILED", "HOL_ORDER_CAP", "HolomorphGroup", "HoloscreenError",
-    "Homomorphism", "OrderClassification", "PermutationGroup",
+    "Homomorphism", "OrderClassification", "PermutationGroup", "RegularClass",
     "RegularEnumeration", "RegularSubgroupRecord", "SUBGROUP_CAP",
     "ScreenReport", "SimpleOrderTable", "Subgroup", "SubgroupOrderSets",
     "SuzukiExponentCheck", "all_subgroups", "are_isomorphic",

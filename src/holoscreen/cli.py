@@ -84,41 +84,38 @@ def cmd_screen(args) -> int:
     return EXIT_UNDECIDED
 
 
-def cmd_direct(args) -> int:
-    manifest = load_manifest(args.corpus)
-    if args.order is not None and args.order != manifest.order:
-        raise HoloscreenError(
-            f"corpus has order {manifest.order}, requested {args.order}")
+def render_direct(order: int, complete: bool, bases) -> tuple[str, dict, int]:
+    """The ``direct`` report: (text, JSON document, exit code).
 
-    lines = [f"direct check: order {manifest.order} "
-             f"(kernel backend: {BACKEND_NAME})"]
-    doc = {"schema": "holoscreen.direct/1", "order": manifest.order,
-           "complete_claim": manifest.complete, "groups": []}
-    exhausted_any = False
+    ``bases`` yields (name, enumeration) per corpus group, with None for an
+    insolvable group, which is no candidate base.  It may be lazy."""
+    lines = [f"direct check: order {order} (kernel backend: {BACKEND_NAME})"]
+    doc = {"schema": "holoscreen.direct/1", "order": order,
+           "complete_claim": complete, "groups": []}
+    searched = exhausted_any = False
     insolvable_found = []
-    for record in manifest.records:
-        if not record.is_solvable():
-            lines.append(f"  {record.name}: skipped (insolvable, not a "
+    for name, enum in bases:
+        if enum is None:
+            lines.append(f"  {name}: skipped (insolvable, not a "
                          "candidate base group)")
-            doc["groups"].append({"name": record.name, "skipped": True})
+            doc["groups"].append({"name": name, "skipped": True})
             continue
-        hol = holomorph(record.table, order_cap=args.order_cap)
-        enum = enumerate_regular_subgroups(hol, node_budget=args.budget)
-        bad = enum.insolvable_records()
+        classes = enum.classify()
+        insolvable = sum(c.count for c in classes if not c.solvable)
         note = "search budget exhausted" if enum.exhausted else "complete"
         lines.append(
-            f"  {record.name}: |Hol|={hol.order}, regular subgroups="
-            f"{len(enum.records)} in {len(enum.class_reps)} iso classes, "
-            f"insolvable={len(bad)}, nodes={enum.nodes} ({note})")
+            f"  {name}: |Hol|={enum.hol.order}, regular subgroups="
+            f"{len(enum.records)} in {len(classes)} iso classes, "
+            f"insolvable={insolvable}, nodes={enum.nodes} ({note})")
         doc["groups"].append({
-            "name": record.name, "hol_order": hol.order,
-            "regular_count": len(enum.records),
-            "iso_classes": len(enum.class_reps),
-            "insolvable_count": len(bad), "nodes": enum.nodes,
+            "name": name, "hol_order": enum.hol.order,
+            "regular_count": len(enum.records), "iso_classes": len(classes),
+            "insolvable_count": insolvable, "nodes": enum.nodes,
             "exhausted": enum.exhausted})
+        searched = True
         exhausted_any = exhausted_any or enum.exhausted
-        if bad:
-            insolvable_found.append(record.name)
+        if insolvable:
+            insolvable_found.append(name)
 
     if insolvable_found:
         verdict, code = "counterexample-candidate", EXIT_UNDECIDED
@@ -128,15 +125,31 @@ def cmd_direct(args) -> int:
                      "the corpus and report the find")
     elif exhausted_any:
         verdict, code = "undecided", EXIT_UNDECIDED
-    elif manifest.complete:
+    elif complete and searched:
         verdict, code = "holds", EXIT_HOLDS
     else:
         verdict, code = "undecided", EXIT_UNDECIDED
-        lines.append("  note: corpus does not claim completeness, so no "
-                     "order-level conclusion")
+        # Every order has a cyclic group, so a complete corpus lists one.
+        why = ("lists no solvable group" if complete
+               else "does not claim completeness")
+        lines.append(f"  note: corpus {why}, so no order-level conclusion")
     lines.append(f"verdict: {verdict}")
     doc["verdict"] = verdict
-    _emit("\n".join(lines) + "\n", None)
+    return "\n".join(lines) + "\n", doc, code
+
+
+def cmd_direct(args) -> int:
+    manifest = load_manifest(args.corpus)
+    if args.order is not None and args.order != manifest.order:
+        raise HoloscreenError(
+            f"corpus has order {manifest.order}, requested {args.order}")
+    # Lazy, so that each holomorph is freed once its row is rendered.
+    bases = ((r.name, enumerate_regular_subgroups(
+                  holomorph(r.table, order_cap=args.order_cap),
+                  node_budget=args.budget) if r.is_solvable() else None)
+             for r in manifest.records)
+    text, doc, code = render_direct(manifest.order, manifest.complete, bases)
+    _emit(text, None)
     if args.json:
         Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
     return code
@@ -240,20 +253,16 @@ def cmd_group(args) -> int:
     if args.group_command == "regulars":
         hol = holomorph(table, order_cap=args.order_cap)
         enum = enumerate_regular_subgroups(hol, node_budget=args.budget)
-        reps = enum.classify()
         print(f"|Hol| = {hol.order}")
+        note = "search budget exhausted" if enum.exhausted else "complete"
         print(f"regular subgroups: {len(enum.records)} "
-              f"({'complete' if enum.complete else 'search budget exhausted'}, "
-              f"nodes={enum.nodes})")
-        counts: dict[int, int] = {}
-        for rec in enum.records:
-            counts[rec.iso_type] = counts.get(rec.iso_type, 0) + 1
-        for i, rep in enumerate(reps):
-            spectrum = " ".join(f"{o}^{c}" for o, c in rep.order_spectrum)
-            solvable = "solvable" if rep.is_solvable() else "insolvable"
-            print(f"  class {i}: {counts[i]} subgroups, {solvable}, "
+              f"({note}, nodes={enum.nodes})")
+        for i, cls in enumerate(enum.classify()):
+            spectrum = " ".join(f"{o}^{c}" for o, c in cls.table.order_spectrum)
+            solvable = "solvable" if cls.solvable else "insolvable"
+            print(f"  class {i}: {cls.count} subgroups, {solvable}, "
                   f"element orders {spectrum}")
-        return EXIT_HOLDS if enum.complete else EXIT_UNDECIDED
+        return EXIT_UNDECIDED if enum.exhausted else EXIT_HOLDS
     raise HoloscreenError(f"unknown group command {args.group_command!r}")
 
 

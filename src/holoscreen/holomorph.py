@@ -19,7 +19,7 @@ against an independent crossed-map search kept in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from . import _kernel
@@ -157,56 +157,55 @@ def holomorph(N: GroupTable, aut: AutGroup | None = None, *,
 
 @dataclass
 class RegularSubgroupRecord:
-    """One regular subgroup, as sorted element codes plus derived data.
-
-    A regular subgroup meets every fiber once, so ``codes[a]`` is its
-    element over fiber ``a``.
-    """
+    """One regular subgroup as its sorted element codes, with its class and
+    Aut(N)-orbit once ``classify()`` has run.  A regular subgroup meets
+    every fiber once, so ``codes[a]`` is its element over fiber ``a``."""
 
     codes: tuple[int, ...]
     iso_type: int | None = None
-    solvable: bool | None = None
     orbit: int | None = None
 
-    @property
-    def order(self) -> int:
-        return len(self.codes)
+
+@dataclass
+class RegularClass:
+    """An isomorphism class of regular subgroups: its first record's table,
+    whether that group is solvable, and how many records the class has."""
+
+    table: GroupTable
+    solvable: bool
+    count: int = 0
 
 
 @dataclass
 class RegularEnumeration:
-    """Result of enumerating the regular subgroups of one holomorph."""
+    """Result of enumerating the regular subgroups of one holomorph, with
+    the isomorphism classes that ``classify()`` caches on ``classes``."""
 
     hol: HolomorphGroup
     records: list[RegularSubgroupRecord]
     nodes: int
     exhausted: bool
-    class_reps: list[GroupTable] = field(default_factory=list)
+    classes: list[RegularClass] | None = None
 
-    @property
-    def complete(self) -> bool:
-        return not self.exhausted
+    def classify(self) -> list[RegularClass]:
+        """Partition the records into isomorphism classes, in discovery order.
 
-    def classify(self) -> list[GroupTable]:
-        """Partition the records into isomorphism classes.
-
-        Fills ``iso_type`` on every record with an index into the returned
-        list of class representative tables (discovery order), and fills
-        ``solvable`` and ``orbit``.  Conjugation by (1, phi) maps regular
-        subgroups to isomorphic ones, so one table and one round of
-        isomorphism tests serve each Aut(N)-orbit of records; ``orbit``
-        numbers the orbits in discovery order.  Under an exhausted budget
-        an orbit may be only partly among the records.
+        Fills ``iso_type`` on every record with its class's index, and
+        ``orbit``.  Conjugation by (1, phi) maps regular subgroups to
+        isomorphic ones, so one table and one round of isomorphism tests
+        serve each Aut(N)-orbit of records, and one solvability check each
+        class; ``orbit`` numbers the orbits in discovery order.  Under an
+        exhausted budget an orbit may be only partly among the records, and
+        a class counts only the records listed.
 
         A table is tested only against the representatives with the same
         ``iso_invariants``, in discovery order.  ``are_isomorphic`` rejects
         every other one at its invariant check, so the class found is the
         same as in a scan over all representatives."""
-        if self.class_reps and all(r.iso_type is not None
-                                   for r in self.records):
-            return self.class_reps
+        if self.classes is not None:
+            return self.classes
         by_codes = {rec.codes: rec for rec in self.records}
-        reps: list[GroupTable] = []
+        classes: list[RegularClass] = []
         buckets: dict[tuple, list[int]] = {}  # invariants -> iso types
         orbit = 0
         for rec in self.records:
@@ -215,25 +214,20 @@ class RegularEnumeration:
             table = subgroup_table(self.hol, rec.codes)
             bucket = buckets.setdefault(iso_invariants(table), [])
             for iso_type in bucket:
-                if are_isomorphic(table, reps[iso_type])[0]:
+                if are_isomorphic(table, classes[iso_type].table)[0]:
                     break
             else:
-                iso_type = len(reps)
-                reps.append(table)
+                iso_type = len(classes)
+                classes.append(RegularClass(table, table.is_solvable()))
                 bucket.append(iso_type)
-            solvable = table.is_solvable()
             for image in self.hol.orbit(rec.codes):
                 hit = by_codes.get(image)
                 if hit is not None:
-                    hit.iso_type, hit.solvable, hit.orbit = (
-                        iso_type, solvable, orbit)
+                    hit.iso_type, hit.orbit = iso_type, orbit
+                    classes[iso_type].count += 1
             orbit += 1
-        self.class_reps = reps
-        return reps
-
-    def insolvable_records(self) -> list[RegularSubgroupRecord]:
-        self.classify()
-        return [rec for rec in self.records if not rec.solvable]
+        self.classes = classes
+        return classes
 
 
 def subgroup_table(hol: HolomorphGroup, codes: Sequence[int]) -> GroupTable:

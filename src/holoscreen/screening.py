@@ -335,23 +335,26 @@ def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
             f"{manifest.directory} does not")
 
     digest = corpus_hash(manifest)
-    solvable_records = [r for r in manifest.records if r.is_solvable()]
-    insolvable_records = [r for r in manifest.records if not r.is_solvable()]
+    solvable_groups = [r for r in manifest.records if r.is_solvable()]
+    insolvable_groups = [r for r in manifest.records if not r.is_solvable()]
     table = default_table()
     solvable_number = (is_solvable_number(n, table) if n <= table.bound else None)
 
     problems: list[str] = []
+    if not solvable_groups:  # every order has a cyclic group
+        problems.append("corpus claims completeness but lists no solvable "
+                        "group")
     try:
-        sets = build_order_sets(insolvable_records, n, cap=subgroup_cap)
+        sets = build_order_sets(insolvable_groups, n, cap=subgroup_cap)
     except CapExceeded as exc:
         sets = None
         problems.append(str(exc))
 
     if sets is None:
         traces = tuple(GroupTrace(name=r.name, error="order sets unavailable")
-                       for r in solvable_records)
+                       for r in solvable_groups)
     else:
-        work = [(r, sets, skip_outer, aut_cap, timings) for r in solvable_records]
+        work = [(r, sets, skip_outer, aut_cap, timings) for r in solvable_groups]
         # The pool starts all its workers at once, so no more than the work.
         workers = min(jobs, len(work))
         if workers > 1:
@@ -369,7 +372,7 @@ def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
     report = ScreenReport(
         n=n, corpus_dir=str(manifest.directory), corpus_hash=digest,
         complete=manifest.complete, solvable_number=solvable_number,
-        insolvable_names=tuple(r.name for r in insolvable_records),
+        insolvable_names=tuple(r.name for r in insolvable_groups),
         order_sets=sets, traces=traces, skip_outer=skip_outer,
         verdict="undecided", problems=tuple(problems))
     if not problems:

@@ -79,10 +79,10 @@ def test_criterion_02_direct_order_60_all_regulars_solvable():
         if not record.is_solvable():
             continue
         enum = enumerate_regular_subgroups(holomorph(record.table))
-        enum.classify()
-        assert enum.complete, record.name
-        assert not enum.insolvable_records(), record.name
-        seen[record.name] = (len(enum.records), len(enum.class_reps))
+        classes = enum.classify()
+        assert not enum.exhausted, record.name
+        assert all(cls.solvable for cls in classes), record.name
+        seen[record.name] = (len(enum.records), len(classes))
         nodes[record.name] = enum.nodes
     elapsed = time.monotonic() - start
     assert seen == DIRECT_60
@@ -102,10 +102,11 @@ def test_criterion_03_embedding_search_matches_enumeration():
         for N in groups:
             hol = holomorph(N)
             enum = enumerate_regular_subgroups(hol)
-            assert enum.complete
-            reps = enum.classify()
+            assert not enum.exhausted
+            classes = enum.classify()
             for G in groups:
-                expected = any(are_isomorphic(G, rep)[0] for rep in reps)
+                expected = any(are_isomorphic(G, cls.table)[0]
+                               for cls in classes)
                 result = has_regular_embedding(G, N, aut=hol.aut)
                 assert not result.exhausted
                 assert result.found == expected, (G.name, N.name)
@@ -125,9 +126,8 @@ def test_criterion_04_nilpotent_bases_give_solvable_regulars():
     assert len(bases) == 11
     for record in bases:
         enum = enumerate_regular_subgroups(holomorph(record.table))
-        enum.classify()
-        assert enum.complete, record.name
-        assert not enum.insolvable_records(), record.name
+        assert not enum.exhausted, record.name
+        assert all(cls.solvable for cls in enum.classify()), record.name
     print(f"\nPASS criterion 04: every regular subgroup over the "
           f"{len(bases)} nilpotent bases (orders up to 16, plus C60) is "
           f"solvable")
@@ -145,7 +145,7 @@ def test_criterion_05_translations_found_and_holomorph_order():
                 table.n, right_regular(table).generators + hol.aut.generators)
             assert len(perms.elements()) == hol.order, record.name
             enum = enumerate_regular_subgroups(hol)
-            assert enum.complete
+            assert not enum.exhausted
             codes = {rec.codes for rec in enum.records}
             lam = left_regular_codes(hol)
             rho = right_regular_codes(hol)

@@ -14,6 +14,7 @@ import pytest
 import holoscreen.cli as cli
 from holoscreen.cli import main
 from holoscreen.corpus import construct, save_group, write_index
+from holoscreen.holomorph import enumerate_regular_subgroups, holomorph
 from holoscreen.screening import ScreenReport
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
@@ -338,6 +339,46 @@ def test_direct_json(tmp_path, capsys):
         assert g["exhausted"] is False
 
 
+def test_direct_renders_an_insolvable_regular_subgroup():
+    # Positive control for the verdict the paper's claim rules out over a
+    # solvable base.  Over the insolvable base A5 (which `direct` skips),
+    # Byott (Bull. LMS 36, 2004) gives e(A5, A5) = 2 Hopf-Galois
+    # structures, so Hol(A5) holds exactly two regular subgroups
+    # isomorphic to A5: the left and right translations.
+    enum = enumerate_regular_subgroups(
+        holomorph(construct("alternating(5)").table))
+    text, doc, code = cli.render_direct(60, True, [("a5", enum)])
+    assert code == cli.EXIT_UNDECIDED
+    assert text.endswith("verdict: counterexample-candidate\n")
+    assert ("  a5: |Hol|=7200, regular subgroups=302 in 4 iso classes, "
+            "insolvable=2, nodes=31560 (complete)") in text.splitlines()
+    assert ("  !! insolvable regular subgroup reported over: a5"
+            in text.splitlines())
+    assert doc["verdict"] == "counterexample-candidate"
+    (group,) = doc["groups"]
+    assert (group["regular_count"], group["iso_classes"],
+            group["insolvable_count"]) == (302, 4, 2)
+    assert [(cls.count, cls.solvable) for cls in enum.classify()] == [
+        (2, False), (60, True), (120, True), (120, True)]
+
+
+def test_direct_and_screen_reject_a_vacuous_complete_corpus(tmp_path,
+                                                           capsys):
+    # Every order has a cyclic group, so a corpus that claims completeness
+    # but lists no solvable group is wrong and decides nothing.
+    (tmp_path / "index.txt").write_text("order 6\ncomplete true\n")
+    code, out, _ = run(["direct", "--corpus", tmp_path], capsys)
+    assert code == 3
+    assert out.splitlines()[-2:] == [
+        "  note: corpus lists no solvable group, so no order-level "
+        "conclusion", "verdict: undecided"]
+    code, out, _ = run(["screen", "--corpus", tmp_path], capsys)
+    assert code == 3
+    assert out.splitlines()[-2:] == [
+        "problem: corpus claims completeness but lists no solvable group",
+        "verdict: undecided"]
+
+
 def test_direct_wrong_order(capsys):
     code, _, err = run(["direct", "--order", 8, "--corpus", CORPORA / "o4"],
                        capsys)
@@ -378,6 +419,10 @@ def test_direct_reports_frozen(tmp_path, capsys, args, exit_code, text_sha,
      "be25ecbcdca0b7b8baa3422dee625e71262d5ea309c90806349b7f40fba3e20c"),
     ("dihedral(12)",
      "5050874a2c338bb626be375694f63eb01bf43e269f30d1da29fa07398bdd9b8f"),
+    # 302 subgroups, nodes=31560; class 0 is the two translation groups,
+    # "2 subgroups, insolvable, element orders 1^1 2^15 3^20 5^24".
+    ("alternating(5)",
+     "37d278ce3efa7efc0e0a7c87245e2bdd9bcaa885f83f3391c293b2ce3b4ad73a"),
 ])
 def test_group_regulars_frozen(capsys, target, text_sha):
     code, out, _ = run(["group", "regulars", target], capsys)

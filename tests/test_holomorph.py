@@ -244,40 +244,41 @@ def test_left_and_right_regular_codes():
 def test_enumerate_hol_c4():
     hol = holomorph(T("cyclic(4)"))
     enum = enumerate_regular_subgroups(hol)
-    assert enum.complete
+    assert not enum.exhausted
     assert len(enum.records) == 2
-    reps = enum.classify()
-    assert len(reps) == 2
-    spectra = sorted(rep.order_spectrum for rep in reps)
+    classes = enum.classify()
+    assert len(classes) == 2
+    spectra = sorted(cls.table.order_spectrum for cls in classes)
     assert spectra == [((1, 1), (2, 1), (4, 2)),   # C4
                        ((1, 1), (2, 3))]           # Klein four-group
-    assert enum.insolvable_records() == []
+    assert all(cls.solvable for cls in classes)
 
 
 def test_enumerate_hol_c6():
     hol = holomorph(T("cyclic(6)"))
     enum = enumerate_regular_subgroups(hol)
-    assert enum.complete
+    assert not enum.exhausted
     assert len(enum.records) == 2
-    reps = enum.classify()
-    assert len(reps) == 2
-    kinds = sorted(rep.is_abelian for rep in reps)
+    classes = enum.classify()
+    assert len(classes) == 2
+    kinds = sorted(cls.table.is_abelian for cls in classes)
     assert kinds == [False, True]  # one S3, one C6
 
 
 def test_enumerate_hol_c8():
     hol = holomorph(T("cyclic(8)"))
     enum = enumerate_regular_subgroups(hol)
-    assert enum.complete
+    assert not enum.exhausted
     assert len(enum.records) == 6
-    reps = enum.classify()
-    assert len(reps) == 4
-    sizes = sorted(sum(1 for r in enum.records if r.iso_type == i)
-                   for i in range(len(reps)))
-    assert sizes == [1, 1, 2, 2]
+    classes = enum.classify()
+    assert len(classes) == 4
+    sizes = [sum(1 for r in enum.records if r.iso_type == i)
+             for i in range(len(classes))]
+    assert [cls.count for cls in classes] == sizes
+    assert sorted(sizes) == [1, 1, 2, 2]
     # The quaternion group shows up as a regular subgroup of Hol(C8).
-    assert any(rep.order_spectrum == ((1, 1), (2, 1), (4, 6))
-               for rep in reps)
+    assert any(cls.table.order_spectrum == ((1, 1), (2, 1), (4, 6))
+               for cls in classes)
 
 
 def pairwise_classify(enum):
@@ -299,8 +300,13 @@ def pairwise_classify(enum):
 
 def assert_classify_matches_pairwise(enum):
     reps, types = pairwise_classify(enum)
-    assert [rep.mul for rep in enum.classify()] == [rep.mul for rep in reps]
-    assert [(r.iso_type, r.solvable) for r in enum.records] == types
+    classes = enum.classify()
+    assert [cls.table.mul for cls in classes] == [rep.mul for rep in reps]
+    assert [(r.iso_type, classes[r.iso_type].solvable)
+            for r in enum.records] == types
+    counts = collections.Counter(i for i, _ in types)
+    assert [cls.count for cls in classes] == [counts[i]
+                                              for i in range(len(reps))]
     # Orbits are numbered in discovery order.
     first_seen = []
     for rec in enum.records:
@@ -324,7 +330,7 @@ def test_classify_matches_pairwise_oracle():
     for name, base in oracle_bases():
         hol = holomorph(base)
         enum = enumerate_regular_subgroups(hol)
-        assert enum.complete
+        assert not enum.exhausted
         assert_classify_matches_pairwise(enum)
         # Orbit-stabilizer: each orbit has |Aut| / |Stab| records, where
         # Stab fixes the orbit's first record.
@@ -407,7 +413,7 @@ def test_every_record_replays_as_regular():
                  "symmetric(3)"):
         hol = holomorph(T(expr))
         enum = enumerate_regular_subgroups(hol)
-        assert enum.complete
+        assert not enum.exhausted
         for rec in enum.records:
             assert rec.codes[0] == 0
             assert list(rec.codes) == sorted(rec.codes)
@@ -431,7 +437,6 @@ def test_budget_exhaustion_is_reported():
     hol = holomorph(T("cyclic(8)"))
     enum = enumerate_regular_subgroups(hol, node_budget=1)
     assert enum.exhausted
-    assert not enum.complete
 
 
 def test_order_cap():
@@ -488,11 +493,10 @@ def test_pair_counts_match_enumeration(order, nodes):
     total = 0
     for N in tables:
         enum = enumerate_regular_subgroups(holomorph(N))
-        reps = enum.classify()
-        per_class = collections.Counter(r.iso_type for r in enum.records)
+        classes = enum.classify()
         for G in tables:
-            matches = sum(per_class[i] for i, rep in enumerate(reps)
-                          if are_isomorphic(G, rep)[0])
+            matches = sum(cls.count for cls in classes
+                          if are_isomorphic(G, cls.table)[0])
             expected = automorphism_group(G).order * matches
             result = has_regular_embedding(G, N, count_all=True)
             assert result.pair_count == expected
@@ -506,9 +510,10 @@ def test_has_regular_embedding_agrees_with_enumeration():
     for family in (groups4, groups6):
         for N in family:
             enum = enumerate_regular_subgroups(holomorph(N))
-            reps = enum.classify()
+            classes = enum.classify()
             for G in family:
-                expected = any(are_isomorphic(G, rep)[0] for rep in reps)
+                expected = any(are_isomorphic(G, cls.table)[0]
+                               for cls in classes)
                 assert has_regular_embedding(G, N).found == expected
 
 
@@ -604,8 +609,8 @@ def test_embedding_search_caps_the_automorphism_count():
 def test_enumeration_builds_no_aut_group_table():
     hol = holomorph(T("abelian(5,5)"))
     enum = enumerate_regular_subgroups(hol)
-    enum.classify()
-    assert (len(enum.records), len(enum.class_reps), enum.nodes) == (25, 1, 650)
+    classes = enum.classify()
+    assert (len(enum.records), len(classes), enum.nodes) == (25, 1, 650)
     # The search reads Aut(N)'s one int16 table in place, not a copy.
     assert np.shares_memory(hol.amul, hol.aut.__dict__["table"])
 
