@@ -15,7 +15,7 @@ corpus format (:mod:`.corpus`), the screening pipeline
 __version__ = "0.1.0"
 
 from ._kernel import BACKEND_NAME, HAVE_COMPILED
-from .automorphisms import (AUT_TABLE_CAP, AutGroup, automorphism_group,
+from .automorphisms import (AutGroup, automorphism_group,
                             characteristic_subgroups, inner_and_outer)
 from .corpus import (CorpusManifest, CorpusReport, GroupRecord, construct,
                      corpus_hash, load_group, load_manifest, parse_group_text,
@@ -40,7 +40,7 @@ from .screening import (GroupTrace, ScreenReport, SubgroupOrderSets,
 from .tables import GroupTable, Homomorphism, Subgroup, from_permutation_group
 
 __all__ = [
-    "AUT_TABLE_CAP", "AutGroup", "BACKEND_NAME", "CapExceeded", "CorpusError",
+    "AutGroup", "BACKEND_NAME", "CapExceeded", "CorpusError",
     "CorpusManifest", "CorpusReport", "DEFAULT_NODE_BUDGET",
     "DoublingFamilyConditions", "GroupRecord", "GroupTable", "GroupTrace",
     "HAVE_COMPILED", "HOL_ORDER_CAP", "HolomorphGroup", "HoloscreenError",

@@ -24,9 +24,8 @@ if TYPE_CHECKING:
 # numpy is imported inside ``AutGroup.table``, which builds the one array
 # here, so that listing Aut(N) does not load it.
 
-AUT_TABLE_CAP = 2000
-# Bounds n * |Aut(N)|, the entries of the element list kept by callers that
-# need no composition table; it admits Aut(C2^4), of order 20160.
+# Bounds n * |Aut(N)|, the entries of the listed automorphisms, by default;
+# it admits Aut(C2^4), of order 20160.
 AUT_LIST_CAP = 1 << 21
 
 
@@ -156,18 +155,19 @@ class AutGroup:
         return "AutGroup(base_n=%d, order=%d)" % (self.base.n, self.order)
 
 
-def automorphism_group(N: GroupTable, *, cap: int = AUT_TABLE_CAP,
+def automorphism_group(N: GroupTable, *,
                        order_cap: int | None = None) -> AutGroup:
     """Enumerate Aut(N) by backtracking over generator images.
 
-    ``cap`` bounds the base table size.  ``order_cap`` bounds |Aut(N)|: the
-    enumeration stops after one automorphism more than it allows."""
-    if N.n > cap:
-        raise CapExceeded("table size %d exceeds automorphism cap %d"
-                          % (N.n, cap))
-    limit = None if order_cap is None else order_cap + 1
-    elements = [tuple(p) for p in islice(automorphism_images(N), limit)]
-    if limit is not None and len(elements) == limit:
+    ``order_cap`` bounds |Aut(N)|: the enumeration stops after one
+    automorphism more than it allows.  It defaults to ``AUT_LIST_CAP //
+    n``, so that the list holds at most ``AUT_LIST_CAP`` entries; the
+    holomorph passes its own, smaller cap."""
+    if order_cap is None:
+        order_cap = AUT_LIST_CAP // N.n
+    elements = [tuple(p) for p in islice(automorphism_images(N),
+                                         order_cap + 1)]
+    if len(elements) > order_cap:
         raise CapExceeded("|Aut| exceeds automorphism order cap %d"
                           % (order_cap,))
     return AutGroup(N, elements)

@@ -18,8 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from ._kernel import BACKEND_NAME
-from .automorphisms import (AUT_LIST_CAP, AUT_TABLE_CAP, automorphism_group,
-                            inner_and_outer)
+from .automorphisms import automorphism_group, inner_and_outer
 from .corpus import construct, load_group, load_manifest, validate_corpus
 from .errors import HoloscreenError
 from .holomorph import (DEFAULT_NODE_BUDGET, HOL_ORDER_CAP,
@@ -72,8 +71,7 @@ def _load_target(target: str):
 def cmd_screen(args) -> int:
     report = screen_order(args.corpus, args.order, jobs=args.jobs,
                           skip_outer=args.skip_outer,
-                          subgroup_cap=args.subgroup_cap,
-                          aut_cap=args.aut_cap, timings=args.timings)
+                          subgroup_cap=args.subgroup_cap, timings=args.timings)
     _emit(render_report(report), args.out)
     if args.json:
         Path(args.json).write_text(report.to_json())
@@ -234,17 +232,15 @@ def cmd_group(args) -> int:
         print(f"conjugacy classes: {len(table.conjugacy_classes)}")
         print(f"element order spectrum: {spectrum}")
         return EXIT_HOLDS
-    # aut and hol keep only the element list, so its length is capped.
-    list_cap = AUT_LIST_CAP // table.n
     if args.group_command == "aut":
-        aut = automorphism_group(table, cap=args.aut_cap, order_cap=list_cap)
+        aut = automorphism_group(table)
         inner, outer = inner_and_outer(table, aut)
         print(f"|Aut| = {aut.order}")
         print(f"inner = {inner}, outer = {outer}")
         print(f"Aut solvable: {'yes' if aut.is_solvable() else 'no'}")
         return EXIT_HOLDS
     if args.group_command == "hol":
-        aut = automorphism_group(table, order_cap=list_cap)
+        aut = automorphism_group(table)
         # Hol(N) = N x| Aut(N) is solvable exactly when N and Aut(N) are.
         solvable = table.is_solvable() and aut.is_solvable()
         print(f"|Hol| = {table.n * aut.order} (= {table.n} * {aut.order})")
@@ -292,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # What each cap and budget flag bounds.
     bounds = {
-        "aut": "largest order of N whose Aut(N) is enumerated "
-               "(default %(default)s); it bounds |N|, not |Aut(N)|",
         "subgroup": "largest order of an insolvable group whose subgroups "
                     "are enumerated for the order sets (default %(default)s)",
         "budget": "search nodes per holomorph; a run that exhausts them is "
@@ -316,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the gcd(n, |Out|) filter")
     p.add_argument("--subgroup-cap", type=positive_int, default=SUBGROUP_CAP,
                    help=bounds["subgroup"])
-    p.add_argument("--aut-cap", type=positive_int, default=AUT_TABLE_CAP,
-                   help=bounds["aut"])
     p.add_argument("--out", default=None, help="also write the text report here")
     p.add_argument("--json", default=None, help="write a JSON report here")
     p.add_argument("--timings", action="store_true",
@@ -373,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         q = g.add_parser(name, help=text)
         q.add_argument("target",
                        help="a .grp file or a constructor expression")
-        if name == "aut":
-            q.add_argument("--aut-cap", type=positive_int,
-                           default=AUT_TABLE_CAP, help=bounds["aut"])
         if name == "regulars":
             q.add_argument("--budget", type=positive_int,
                            default=DEFAULT_NODE_BUDGET, help=bounds["budget"])

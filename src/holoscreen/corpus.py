@@ -128,6 +128,11 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupRecord:
                 order = int(line.split(None, 1)[1])
             except ValueError:
                 _fail("bad order line", source, lineno)
+            # Checked here, so a file that declares its order first fails
+            # before it reads a table row or a generator.
+            if order > TABLE_CAP:
+                _fail(f"order {order} exceeds the table cap {TABLE_CAP}",
+                      source, lineno)
         elif line.startswith("degree "):
             try:
                 degree = int(line.split(None, 1)[1])
@@ -186,9 +191,8 @@ def _generated_record(name: str, order: int, degree: int, gens: list[Perm],
     """The record of the group generated by ``gens``, listed by closure.
 
     The listing stops one element past the declared order, so a declared
-    order is checked without listing a larger group."""
-    if order > TABLE_CAP:
-        _fail(f"order {order} exceeds the table cap {TABLE_CAP}", source)
+    order is checked without listing a larger group.  Callers have checked
+    the order against the table cap."""
     group = PermutationGroup(degree, gens)
     try:
         table, elements = from_permutation_group(group, cap=order, name=name)

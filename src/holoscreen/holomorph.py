@@ -143,16 +143,14 @@ class HolomorphGroup:
             self.n, self.na, self.order)
 
 
-def holomorph(N: GroupTable, aut: AutGroup | None = None, *,
+def holomorph(N: GroupTable, *,
               order_cap: int = HOL_ORDER_CAP) -> HolomorphGroup:
     """Hol(N).  |N| is capped before Aut(N) is listed, and |Aut(N)| while
     it streams, before any table."""
     if N.n > order_cap:
         raise CapExceeded("base order %d exceeds holomorph search cap %d"
                           % (N.n, order_cap))
-    if aut is None:
-        aut = automorphism_group(N, order_cap=HOL_AUT_CAP)
-    return HolomorphGroup(N, aut)
+    return HolomorphGroup(N, automorphism_group(N, order_cap=HOL_AUT_CAP))
 
 
 @dataclass

@@ -12,10 +12,11 @@ other direction a simple group times a cyclic complement realizes any
 multiple of its order.
 
 Factorization-backed answers are honest about effort: past the trial bound
-they fall back to Pollard rho and, when the budget runs out, report
-``unknown`` instead of guessing.  Trial division walks the primes of a
-segmented sieve kept in this module; the primality and factoring
-primitives come from sympy, which is loaded on first use.
+they fall back to Pollard rho, at most ``RHO_RETRIES`` attempts of at most
+``RHO_STEPS`` steps each per split, and a number that does not split within
+that budget is reported ``unknown`` instead of guessed.  Trial division
+walks the primes of a segmented sieve kept in this module; the primality
+and factoring primitives come from sympy, which is loaded on first use.
 """
 
 from __future__ import annotations
@@ -53,7 +54,11 @@ __all__ = [
 ]
 
 TRIAL_BOUND = 10**7
-RHO_RETRIES = 16
+RHO_RETRIES = 4
+# Steps per rho attempt.  A prime factor p takes about sqrt(p) steps, so
+# the attempts split off factors below about 2**33; a step costs about 9 us
+# at 401 bits, so a give-up there costs about 5 s.
+RHO_STEPS = 1 << 17
 WIEFERICH_CAP = 10**7
 _SEGMENT = 1 << 16
 
@@ -79,14 +84,10 @@ class SimpleOrderTable:
             raise ValueError("table entry exceeds the declared bound")
 
     @classmethod
-    def load(cls, path=None) -> "SimpleOrderTable":
-        if path is None:
-            text = (
-                resources.files("holoscreen") / "data" / "simple_orders.txt"
-            ).read_text()
-        else:
-            with open(path) as handle:
-                text = handle.read()
+    def load(cls) -> "SimpleOrderTable":
+        """The shipped table, ``data/simple_orders.txt``."""
+        text = (resources.files("holoscreen") / "data"
+                / "simple_orders.txt").read_text()
         bound = None
         orders = []
         for line in text.splitlines():
@@ -195,11 +196,12 @@ def _primes(stop: int):
 
 
 def _rho_divisor(n: int) -> int | None:
-    """A certified nontrivial divisor of composite n, or None on give-up."""
+    """A certified nontrivial divisor of composite n, or None once
+    ``RHO_RETRIES`` attempts of ``RHO_STEPS`` steps each have failed."""
     from sympy.ntheory import pollard_rho
 
     for attempt in range(RHO_RETRIES):
-        d = pollard_rho(n, a=attempt + 1, retries=2, seed=1234 + attempt)
+        d = pollard_rho(n, a=attempt + 1, retries=0, max_steps=RHO_STEPS)
         if d is not None and 1 < d < n and n % d == 0:
             return d
     return None
@@ -282,7 +284,7 @@ class SuzukiExponentCheck:
     base_order: int | None = None
 
 
-def suzuki_exponent_check(ell: int, *, trial_bound: int = TRIAL_BOUND) -> SuzukiExponentCheck:
+def suzuki_exponent_check(ell: int) -> SuzukiExponentCheck:
     """Check whether 2**ell gives a usable Suzuki base order.
 
     The exponent qualifies when it is an odd prime and
@@ -305,7 +307,7 @@ def suzuki_exponent_check(ell: int, *, trial_bound: int = TRIAL_BOUND) -> Suzuki
     # The three parts are pairwise coprime, so the product is square-free
     # exactly when each part is.
     for label, part in parts:
-        status, witness = square_free_status(part, trial_bound=trial_bound)
+        status, witness = square_free_status(part)
         if status is False:
             if witness is not None:
                 reason = f"{witness}^2 divides {label}"

@@ -105,11 +105,6 @@ class PermutationGroup:
             qi += 1
         return out, right, parents
 
-    def elements(self, cap: int | None = None) -> list[Perm]:
-        """All elements in the breadth-first order of ``listing``.  Raises
-        CapExceeded if the group is larger than ``cap``."""
-        return self.listing(cap)[0]
-
     def __repr__(self) -> str:
         return "PermutationGroup(degree=%d, ngens=%d)" % (
             self.degree,

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .automorphisms import (AUT_LIST_CAP, AUT_TABLE_CAP, automorphism_group,
-                            characteristic_subgroups, inner_and_outer)
+from .automorphisms import (automorphism_group, characteristic_subgroups,
+                            inner_and_outer)
 from .corpus import CorpusManifest, GroupRecord, corpus_hash, load_manifest
 from .errors import CapExceeded
 from .lattice import SUBGROUP_CAP, all_subgroups, fitting_subgroup
@@ -119,13 +119,11 @@ class Candidate:
 
     record: GroupRecord
     sets: SubgroupOrderSets | None = None
-    aut_cap: int = AUT_TABLE_CAP
 
     @cached_property
     def aut(self):
-        """Aut(N), listed under the ``group aut`` bound on n * |Aut(N)|."""
-        return automorphism_group(self.record.table, cap=self.aut_cap,
-                                  order_cap=AUT_LIST_CAP // self.record.order)
+        """Aut(N), listed under the default bound on n * |Aut(N)|."""
+        return automorphism_group(self.record.table)
 
     @cached_property
     def char_orders(self) -> tuple[int, ...]:
@@ -221,10 +219,10 @@ def get_stage(name: str) -> Stage:
 
 
 def _trace_one(args) -> GroupTrace:
-    record, sets, skip_outer, aut_cap, timed = args
+    record, sets, skip_outer, timed = args
     start = time.monotonic() if timed else None
     trace = GroupTrace(name=record.name)
-    candidate = Candidate(record, sets, aut_cap)
+    candidate = Candidate(record, sets)
     try:
         for entry in STAGES:
             if skip_outer and entry.skippable:
@@ -314,7 +312,7 @@ class ScreenReport:
 
 def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
                  skip_outer: bool = False, subgroup_cap: int = SUBGROUP_CAP,
-                 aut_cap: int = AUT_TABLE_CAP, timings: bool = False) -> ScreenReport:
+                 timings: bool = False) -> ScreenReport:
     """Run the screening pipeline over a complete corpus of order n.
 
     ``corpus`` is a directory or a loaded manifest whose completeness
@@ -354,7 +352,7 @@ def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
         traces = tuple(GroupTrace(name=r.name, error="order sets unavailable")
                        for r in solvable_groups)
     else:
-        work = [(r, sets, skip_outer, aut_cap, timings) for r in solvable_groups]
+        work = [(r, sets, skip_outer, timings) for r in solvable_groups]
         # The pool starts all its workers at once, so no more than the work.
         workers = min(jobs, len(work))
         if workers > 1:

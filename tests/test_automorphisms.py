@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from holoscreen import automorphisms
 from holoscreen.automorphisms import (AutGroup, automorphism_group,
                                       characteristic_subgroups,
                                       inner_and_outer)
@@ -85,7 +86,7 @@ def test_elements_are_verified_automorphisms():
 def test_generators_generate():
     aut = automorphism_group(T("abelian(2,2,2)"))
     assert aut.order == 168
-    assert len(PermutationGroup(8, aut.generators).elements()) == 168
+    assert len(PermutationGroup(8, aut.generators).listing()[0]) == 168
     assert len(aut.generators) <= 4
     assert not aut.is_solvable()
 
@@ -99,9 +100,9 @@ def test_generators_are_greedy_from_the_element_list():
         aut = automorphism_group(table)
         gens = aut.generators
         for i, g in enumerate(gens):
-            listed = set(PermutationGroup(table.n, gens[:i]).elements())
+            listed = set(PermutationGroup(table.n, gens[:i]).listing()[0])
             assert g == next(p for p in aut.elements if p not in listed)
-        assert len(PermutationGroup(table.n, gens).elements()) == aut.order
+        assert len(PermutationGroup(table.n, gens).listing()[0]) == aut.order
 
 
 def test_aut_table_matches_composition():
@@ -196,7 +197,7 @@ def test_aut_table_rejects_what_the_per_row_oracle_rejects():
     rng = random.Random(5)
     lists = [[aut.elements[0]] + rng.sample(aut.elements[1:], size - 1)
              for size in (2, 3, 6, 7, 8, 21, 24, 56, 84, 167)]
-    lists += [PermutationGroup(8, rng.sample(aut.elements[1:], k)).elements()
+    lists += [PermutationGroup(8, rng.sample(aut.elements[1:], k)).listing()[0]
               for k in (1, 1, 1, 2, 2, 2)]
     outcomes = []
     for elements in lists:
@@ -260,9 +261,14 @@ def test_characteristic_subgroups_of_elementary_abelian():
     assert sorted(sub.order for sub in chars) == [1, 4]
 
 
-def test_cap():
-    with pytest.raises(CapExceeded):
-        automorphism_group(T("cyclic(30)"), cap=16)
+def test_default_order_cap_is_the_list_cap(monkeypatch):
+    # Unless a caller passes its own cap, n * |Aut(N)| is bounded by
+    # AUT_LIST_CAP, read when Aut(N) is listed; |Aut(C8)| = 4.
+    monkeypatch.setattr(automorphisms, "AUT_LIST_CAP", 32)
+    assert automorphism_group(T("cyclic(8)")).order == 4
+    monkeypatch.setattr(automorphisms, "AUT_LIST_CAP", 31)
+    with pytest.raises(CapExceeded, match="order cap 3$"):
+        automorphism_group(T("cyclic(8)"))
 
 
 def test_characteristic_subgroups_match_all_automorphisms():

@@ -76,6 +76,24 @@ def test_parse_errors(text, fragment):
         parse_group_text(text)
 
 
+@pytest.mark.parametrize("text", [
+    "group g\norder 2001\ndegree 3\ngen: 1 2 0\n",
+    "group g\norder 2001\ntable:\n0 1\n1 0\n",
+    "group g\ntable:\n0 1\n1 0\norder 2001\n",
+], ids=["generators", "table", "table-first"])
+def test_files_check_the_table_cap_before_building(monkeypatch, text):
+    # A declared order past TABLE_CAP = 2000 fails however few rows follow,
+    # before a table or a listing is built.
+    def reached(*args, **kwargs):
+        raise AssertionError("a builder was reached")
+
+    for name in ("GroupTable", "PermutationGroup"):
+        monkeypatch.setattr(corpus, name, reached)
+    with pytest.raises(CorpusError,
+                       match="order 2001 exceeds the table cap 2000"):
+        parse_group_text(text)
+
+
 def test_identity_generator_line_is_kept():
     text = "group c2\norder 2\ndegree 2\ngen: 0 1\ngen: 1 0\n"
     record = parse_group_text(text)
@@ -253,7 +271,7 @@ def test_regular_generators():
     degree, gens = regular_generators(dic3.table)
     assert degree == 12
     group = PermutationGroup(degree, gens)
-    assert len(group.elements()) == 12
+    assert len(group.listing()[0]) == 12
 
 
 def test_manifest_roundtrip(tmp_path):

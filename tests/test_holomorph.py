@@ -13,8 +13,9 @@ import pytest
 from holoscreen.automorphisms import automorphism_group
 from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
-from holoscreen.holomorph import (HOL_AUT_CAP, enumerate_regular_subgroups,
-                                  holomorph, subgroup_table)
+from holoscreen.holomorph import (HOL_AUT_CAP, HolomorphGroup,
+                                  enumerate_regular_subgroups, holomorph,
+                                  subgroup_table)
 from holoscreen.isomorphism import are_isomorphic
 from holoscreen.perms import compose, identity_perm
 from holoscreen.tables import GroupTable
@@ -73,9 +74,9 @@ def test_translations():
 def test_regular_representations():
     n = T("symmetric(3)")
     lam, rho = left_regular(n), right_regular(n)
-    assert len(lam.elements()) == 6 and len(rho.elements()) == 6
-    assert is_regular_subgroup(lam.elements(), 6)
-    assert is_regular_subgroup(rho.elements(), 6)
+    assert len(lam.listing()[0]) == 6 and len(rho.listing()[0]) == 6
+    assert is_regular_subgroup(lam.listing()[0], 6)
+    assert is_regular_subgroup(rho.listing()[0], 6)
 
 
 def test_holomorph_orders():
@@ -592,9 +593,9 @@ def test_holomorph_caps_the_automorphism_count(monkeypatch):
     with pytest.raises(CapExceeded):
         holomorph(n)
     with pytest.raises(CapExceeded):
-        holomorph(n, aut)
+        HolomorphGroup(n, aut)
     monkeypatch.setattr(holomorph_module, "HOL_AUT_CAP", 168)
-    assert holomorph(n).na == holomorph(n, aut).na == 168
+    assert holomorph(n).na == HolomorphGroup(n, aut).na == 168
 
 
 def test_embedding_search_caps_the_automorphism_count():

@@ -1,6 +1,7 @@
 """Arithmetic order criteria: solvable numbers, families, classification."""
 
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -114,6 +115,18 @@ def test_square_free_status():
     assert square_free_status(p * q, trial_bound=100) == (True, None)
     assert square_free_status(p * p * q, trial_bound=100) == (False, p)
     assert square_free_status(q * q * p, trial_bound=100) == (False, q)
+
+
+def test_rho_gives_up_after_its_step_budget(monkeypatch):
+    # Two primes near 10**9: rho splits their product in about 4 * 10**4
+    # steps.  With 100 steps per attempt it gives up, and square-freeness
+    # is unknown rather than guessed.
+    p, q = 999999937, 1000000007
+    assert square_free_status(p * q, trial_bound=100) == (True, None)
+    monkeypatch.setattr(numbers, "RHO_STEPS", 100)
+    start = time.perf_counter()
+    assert square_free_status(p * q, trial_bound=100) == (None, None)
+    assert time.perf_counter() - start < 0.5
 
 
 # 10 and 257**2 + 1 end just past the square of a base prime.

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from holoscreen import screening
-from holoscreen.automorphisms import AUT_LIST_CAP, AUT_TABLE_CAP
+from holoscreen import automorphisms, screening
+from holoscreen.automorphisms import AUT_LIST_CAP
 from holoscreen.corpus import CorpusManifest, construct, load_manifest
 from holoscreen.errors import CapExceeded
 from holoscreen.lattice import fitting_subgroup
@@ -361,7 +361,7 @@ def test_every_stage_trace_facts(stage_cases):
     def trace(case, name, skip_outer=False):
         corpus, sets = stage_cases[case]
         record = next(r for r in corpus.records if r.name == name)
-        return _trace_one((record, sets, skip_outer, AUT_TABLE_CAP, False))
+        return _trace_one((record, sets, skip_outer, False))
 
     for case, name, aut, char in [("o8", "c2c2c2", 168, (1, 8)),
                                   ("c2c2c2xc3", "c2c2c2xc3", 336,
@@ -407,19 +407,21 @@ def test_every_stage_o8_report_text(monkeypatch, stage_cases):
 
 
 def test_every_stage_aut_cap_error(monkeypatch, stage_cases):
+    # n * |Aut| passes 24 for every group of order 8: |Aut(C8)| = 4 > 3.
+    monkeypatch.setattr(automorphisms, "AUT_LIST_CAP", 24)
     corpus, sets = stage_cases["o8"]
-    report = screen_with_sets(monkeypatch, corpus, sets, aut_cap=4)
+    report = screen_with_sets(monkeypatch, corpus, sets)
     assert report.verdict == "undecided"
-    assert report.problems[0] == ("c8: table size 8 exceeds automorphism "
-                                  "cap 4")
+    assert report.problems[0] == ("c8: |Aut| exceeds automorphism order "
+                                  "cap 3")
     entry = json.loads(report.to_json())["traces"][0]
     assert entry == {
         "name": "c8", "fitting_order": 8, "passed_fitting": True,
         "aut_order": None, "aut_insolvable": None, "char_orders": None,
         "passed_half_index": None, "passed_char_orders": None,
         "outer_order": None, "passed_outer_gcd": None,
-        "error": "table size 8 exceeds automorphism cap 4"}
-    assert "  c8     error: table size 8 exceeds automorphism cap 4" in (
+        "error": "|Aut| exceeds automorphism order cap 3"}
+    assert "  c8     error: |Aut| exceeds automorphism order cap 3" in (
         render_report(report))
 
 
@@ -427,8 +429,7 @@ def test_aut_stage_caps_the_automorphism_count():
     # |Aut(C2^5)| = 9,999,360: with order sets that pass the Fitting
     # stage, the Aut stage stops at n * |Aut| = AUT_LIST_CAP.
     record = construct("abelian(2,2,2,2,2)", name="c2^5")
-    trace = _trace_one((record, divisor_sets(32), False, AUT_TABLE_CAP,
-                        False))
+    trace = _trace_one((record, divisor_sets(32), False, False))
     assert trace.passed_fitting is True
     assert trace.aut_order is None
     assert trace.error == ("|Aut| exceeds automorphism order cap %d"

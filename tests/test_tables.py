@@ -313,10 +313,10 @@ def test_table_matches_compose_oracle(source):
 def test_listing_cap_boundary(degree, gens):
     group = PermutationGroup(degree, [tuple(g) for g in gens])
     m = len(compose_table(group)[1])
-    assert len(group.elements(cap=m)) == m
+    assert len(group.listing(cap=m)[0]) == m
     assert from_permutation_group(group, cap=m)[0].n == m
     with pytest.raises(CapExceeded):
-        group.elements(cap=m - 1)
+        group.listing(cap=m - 1)
     with pytest.raises(CapExceeded):
         from_permutation_group(group, cap=m - 1)
 
