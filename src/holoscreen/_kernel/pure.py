@@ -46,11 +46,14 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
     """Enumerate regular subgroups of the coded holomorph.
 
     Arguments: group order ``n``, automorphism count ``na``, flattened numpy
-    tables ``nmul`` (n*n), ``amul`` (na*na), ``act`` (na*n with act[phi*n+b]
-    = phi(b)), per-fiber candidate lists ``allowed`` (index 0 unused), a
-    node ``budget`` (None for unlimited; a node is one closure attempt),
-    the per-code ``closable`` mask of ``HolomorphGroup.closable``, and
-    ``ainv``, the inverse of each automorphism (``AutGroup.inverses``).
+    tables ``nmul`` (n*n) and ``act`` (na*n with act[phi*n+b] = phi(b)),
+    ``amul``, a list of na numpy composition rows in which ``amul[f][g]``
+    indexes f o g (None for a row the search never reads; see
+    ``HolomorphGroup.aut_rows``), per-fiber candidate lists ``allowed``
+    (index 0 unused), a node ``budget`` (None for unlimited; a node is one
+    closure attempt), the per-code ``closable`` mask of
+    ``HolomorphGroup.closable``, and ``ainv``, the inverse of each
+    automorphism (``AutGroup.inverses``).
 
     Returns (subgroups, nodes, exhausted) where each subgroup is a sorted
     tuple of element codes.
@@ -59,10 +62,11 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
         return [(0,)], 0, False
     # Plain ints for the tight loops.  A list indexes about twice as fast
     # as a memoryview, and while every index is below 257 its entries are
-    # CPython's shared small ints, so it costs only its pointers; a larger
-    # |Aut|^2 table would be mostly new ints, so it is read in place.
+    # CPython's shared small ints, so it costs only its pointers; a longer
+    # row would be mostly new ints, so it is read in place.
     nmul, act, ainv = nmul.tolist(), act.tolist(), ainv.tolist()
-    amul = amul.tolist() if na <= 257 else memoryview(amul)
+    amul = [row if row is None else row.tolist() if na <= 257
+            else memoryview(row) for row in amul]
     results: list[tuple[int, ...]] = []
     nodes = 0
     exhausted = False
@@ -75,7 +79,7 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
         # uaut[p] is the automorphism part of u_p, uinv[p] its inverse's row.
         root: list[int | None] = [None] * n
         uaut = [0] * n
-        rows = [(c * n, h * n, h * na) for c, h in gens]
+        rows = [(c * n, h * n, amul[h]) for c, h in gens]
         size = 0  # |H|, the size of orbit 0
         for r in range(n):
             if root[r] is not None:
@@ -84,17 +88,17 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
             orbit = [r]
             for p in orbit:  # grows while it is walked
                 up = uaut[p]
-                for cn, hn, hna in rows:
+                for cn, hn, hrow in rows:
                     q = nmul[cn + act[hn + p]]
                     if root[q] is None:
                         root[q] = r
-                        uaut[q] = amul[hna + up]
+                        uaut[q] = hrow[up]
                         orbit.append(q)
             size = size or len(orbit)
             if len(orbit) != size:
                 for p in orbit:
                     root[p] = -1
-        uinv = [ainv[u] * na for u in uaut]
+        uinv = [amul[ainv[u]] for u in uaut]
         f = next(p for p in range(n) if root[p])  # outside orbit 0
         for phi in allowed[f]:
             nodes += 1
@@ -114,19 +118,19 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
                 r = root[a]
                 if r < 0:
                     break
-                k = amul[uinv[a] + g]
+                k = uinv[a][g]
                 if key[r] == k:
                     continue
                 if key[r] >= 0 or not closable[y]:
                     break
                 key[r] = k
                 ksize += size
-                an, gn, gna = a * n, g * n, g * na
+                an, gn, grow = a * n, g * n, amul[g]
                 for c, h in kgens:
-                    reps.append(nmul[an + act[gn + c]] * na + amul[gna + h])
+                    reps.append(nmul[an + act[gn + c]] * na + grow[h])
             else:
                 if ksize == n:
-                    results.append(tuple(p * na + amul[uaut[p] * na + key[r]]
+                    results.append(tuple(p * na + amul[uaut[p]][key[r]]
                                          for p, r in enumerate(root)))
                 elif n % ksize == 0:
                     rec(kgens)
@@ -134,9 +138,9 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
                 return
 
     rec([])
-    # rec reaches itself through its closure, and with it amul, which may
-    # be the caller's |Aut|^2 table (8 MB for C7xC7).  Breaking the cycle
-    # frees the table by reference counting when the caller drops it, not
-    # at some later garbage collection, when the next table may exist too.
+    # rec reaches itself through its closure, and with it amul, whose
+    # memoryviews hold the caller's rows.  Breaking the cycle frees them by
+    # reference counting when the caller drops them, not at some later
+    # garbage collection, when the next holomorph's rows may exist too.
     rec = None  # noqa: F841
     return results, nodes, exhausted

@@ -8,7 +8,6 @@ list (the holomorph search needs all of them, not just generators).
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -21,19 +20,89 @@ from .tables import GroupTable, Subgroup, commutator_series, normal_closure
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy is imported inside ``AutGroup.table``, which builds the one array
-# here, so that listing Aut(N) does not load it.
+# numpy is imported inside ``AutGroup.table`` and the ``AutIndex`` it
+# builds, so that listing Aut(N) does not load it.
 
 # Bounds n * |Aut(N)|, the entries of the listed automorphisms, by default;
 # it admits Aut(C2^4), of order 20160.
 AUT_LIST_CAP = 1 << 21
 
 
+class AutIndex:
+    """Composition in Aut(N), looked up through a sorted key index.
+
+    An automorphism is determined by its images of the base's generating
+    sequence, read as digits base n into an int64 key.  ``lookup`` finds
+    the listed automorphism with given generator images by binary search
+    over the sorted keys, so a composition costs d <= log2(n) gathers and
+    one search, and no |Aut|^2 table is stored.  Build it through
+    ``AutGroup.table``, which checks that the list is a group; on a list
+    that is not, a lookup would silently return a wrong index."""
+
+    def __init__(self, elements: np.ndarray, gens: list[int]):
+        import numpy as np
+
+        self.n = elements.shape[1]
+        self.elements = elements  # (|Aut|, n) int32, in list order
+        self.gens = gens
+        self.images = elements[:, gens]  # generator images, row per element
+        self.weight = self.n ** np.arange(len(gens), dtype=np.int64)
+        keys = self._key(self.images)
+        self.order = np.argsort(keys).astype(np.int32)
+        self.keys = keys[self.order]
+        if (self.keys[1:] == self.keys[:-1]).any():
+            raise ValueError("two automorphisms agree on the generators")
+
+    def _key(self, images: np.ndarray) -> np.ndarray:
+        """The int64 keys of these generator images (last axis)."""
+        import numpy as np
+
+        key = np.zeros(images.shape[:-1], dtype=np.int64)
+        for j, w in enumerate(self.weight):
+            key += images[..., j] * w
+        return key
+
+    def lookup(self, images: np.ndarray) -> np.ndarray:
+        """Indices of the listed automorphisms with these generator images
+        (last axis).  An unlisted key gives the index of another map (one
+        past the largest is clipped to the last), which only the check in
+        ``AutGroup.table`` can tell."""
+        import numpy as np
+
+        return self.order.take(np.searchsorted(self.keys, self._key(images)),
+                               mode="clip")
+
+    def compose(self, f, g=slice(None)) -> np.ndarray:
+        """Index of ``compose(elements[f], elements[g])``, elementwise over
+        broadcast index arrays; ``g`` defaults to every element in list
+        order."""
+        import numpy as np
+
+        f = np.asarray(f, dtype=np.intp)[..., None] * self.n
+        return self.lookup(self.elements.ravel()[f + self.images[g]])
+
+    def rows(self, fs) -> np.ndarray:
+        """The composition rows of the automorphisms ``fs``, an int16
+        (len(fs), |Aut|) array: ``rows(fs)[i, j]`` indexes ``fs[i]`` o
+        ``elements[j]``.  They are composed about 8192 entries at a time,
+        so the int64 keys of the lookup stay small."""
+        import numpy as np
+
+        fs, na = np.asarray(fs), len(self.order)
+        out = np.empty((len(fs), na), dtype=np.int16)
+        step = max(1, 8192 // na)
+        for lo in range(0, len(fs), step):
+            out[lo:lo + step] = self.compose(fs[lo:lo + step, None])
+        return out
+
+
 class AutGroup:
     """The automorphism group of a base table, with every element listed.
 
-    ``table`` is the composition table as an int16 array, which the
-    holomorph search reads; it is built on first use."""
+    ``table`` is the composition structure that the holomorph search
+    reads: an ``AutIndex`` over the listed elements, built on first use.
+    It computes a composition row only for the automorphisms a caller
+    asks for."""
 
     def __init__(self, base: GroupTable, elements: list[Perm]):
         self.base = base
@@ -54,33 +123,30 @@ class AutGroup:
         return tuple(gens)
 
     @cached_property
-    def table(self) -> np.ndarray:
-        """Composition table, an int16 (|Aut|, |Aut|) array:
-        ``table[i, j]`` indexes ``compose(elements[i], elements[j])``, and
-        index 0 is the identity (the list is sorted), whose row is 0..na-1.
+    def table(self) -> AutIndex:
+        """The composition of Aut(N) as an ``AutIndex``, after a check that
+        the list is a group.  Index 0 is the identity (the list is sorted).
 
-        Only the rows of a small set S are looked up.  The first index with
-        no row yet joins S, and every row reachable from the known ones is
-        filled breadth-first: if elements[i] = elements[k] o elements[s]
-        with s in S, row i is ``row_k[row_s]``.  C7xC7 looks up 4 of its
-        2016 rows (Holt, Eick and O'Brien, *Handbook of Computational Group
-        Theory*, 2005, section 4.1).
+        The check composes in full only the rows of a small set S.  The
+        first index not yet reached joins S, and the reached set grows by
+        ``row_s[reached]`` for each s in S until it is closed, which makes
+        it the group S generates.  C7xC7 composes 4 of its 2016 rows (Holt,
+        Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
+        section 4.1).
 
-        A looked-up row s is composed as ``E[s][E]``.  An automorphism is
-        determined by its images of the base's generating sequence, read as
-        digits base n; the greedy sequence has at most log2(n) terms, so the
-        key fits an int64 for every base of order below 256.  Each
-        looked-up row is compared in full with its composed row, so a bad
-        key raises ``ValueError``, never mis-indexes.  That is as strong as
-        checking every row: it shows that s o L lies in the list L for each
-        s in S, and every listed map is a product of elements of S, so L is
-        closed under composition and each derived entry is exact by
-        associativity.  A list that is not a group raises.
+        A row s is composed as ``E[s][E]`` and looked up by generator key;
+        the greedy generating sequence has at most log2(n) terms, so the
+        key fits an int64 for every base of order below 256.  Each row of S
+        is compared in full with its composed maps, so a bad key raises
+        ``ValueError``, never mis-indexes.  That shows that s o L lies in
+        the list L for each s in S, and every listed map is a product of
+        elements of S, so L is closed under composition, and every later
+        lookup of a composition finds the listed map with its key.  A list
+        that is not a group raises.
 
-        Entries are indices below |Aut|, so int16 holds them while |Aut| is
-        at most 2**15; a longer list raises ``ValueError`` before anything
-        is allocated.  ``HOL_AUT_CAP`` keeps the holomorph's lists far
-        below that.
+        Rows are int16, which holds indices while |Aut| is at most 2**15; a
+        longer list raises ``ValueError`` before anything is allocated.
+        ``HOL_AUT_CAP`` keeps the holomorph's lists far below that.
         """
         import numpy as np
 
@@ -89,60 +155,54 @@ class AutGroup:
         if na > limit:
             raise ValueError("|Aut| = %d exceeds the int16 table limit %d"
                              % (na, limit))
-        E = np.array(self.elements, dtype=np.intp)
         gens = list(self.base.generating_sequence())
         if n ** len(gens) > np.iinfo(np.int64).max:
             raise ValueError("generator images do not fit an int64 key")
-        weight = n ** np.arange(len(gens), dtype=np.int64)
-        keys = E[:, gens] @ weight
-        order = np.argsort(keys)
-        keys = keys[order]
-        if (keys[1:] == keys[:-1]).any():
-            raise ValueError("two automorphisms agree on the generators")
-        table = np.empty((na, na), dtype=np.int16)
-        table[0] = np.arange(na)
-        known = np.zeros(na, dtype=bool)
-        known[0] = True
+        index = AutIndex(np.array(self.elements, dtype=np.int32), gens)
+        E = index.elements
+        reached = np.zeros(na, dtype=bool)
+        reached[0] = True
         looked_up: list[int] = []
-        for s in range(na):
-            if known[s]:
-                continue
-            rows = E[s][E]
-            # A key past the largest is clipped, then fails the check below.
-            pos = order.take(np.searchsorted(keys, rows[:, gens] @ weight),
-                             mode="clip")
-            if not np.array_equal(E[pos], rows):
+        rows: list[np.ndarray] = []
+        while not reached.all():
+            s = int(reached.argmin())
+            composed = E[s][E]
+            row = index.lookup(composed[:, gens])
+            if not np.array_equal(E[row], composed):
                 raise ValueError("a composed map is not a listed automorphism")
-            table[s] = pos
-            known[s] = True
             looked_up.append(s)
-            # Every known row meets the new s, and each row reached meets
-            # all of S.
-            queue = deque(np.flatnonzero(known).tolist())
-            while queue:
-                row = table[queue.popleft()]
-                for t in looked_up:
-                    i = row[t]
-                    if not known[i]:
-                        table[i] = row[table[t]]
-                        known[i] = True
-                        queue.append(i)
+            rows.append(row)
+            # Every reached element meets the new s, and each new one
+            # meets all of S.
+            frontier = reached.copy()
+            while frontier.any():
+                new = np.zeros(na, dtype=bool)
+                for row_s in rows:
+                    new[row_s[frontier]] = True
+                frontier = new & ~reached
+                reached |= frontier
         self._table_generators = tuple(looked_up)
-        return table
+        return index
 
     @property
     def table_generators(self) -> tuple[int, ...]:
-        """Indices of the rows S that ``table`` looked up, in the order
-        found.  S generates Aut(N): ``table`` reaches every element from
-        the identity by composing with elements of S."""
-        self.table  # records S while it builds the table
+        """Indices of the rows S that ``table`` composed in full, in the
+        order found.  S generates Aut(N): ``table`` reaches every element
+        from the identity by composing with elements of S."""
+        self.table  # records S while it checks the list
         return self._table_generators
 
     @cached_property
     def inverses(self) -> np.ndarray:
-        """``inverses[i]`` indexes the inverse of ``elements[i]``: row i of
-        ``table`` holds the identity 0 in that column."""
-        return self.table.argmin(axis=1)
+        """``inverses[i]`` indexes the inverse of ``elements[i]``, looked
+        up by the generator images of the inverse permutations."""
+        import numpy as np
+
+        index = self.table
+        E = index.elements
+        inv = np.empty_like(E)  # inv[i, E[i, x]] = x
+        inv[np.arange(len(E))[:, None], E] = np.arange(E.shape[1])
+        return index.lookup(inv[:, index.gens])
 
     def is_solvable(self) -> bool:
         """Solvability, from the derived series of ``generators`` under

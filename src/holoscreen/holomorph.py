@@ -35,7 +35,9 @@ if TYPE_CHECKING:
 # arrays, not here, so that commands which build no holomorph never load it.
 
 HOL_ORDER_CAP = 64
-HOL_AUT_CAP = 2048  # bounds the int16 |Aut|^2 table (8 MB); C7xC7 needs 2016
+# Bounds |Aut(N)| in the holomorph, and with it the n * |Aut| codes that
+# the power walk and the candidate lists cover; C7xC7 needs 2016.
+HOL_AUT_CAP = 2048
 DEFAULT_NODE_BUDGET = 50_000_000
 
 
@@ -47,54 +49,108 @@ class HolomorphGroup:
 
         if aut.base is not base:
             raise ValueError("automorphism group belongs to a different table")
-        if aut.order > HOL_AUT_CAP:
-            raise CapExceeded("|Aut(N)| = %d exceeds holomorph cap %d"
-                              % (aut.order, HOL_AUT_CAP))
         self.base = base
         self.aut = aut
         self.n = base.n
         self.na = aut.order
         self.order = self.n * self.na
         self.nmul = np.array(base.mul, dtype=np.int32).ravel()
-        self.amul = aut.table.ravel()
-        self.act = np.array(aut.elements, dtype=np.int32).ravel()
+        self.act = aut.table.elements.ravel()
         self._orders: list[int] | None = None
         self._closable: bytes | None = None
+        self._rows: tuple[np.ndarray, np.ndarray] | None = None
         self._conjugators: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     # -- coded pairs -----------------------------------------------------
 
     def code_mul(self, x, y):
         """The coded product, on ints or elementwise on int arrays."""
+        import numpy as np
+
         na, n = self.na, self.n
-        a, f = divmod(x, na)
-        b, g = divmod(y, na)
+        a, f = np.divmod(x, na)
+        b, g = np.divmod(y, na)
         return (self.nmul[a * n + self.act[f * n + b]] * na
-                + self.amul[f * na + g])
+                + self._aut_mul(f, g))
+
+    def _aut_mul(self, f, g):
+        """Index of elements[f] o elements[g], elementwise, read from the
+        rows of ``aut_rows``; the rows of other automorphisms among ``f``
+        are composed in one batch for this call and not kept."""
+        import numpy as np
+
+        at, rows = self.aut_rows()
+        f = np.asarray(f)
+        at = at[f]
+        missing = at < 0
+        if missing.any():
+            fetch = np.zeros(self.na, dtype=bool)
+            fetch[f[missing]] = True
+            fetch = np.flatnonzero(fetch)
+            at = np.where(missing, len(rows) + np.searchsorted(fetch, f), at)
+            rows = np.concatenate([rows, self.aut.table.rows(fetch)])
+        return rows[at, g]
+
+    def aut_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(at, rows), cached: ``rows[at[f], g]`` indexes elements[f] o
+        elements[g] for every f that is the automorphism part of a
+        closable code, and ``at[f]`` is -1 for every other f.  Code 0 is
+        closable, so the identity's row is among them.
+
+        These are all the rows the search kernel reads.  It composes on
+        the left only by the automorphism parts of a generator that passed
+        ``closable``, of a coset representative after its ``closable``
+        check, and of elements of the group closed so far, which are
+        closable since that group meets fiber 0 only in the identity and
+        its order divides n.  C7xC7 needs 49 of its 2016 rows."""
+        import numpy as np
+
+        if self._rows is None:
+            mask = np.frombuffer(self.closable(), dtype=bool)
+            fs = mask.reshape(self.n, self.na).any(axis=0).nonzero()[0]
+            at = np.full(self.na, -1, dtype=np.intp)
+            at[fs] = np.arange(len(fs))
+            self._rows = at, self.aut.table.rows(fs)
+        return self._rows
 
     def element_orders(self) -> list[int]:
         """Order of every coded element, cached."""
         import numpy as np
 
         if self._orders is None:
-            # int32 holds every code (below n * |Aut| <= 64 * HOL_AUT_CAP)
-            # and every composition index (below |Aut|^2) of the walk.
+            na, n = self.na, self.n
+            # int32 holds every code: below n * |Aut| <= 64 * HOL_AUT_CAP.
             orders = np.ones(self.order, dtype=np.int32)
             # stuck[t]: some power t^k with 0 < k < ord(t) lies over fiber 0.
             stuck = np.zeros(self.order, dtype=bool)
-            stuck[1:self.na] = True
+            stuck[1:na] = True
             # x[i] is live[i] to the k-th power, not yet the identity.
             live = x = np.arange(1, self.order, dtype=np.int32)
+            # powers[k][phi] indexes elements[phi] to the k-th power, the
+            # automorphism part of x^k when phi is that of x.  Once a power
+            # is the identity 0 everywhere, the list repeats with its length.
+            powers = [np.zeros(na, dtype=np.int16),
+                      np.arange(na, dtype=np.int16)]
+            period = 0
             k = 1
             while live.size:
                 k += 1
-                x = self.code_mul(x, live)
+                if not period:
+                    power = self.aut.table.compose(powers[-1])
+                    if power.any():
+                        powers.append(power.astype(np.int16))
+                    else:
+                        period = k
+                power = powers[k % period] if period else powers[-1]
+                a, f = np.divmod(x, na)
+                b, g = np.divmod(live, na)
+                x = self.nmul[a * n + self.act[f * n + b]] * na + power[g]
                 done = x == 0
-                stuck[live[(x < self.na) & ~done]] = True
+                stuck[live[(x < na) & ~done]] = True
                 orders[live[done]] = k
                 live, x = live[~done], x[~done]
             self._orders = orders.tolist()
-            self._closable = ((self.n % orders == 0) & ~stuck).tobytes()
+            self._closable = ((n % orders == 0) & ~stuck).tobytes()
         return self._orders
 
     def closable(self) -> bytes:
@@ -111,17 +167,18 @@ class HolomorphGroup:
 
             (1, phi) (a, psi) (1, phi)^-1 = (phi(a), phi psi phi^-1).
 
-        Breadth-first over the rows S that ``AutGroup.table`` looked up,
-        which generate Aut(N): every image found is mapped by each s in S.
-        That costs |S| images per orbit member, not |Aut| per orbit.  Per
-        s only its ``act`` row and its conjugation map on Aut(N) are kept,
-        n + |Aut| entries."""
+        Breadth-first over the automorphisms S that ``AutGroup.table``
+        composed in full, which generate Aut(N): every image found is
+        mapped by each s in S.  That costs |S| images per orbit member, not
+        |Aut| per orbit.  Per s only its ``act`` row and its conjugation
+        map on Aut(N) are kept, n + |Aut| entries."""
         import numpy as np
 
         if self._conjugators is None:
-            table, inv = self.aut.table, self.aut.inverses
+            index, inv = self.aut.table, self.aut.inverses
             act = self.act.reshape(self.na, self.n)
-            self._conjugators = [(act[s], table[table[s], inv[s]])
+            self._conjugators = [(act[s], index.compose(index.compose(s),
+                                                        inv[s]))
                                  for s in self.aut.table_generators]
         start = tuple(sorted(codes))
         seen = {start}
@@ -266,8 +323,10 @@ def enumerate_regular_subgroups(
     for a in range(1, n):
         allowed[a] = [phi for phi in range(na)
                       if n % orders[a * na + phi] == 0]
+    at, rows = hol.aut_rows()
+    amul = [None if i < 0 else rows[i] for i in at.tolist()]
     subgroups, nodes, exhausted = _kernel.search_regular(
-        n, na, hol.nmul, hol.amul, hol.act, allowed, node_budget,
+        n, na, hol.nmul, amul, hol.act, allowed, node_budget,
         hol.closable(), hol.aut.inverses)
     records = [RegularSubgroupRecord(codes=tuple(codes)) for codes in subgroups]
     return RegularEnumeration(hol=hol, records=records, nodes=nodes,

@@ -3,15 +3,18 @@
 A code ``a * na + phi`` stands for the permutation x -> a * phi(x) of the
 base group.  The coded-element helpers go through permutations, the
 automorphism list and an index dict built from it, never through the
-package's coded tables.  ``pairwise_morphism_images`` and
-``per_row_aut_table`` are the direct forms of the Aut(N) layer: every pair
-of a level checked against the homomorphism equations, and every row of
-the composition table looked up and compared in full.
-``pairwise_search_regular`` is the search kernel with closure by all
-products of members, in place of coset keys, and ``unbounded_tower`` is
-``GeneratorTower`` without its stop once the group is full.
-``conjugates`` maps a code set by every automorphism in turn, where
-``HolomorphGroup.orbit`` walks generators.  ``bfs_closure`` multiplies
+package's coded tables.  ``composition_reference`` composes every pair of
+automorphisms as permutations and finds the product in that dict; it is
+the Aut(N) composition behind ``aut_group_table``, ``conjugates`` and
+``pairwise_search_regular``, so none of them reads ``AutGroup.table``.
+``pairwise_morphism_images`` and ``per_row_aut_table`` are the direct
+forms of the Aut(N) layer: every pair of a level checked against the
+homomorphism equations, and every row of the composition table looked up
+and compared in full.  ``pairwise_search_regular`` is the search kernel
+with closure by all products of members, in place of coset keys, and
+``unbounded_tower`` is ``GeneratorTower`` without its stop once the group
+is full.  ``conjugates`` maps a code set by every automorphism in turn,
+where ``HolomorphGroup.orbit`` walks generators.  ``bfs_closure`` multiplies
 every listed element by every generator, where the package's
 ``normal_closure`` multiplies the elements already closed only by the
 newest generator.  ``brute_subgroups`` extends every subgroup by every
@@ -40,6 +43,7 @@ and table helpers and the crossed-map search serve tests only, so they
 live here, not in the package.
 """
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -305,6 +309,7 @@ def is_characteristic(aut, elements):
 
 _AUT_INDEX = weakref.WeakKeyDictionary()
 _AUT_TABLE = weakref.WeakKeyDictionary()
+_CONJUGATION = weakref.WeakKeyDictionary()
 
 
 def aut_index(aut):
@@ -314,10 +319,25 @@ def aut_index(aut):
     return _AUT_INDEX[aut]
 
 
+@functools.lru_cache(maxsize=4)
+def _composition_of(elements):
+    index = {p: i for i, p in enumerate(elements)}
+    return [[index[compose(p, q)] for q in elements] for p in elements]
+
+
+def composition_reference(aut):
+    """The composition table of ``aut.elements`` by definition, as a
+    reference: one ``compose`` and one index lookup per entry, ``[i][j]``
+    for elements[i] o elements[j]."""
+    return _composition_of(aut.elements)
+
+
 def aut_group_table(aut):
-    """``aut.table`` wrapped as a GroupTable, cached per group."""
+    """``composition_reference`` wrapped as a GroupTable, cached per
+    group."""
     if aut not in _AUT_TABLE:
-        _AUT_TABLE[aut] = GroupTable(aut.table.tolist(), validate=False)
+        _AUT_TABLE[aut] = GroupTable(composition_reference(aut),
+                                     validate=False)
     return _AUT_TABLE[aut]
 
 
@@ -410,22 +430,31 @@ def conjugate_code(hol, phi_index, code):
     return phi[a] * hol.na + aut_index(hol.aut)[g]
 
 
+def conjugation_column(aut, psi):
+    """``[phi]``: the index of phi psi phi^-1 for every automorphism phi,
+    composed as permutations and found in the index dict; cached per
+    group and psi."""
+    cache = _CONJUGATION.setdefault(aut, {})
+    if psi not in cache:
+        index, p = aut_index(aut), aut.elements[psi]
+        cache[psi] = np.array([index[compose(compose(phi, p), inverse(phi))]
+                               for phi in aut.elements])
+    return cache[psi]
+
+
 def conjugates(hol, codes):
     """Images of a code set under conjugation by every (1, phi) in turn,
-    each as a sorted tuple, from ``aut.table`` and ``aut.inverses``:
+    each as a sorted tuple, from the automorphism list and
+    ``conjugation_column``:
 
-        (1, phi) (a, psi) (1, phi)^-1 = (phi(a), phi psi phi^-1).
-
-    Works on 256 automorphisms at a time, which bounds the memory of the
-    |Aut| x len(codes) image."""
-    table, inv = hol.aut.table, hol.aut.inverses
-    act = hol.act.reshape(hol.na, hol.n)
+        (1, phi) (a, psi) (1, phi)^-1 = (phi(a), phi psi phi^-1)."""
+    E = np.array(hol.aut.elements)
     a, psi = np.divmod(np.asarray(codes), hol.na)
-    for lo in range(0, hol.na, 256):
-        phi = np.arange(lo, min(lo + 256, hol.na))[:, None]
-        image = act[phi, a] * hol.na + table[table[phi, psi], inv[phi]]
-        image.sort(axis=1)
-        yield from map(tuple, image.tolist())
+    conj = np.stack([conjugation_column(hol.aut, p) for p in psi.tolist()],
+                    axis=1)
+    image = E[:, a] * hol.na + conj
+    image.sort(axis=1)
+    yield from map(tuple, image.tolist())
 
 
 def unbounded_tower(G, gens=None):
@@ -560,8 +589,12 @@ def pairwise_search_regular(n, na, nmul, amul, act, allowed, budget,
     element under products with every member in both orders, from a stack,
     instead of by one key per right coset; the same branching, node count
     and budget.  It ignores ``closable``, so agreeing with it shows the
-    mask exact, and ``ainv``, since it never inverts."""
-    nmul, amul, act = nmul.tolist(), amul.tolist(), act.tolist()
+    mask exact, and ``ainv``, since it never inverts.  It ignores ``amul``
+    too: it composes automorphisms by ``composition_reference`` on the
+    maps that ``act`` lists."""
+    nmul, act = nmul.tolist(), act.tolist()
+    amul = _composition_of(tuple(tuple(act[f * n:(f + 1) * n])
+                                 for f in range(na)))
     fiber_elem = [-1] * n
     in_set = bytearray(n * na)
     members = []
@@ -586,9 +619,9 @@ def pairwise_search_regular(n, na, nmul, amul, act, allowed, budget,
             for u in members:
                 b, g = divmod(u, na)
                 stack.append(nmul[a * n + act[f * n + b]] * na
-                             + amul[f * na + g])
+                             + amul[f][g])
                 stack.append(nmul[b * n + act[g * n + a]] * na
-                             + amul[g * na + f])
+                             + amul[g][f])
         return len(members) - start
 
     def rollback(count):

@@ -5,6 +5,7 @@ import functools
 import importlib
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,8 @@ import pytest
 from holoscreen.automorphisms import automorphism_group
 from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
-from holoscreen.holomorph import (HOL_AUT_CAP, HolomorphGroup,
-                                  enumerate_regular_subgroups, holomorph,
-                                  subgroup_table)
+from holoscreen.holomorph import (HOL_AUT_CAP, enumerate_regular_subgroups,
+                                  holomorph, subgroup_table)
 from holoscreen.isomorphism import are_isomorphic
 from holoscreen.perms import compose, identity_perm
 from holoscreen.tables import GroupTable
@@ -51,6 +51,28 @@ def composed_index(aut, f, g):
     """Index of elements[f] o elements[g], from ``compose`` and the index
     dict; not read from ``aut.table``."""
     return aut_index(aut)[compose(aut.elements[f], aut.elements[g])]
+
+
+def arrays_of_aut_squared_size(hol):
+    """Every numpy array reachable from the holomorph, through attributes,
+    containers and array bases, with at least |Aut|^2 entries."""
+    found, seen, stack = [], set(), [hol]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (int, str, bytes)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.size >= hol.na ** 2:
+                found.append(obj.shape)
+            stack.append(obj.base)
+        elif isinstance(obj, (list, tuple, set)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
 
 
 def reference_table(hol, codes):
@@ -163,13 +185,10 @@ def test_array_code_mul_matches_scalar():
 
 
 def test_largest_holomorph_walks_without_overflow():
-    # Hol(C7xC7), with the largest Aut(N) in use, has 98,784 codes and
-    # composition indices up to 2016**2 - 1; the power walk runs in int32
-    # over an int16 table.
+    # Hol(C7xC7), with the largest Aut(N) in use, has 98,784 codes; the
+    # power walk runs in int32 and keeps no |Aut| x |Aut| array.
     hol = holomorph(T("abelian(7,7)"))
     assert hol.order == 98_784
-    assert hol.aut.table.dtype == np.int16
-    assert hol.aut.table.nbytes == 2016 ** 2 * 2
     codes = list(range(0, hol.order, 97)) + [hol.order - 1]
     orders, mask = hol.element_orders(), hol.closable()
     for code in codes:
@@ -181,6 +200,7 @@ def test_largest_holomorph_walks_without_overflow():
         grid = hol.code_mul(x, y).tolist()
         assert grid == [hol.code_mul(a, b) for a, b in pairs]
         assert grid == [scalar_code_mul(hol, a, b) for a, b in pairs]
+    assert arrays_of_aut_squared_size(hol) == []
 
 
 def subgroup_table_cases():
@@ -397,8 +417,8 @@ def orbit_cases():
 
 
 def test_orbit_is_the_set_of_all_conjugates():
-    # The search walks the looked-up rows of the Aut(N) table, 4 of the
-    # 2016 for C7xC7, and must still reach every conjugate.
+    # The search walks the automorphisms that Aut(N)'s table composed in
+    # full, 4 of the 2016 for C7xC7, and must still reach every conjugate.
     for name, enum in orbit_cases():
         hol = enum.hol
         if name == "abelian(7,7)":
@@ -590,12 +610,10 @@ def test_holomorph_caps_the_automorphism_count(monkeypatch):
     with pytest.raises(CapExceeded):
         automorphism_group(n, order_cap=167)
     monkeypatch.setattr(holomorph_module, "HOL_AUT_CAP", 167)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="order cap 167$"):
         holomorph(n)
-    with pytest.raises(CapExceeded):
-        HolomorphGroup(n, aut)
     monkeypatch.setattr(holomorph_module, "HOL_AUT_CAP", 168)
-    assert holomorph(n).na == HolomorphGroup(n, aut).na == 168
+    assert holomorph(n).na == 168
 
 
 def test_embedding_search_caps_the_automorphism_count():
@@ -612,8 +630,25 @@ def test_enumeration_builds_no_aut_group_table():
     enum = enumerate_regular_subgroups(hol)
     classes = enum.classify()
     assert (len(enum.records), len(classes), enum.nodes) == (25, 1, 650)
-    # The search reads Aut(N)'s one int16 table in place, not a copy.
-    assert np.shares_memory(hol.amul, hol.aut.__dict__["table"])
+    # The search reads 25 composition rows of the 480, not a full table.
+    assert hol.aut_rows()[1].shape == (25, 480)
+    assert arrays_of_aut_squared_size(hol) == []
+
+
+def test_largest_search_peaks_below_the_aut_table():
+    # An |Aut|^2 int16 table for C7xC7 alone took 8,128,512 bytes.  The
+    # whole of building Hol(C7xC7), searching it and classifying the
+    # records now peaks below that.
+    base = T("abelian(7,7)")
+    tracemalloc.start()
+    try:
+        enum = enumerate_regular_subgroups(holomorph(base))
+        classes = enum.classify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(enum.records), len(classes), enum.nodes) == (49, 1, 2450)
+    assert peak < 2016 ** 2 * 2
 
 
 def test_identity_perm_roundtrip():

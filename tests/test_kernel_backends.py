@@ -33,7 +33,7 @@ HOLOMORPH_BASES = [
     "abelian(2,2,2)",
     "dihedral(12)",
     "alternating(4)",
-    "abelian(5,5)",  # |Aut| = 480: the kernel reads amul in place
+    "abelian(5,5)",  # |Aut| = 480: the kernel reads its rows in place
     # The mask rejects 90 and 146 candidates of order dividing 60 here.
     "cyclic(60)",
     "o60/f20xc3",
@@ -94,22 +94,23 @@ def test_backends_agree_under_budget_pressure():
 
 
 def test_kernel_leaves_no_reference_cycle(monkeypatch):
-    # |Aut(C5xC5)| = 480 > 257, so the kernel reads amul in place through
-    # a memoryview.  With the collector off, only reference counting can
-    # free the table once the caller drops it.
+    # |Aut(C5xC5)| = 480 > 257, so the kernel reads its composition rows
+    # in place through memoryviews.  With the collector off, only
+    # reference counting can free the rows once the caller drops them.
     hol = holomorph(base_table("abelian(5,5)"))
     calls = []
     monkeypatch.setattr(_kernel, "search_regular",
                         lambda *args: calls.append(args) or ([], 0, False))
     enumerate_regular_subgroups(hol)
     (args,) = calls
-    amul = args[3].copy()
-    alive = weakref.ref(amul)
+    amul = [None if row is None else row.copy() for row in args[3]]
+    alive = [weakref.ref(row) for row in amul if row is not None]
+    assert len(alive) == 25
     gc.disable()
     try:
         subgroups, _, _ = pure.search_regular(*args[:3], amul, *args[4:])
         del amul
-        assert alive() is None
+        assert all(ref() is None for ref in alive)
     finally:
         gc.enable()
     assert len(subgroups) == 25

@@ -12,8 +12,9 @@ from holoscreen.errors import CapExceeded
 from holoscreen.perms import PermutationGroup
 from holoscreen.tables import (GroupTable, Homomorphism, commutator_series,
                                from_permutation_group)
-from oracles import (bfs_closure, bfs_generating_sequence, commutator,
-                     compose_table, is_associative, is_normal, is_subgroup)
+from oracles import (aut_group_table, bfs_closure, bfs_generating_sequence,
+                     commutator, compose_table, is_associative, is_normal,
+                     is_subgroup)
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -415,8 +416,7 @@ def test_aut_solvability_matches_all_pairs_on_aut_table():
         aut = automorphism_group(record.table)
         if aut.order > 2016:
             continue
-        reference = all_pairs_series(GroupTable(aut.table.tolist(),
-                                                validate=False))
+        reference = all_pairs_series(aut_group_table(aut))
         assert aut.is_solvable() == (len(reference[-1]) == 1), record.name
         checked += 1
     assert checked == 30
