@@ -304,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None, help=n_help)
     p.add_argument("--corpus", required=True, help=corpus_help)
     p.add_argument("--jobs", type=positive_int, default=1,
-                   help="worker processes for the per-group stages "
-                        "(default %(default)s)")
+                   help="worker processes for the stages after Fitting; "
+                        "the pool starts only when two or more groups pass "
+                        "the Fitting stage (default %(default)s)")
     p.add_argument("--skip-outer", action="store_true",
                    help="skip the gcd(n, |Out|) filter")
     p.add_argument("--subgroup-cap", type=positive_int, default=SUBGROUP_CAP,

@@ -57,6 +57,7 @@ class HolomorphGroup:
         self.nmul = np.array(base.mul, dtype=np.int32).ravel()
         self.act = aut.table.elements.ravel()
         self._orders: list[int] | None = None
+        self._divides: np.ndarray | None = None
         self._closable: bytes | None = None
         self._rows: tuple[np.ndarray, np.ndarray] | None = None
         self._conjugators: list[tuple[np.ndarray, np.ndarray]] | None = None
@@ -107,11 +108,57 @@ class HolomorphGroup:
 
         if self._rows is None:
             mask = np.frombuffer(self.closable(), dtype=bool)
-            fs = mask.reshape(self.n, self.na).any(axis=0).nonzero()[0]
+            need = mask.reshape(self.n, self.na).any(axis=0)
             at = np.full(self.na, -1, dtype=np.intp)
-            at[fs] = np.arange(len(fs))
-            self._rows = at, self.aut.table.rows(fs)
+            at[need] = np.arange(need.sum())
+            self._rows = at, self._compose_rows(need, at)
         return self._rows
+
+    def _compose_rows(self, need, at) -> np.ndarray:
+        """The rows of ``aut_rows``, row f at ``at[f]`` for each f in ``need``.
+
+        A product of two rows had is a gather, row(s o p) = row_s[row_p].
+        Each round tries every product of a new row with a looked-up one,
+        either way round, and keeps the needed ones still missing.  When
+        there are none, the first missing row is looked up in
+        ``AutGroup.table`` and tried with every row had, itself included.
+        So the rows had stay closed under the looked-up ones, and where the
+        needed rows form a group, only a generating set of it is looked up:
+        all of Aut(N) is needed on each solvable base of order 60, and 3 or
+        4 of its 16 to 240 rows are looked up; C7xC7 looks up 8 of 49."""
+        import numpy as np
+
+        rows = np.empty((int(need.sum()), self.na), dtype=np.int16)
+        rows[0] = np.arange(self.na)  # the identity, index 0
+        missing = need.copy()
+        missing[0] = False
+        had = np.zeros(1, dtype=np.intp)
+        new = by = looked_up = had[:0]
+        pick = np.empty(self.na, dtype=np.intp)
+        while True:
+            # Each s o p with one factor new and the other in ``by`` is
+            # the entry row_s[p]; pick[f] is the position of one such pair.
+            s = np.repeat(by, len(new))
+            p = np.tile(new, len(by))
+            s, p = np.concatenate([s, p]), np.concatenate([p, s])
+            pick[:] = -1
+            pick[rows[at[s], p]] = np.arange(len(s))
+            f = np.flatnonzero(missing & (pick >= 0))
+            if f.size:
+                s, p = s[pick[f]], p[pick[f]]
+                rows[at[f]] = np.take_along_axis(rows[at[s]], rows[at[p]],
+                                                 axis=1)
+                by = looked_up
+            elif missing.any():
+                f = missing.nonzero()[0][:1]
+                rows[at[f]] = self.aut.table.rows(f)
+                looked_up = np.concatenate([looked_up, f])
+                by = np.concatenate([had, f])
+            else:
+                return rows
+            missing[f] = False
+            had = np.concatenate([had, f])
+            new = f
 
     def element_orders(self) -> list[int]:
         """Order of every coded element, cached."""
@@ -150,7 +197,9 @@ class HolomorphGroup:
                 orders[live[done]] = k
                 live, x = live[~done], x[~done]
             self._orders = orders.tolist()
-            self._closable = ((n % orders == 0) & ~stuck).tobytes()
+            # Per code, whether its order divides n.
+            self._divides = n % orders == 0
+            self._closable = (self._divides & ~stuck).tobytes()
         return self._orders
 
     def closable(self) -> bytes:
@@ -317,12 +366,12 @@ def enumerate_regular_subgroups(
     possibly a partial record list; callers must treat that as undecided,
     never as proof of absence.
     """
+    import numpy as np
+
     n, na = hol.n, hol.na
-    orders = hol.element_orders()
-    allowed = [[] for _ in range(n)]
-    for a in range(1, n):
-        allowed[a] = [phi for phi in range(na)
-                      if n % orders[a * na + phi] == 0]
+    hol.element_orders()
+    divides = hol._divides.reshape(n, na)
+    allowed = [[]] + [np.flatnonzero(row).tolist() for row in divides[1:]]
     at, rows = hol.aut_rows()
     amul = [None if i < 0 else rows[i] for i in at.tolist()]
     subgroups, nodes, exhausted = _kernel.search_regular(

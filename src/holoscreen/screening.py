@@ -31,6 +31,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Callable
 
 from .automorphisms import (automorphism_group, characteristic_subgroups,
@@ -114,11 +115,18 @@ def build_order_sets(records, n: int | None = None, *,
 
 @dataclass
 class Candidate:
-    """A solvable N under screening; Aut(N) and the characteristic orders
-    are computed once, and only if a stage asks for them."""
+    """A solvable N under screening; the Fitting order, Aut(N) and the
+    characteristic orders are computed once, and only if a stage asks for
+    them.  ``seconds`` is the time already spent on N before its trace
+    began, which the trace's own time adds to."""
 
     record: GroupRecord
     sets: SubgroupOrderSets | None = None
+    seconds: float = 0.0
+
+    @cached_property
+    def fitting_order(self) -> int:
+        return fitting_subgroup(self.record.table).order
 
     @cached_property
     def aut(self):
@@ -184,7 +192,7 @@ class Stage:
 
 STAGES = (
     Stage("fitting", "fitting_order", "passed_fitting", "fit",
-          lambda c: fitting_subgroup(c.record.table).order,
+          lambda c: c.fitting_order,
           lambda c, fit: fit in c.sets.solvable_orders,
           drop="fitting order not a solvable subgroup order"),
     Stage("aut", "aut_order", "aut_insolvable", "|Aut|",
@@ -218,11 +226,18 @@ def get_stage(name: str) -> Stage:
     raise ValueError(f"unknown stage {name!r}")
 
 
+def _past_fitting(candidate: Candidate) -> bool:
+    """Whether N passes the Fitting stage, timed into ``seconds``."""
+    start = time.monotonic()
+    passed = STAGES[0].evaluate(candidate)[1]
+    candidate.seconds += time.monotonic() - start
+    return passed
+
+
 def _trace_one(args) -> GroupTrace:
-    record, sets, skip_outer, timed = args
+    candidate, skip_outer, timed = args
     start = time.monotonic() if timed else None
-    trace = GroupTrace(name=record.name)
-    candidate = Candidate(record, sets)
+    trace = GroupTrace(name=candidate.record.name)
     try:
         for entry in STAGES:
             if skip_outer and entry.skippable:
@@ -236,7 +251,7 @@ def _trace_one(args) -> GroupTrace:
     except (CapExceeded, ValueError) as exc:
         trace.error = str(exc)
     if timed:
-        trace.seconds = time.monotonic() - start
+        trace.seconds = candidate.seconds + time.monotonic() - start
     return trace
 
 
@@ -317,9 +332,11 @@ def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
 
     ``corpus`` is a directory or a loaded manifest whose completeness
     claim must be true, since the verdict quantifies over all groups of
-    the order.  ``jobs`` parallelizes the per-group filter evaluation
-    without affecting the output.  ``skip_outer`` disables the
-    gcd(n, |Out|) filter, leaving the remaining (still sound) tests.
+    the order.  ``jobs`` runs the stages after Fitting in a process pool
+    without affecting the output; the Fitting stage runs in process, and
+    the pool starts only when at least two groups pass it.
+    ``skip_outer`` disables the gcd(n, |Out|) filter, leaving the
+    remaining (still sound) tests.
     """
     start = time.monotonic() if timings else None
     manifest = corpus if isinstance(corpus, CorpusManifest) else load_manifest(corpus)
@@ -352,14 +369,21 @@ def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
         traces = tuple(GroupTrace(name=r.name, error="order sets unavailable")
                        for r in solvable_groups)
     else:
-        work = [(r, sets, skip_outer, timings) for r in solvable_groups]
-        # The pool starts all its workers at once, so no more than the work.
-        workers = min(jobs, len(work))
+        candidates = [Candidate(r, sets) for r in solvable_groups]
+        work = [(c, skip_outer, timings) for c in candidates]
+        # Only a group past Fitting reaches Aut(N), the one stage worth a
+        # process; the pool starts all its workers at once, so no more
+        # than those groups.
+        deep = [_past_fitting(c) for c in candidates]
+        workers = min(jobs, sum(deep))
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                traces = tuple(pool.map(_trace_one, work, chunksize=1))
+                pooled = pool.map(_trace_one, compress(work, deep),
+                                  chunksize=1)
+                traces = tuple(next(pooled) if d else _trace_one(w)
+                               for w, d in zip(work, deep))
         else:
             traces = tuple(map(_trace_one, work))
 

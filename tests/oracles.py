@@ -332,6 +332,14 @@ def composition_reference(aut):
     return _composition_of(aut.elements)
 
 
+def composition_row(aut, f):
+    """Row ``f`` of ``composition_reference``, by the same definition,
+    without composing the other rows."""
+    index = aut_index(aut)
+    p = aut.elements[f]
+    return [index[compose(p, q)] for q in aut.elements]
+
+
 def aut_group_table(aut):
     """``composition_reference`` wrapped as a GroupTable, cached per
     group."""

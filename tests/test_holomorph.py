@@ -20,7 +20,7 @@ from holoscreen.isomorphism import are_isomorphic
 from holoscreen.perms import compose, identity_perm
 from holoscreen.tables import GroupTable
 from oracles import (EmbeddingSearchResult, aut_index, code_inv,
-                     code_of_perm, conjugate_code, conjugates,
+                     code_of_perm, composition_row, conjugate_code, conjugates,
                      has_regular_embedding, is_regular_subgroup, left_regular,
                      left_regular_codes, left_translation, perm_of_code,
                      perm_order, record_permutations, right_regular,
@@ -623,6 +623,25 @@ def test_embedding_search_caps_the_automorphism_count():
     with pytest.raises(CapExceeded):
         has_regular_embedding(T("cyclic(16)"), T("abelian(2,2,2,2)"))
     assert time.perf_counter() - start < 5
+
+
+def test_aut_rows_match_the_composition_reference():
+    # Every row the search reads, whether looked up or gathered from two
+    # rows had, is the composition by definition; and the rows kept are
+    # exactly the automorphism parts of the closable codes.
+    bases = [record.table for order in ("o4", "o5", "o8", "o12", "o60")
+             for record in load_manifest(CORPORA / order).records]
+    bases += [T("abelian(5,5)"), T("abelian(5,5,2)"), T("abelian(7,7)")]
+    for base in bases:
+        hol = holomorph(base)
+        at, rows = hol.aut_rows()
+        closable = np.frombuffer(hol.closable(), dtype=bool)
+        needed = closable.reshape(hol.n, hol.na).any(axis=0)
+        assert np.array_equal(at >= 0, needed), base.name
+        fs = np.flatnonzero(needed).tolist()
+        assert rows[at[fs]].tolist() == [composition_row(hol.aut, f)
+                                         for f in fs], base.name
+    assert (hol.na, len(fs)) == (2016, 49)
 
 
 def test_enumeration_builds_no_aut_group_table():

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -159,32 +161,33 @@ def test_screen_skip_outer(o60):
     assert "past outer-gcd: skipped" in render_report(report)
 
 
-def test_screen_parallel_matches_serial(o60):
-    serial = screen_order(o60, jobs=1)
-    parallel = screen_order(o60, jobs=2)
-    assert serial.to_json_dict() == parallel.to_json_dict()
-
-
-def test_pool_no_larger_than_the_work(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker counts of the real process pools started, in order."""
     sizes = []
 
-    class SerialPool:
+    class CountingPool(ProcessPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        CountingPool)
+    return sizes
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, work, chunksize):
-            return map(fn, work)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+def test_pool_no_larger_than_the_work(monkeypatch, stage_cases, pool_sizes):
+    # No group of order 4 passes the Fitting stage on the shipped order
+    # sets, so no pool starts however many jobs are asked for.
     report = screen_order(CORPORA / "o4", jobs=10**6)
-    assert sizes == [2]
+    assert pool_sizes == []
     assert report.to_json() == screen_order(CORPORA / "o4").to_json()
+    # All five groups of order 8 pass it here: one pool, one worker each.
+    corpus, sets = stage_cases["o8"]
+    report = screen_with_sets(monkeypatch, corpus, sets, jobs=10**6)
+    assert pool_sizes == [5]
+    assert report.to_json() == screen_with_sets(monkeypatch, corpus,
+                                                sets).to_json()
 
 
 def test_json_report(o60):
@@ -239,6 +242,26 @@ def test_timings_do_not_change_content(o60):
     for entry in timed["traces"]:
         entry.pop("seconds")
     assert plain == timed
+
+
+def test_timings_include_the_fitting_check(monkeypatch, stage_cases,
+                                           pool_sizes):
+    # The Fitting check runs before the trace, in process; each group's
+    # time still counts it, whether the later stages ran in a worker or
+    # not.
+    fitting = screening.fitting_subgroup
+
+    def slow_fitting(table):
+        time.sleep(0.05)
+        return fitting(table)
+
+    monkeypatch.setattr(screening, "fitting_subgroup", slow_fitting)
+    report = screen_order(CORPORA / "o4", timings=True)
+    assert all(t.seconds >= 0.05 for t in report.traces)
+    report = screen_with_sets(monkeypatch, *stage_cases["o8"], jobs=2,
+                              timings=True)
+    assert pool_sizes == [2]
+    assert all(t.seconds >= 0.05 for t in report.traces)
 
 
 def test_pair_test_fitting_exclusion(o60_records):
@@ -357,11 +380,40 @@ def test_every_stage_reports_frozen(monkeypatch, stage_cases, case,
     assert sha256(report.to_json()) == json_sha
 
 
+def test_screen_parallel_matches_serial(monkeypatch, stage_cases, pool_sizes):
+    # Every group of order 8 passes the Fitting stage here, so jobs=2
+    # really starts a pool of two and runs the later stages in it.
+    corpus, sets = stage_cases["o8"]
+    for skip_outer in (False, True):
+        serial = screen_with_sets(monkeypatch, corpus, sets,
+                                  skip_outer=skip_outer)
+        parallel = screen_with_sets(monkeypatch, corpus, sets, jobs=2,
+                                    skip_outer=skip_outer)
+        assert render_report(parallel) == render_report(serial)
+        assert parallel.to_json() == serial.to_json()
+        golden = next(g for g in STAGE_GOLDEN if g[:2] == ("o8", skip_outer))
+        assert sha256(render_report(parallel)) == golden[3]
+        assert sha256(parallel.to_json()) == golden[4]
+    # a4 (|Fit| = 4) stops at Fitting in process, between groups that go
+    # on in the pool; the traces still come back in corpus order.
+    corpus = load_manifest(CORPORA / "o12")
+    sets = divisor_sets(12, drop=(4,))
+    serial = screen_with_sets(monkeypatch, corpus, sets)
+    parallel = screen_with_sets(monkeypatch, corpus, sets, jobs=2)
+    assert [t.name for t in parallel.traces] == [
+        "c12", "c6xc2", "d12", "a4", "dic3"]
+    assert [t.passed_fitting for t in parallel.traces] == [
+        True, True, True, False, True]
+    assert render_report(parallel) == render_report(serial)
+    assert parallel.to_json() == serial.to_json()
+    assert pool_sizes == [2, 2, 2]
+
+
 def test_every_stage_trace_facts(stage_cases):
     def trace(case, name, skip_outer=False):
         corpus, sets = stage_cases[case]
         record = next(r for r in corpus.records if r.name == name)
-        return _trace_one((record, sets, skip_outer, False))
+        return _trace_one((Candidate(record, sets), skip_outer, False))
 
     for case, name, aut, char in [("o8", "c2c2c2", 168, (1, 8)),
                                   ("c2c2c2xc3", "c2c2c2xc3", 336,
@@ -429,7 +481,7 @@ def test_aut_stage_caps_the_automorphism_count():
     # |Aut(C2^5)| = 9,999,360: with order sets that pass the Fitting
     # stage, the Aut stage stops at n * |Aut| = AUT_LIST_CAP.
     record = construct("abelian(2,2,2,2,2)", name="c2^5")
-    trace = _trace_one((record, divisor_sets(32), False, False))
+    trace = _trace_one((Candidate(record, divisor_sets(32)), False, False))
     assert trace.passed_fitting is True
     assert trace.aut_order is None
     assert trace.error == ("|Aut| exceeds automorphism order cap %d"
