@@ -20,8 +20,8 @@ from .tables import GroupTable, Subgroup, commutator_series, normal_closure
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy is imported inside ``AutGroup.table`` and the ``AutIndex`` it
-# builds, so that listing Aut(N) does not load it.
+# numpy is imported inside ``AutGroup.table``, the ``AutIndex`` it builds
+# and the rows read off it, so that listing Aut(N) does not load it.
 
 # Bounds n * |Aut(N)|, the entries of the listed automorphisms, by default;
 # it admits Aut(C2^4), of order 20160.
@@ -81,28 +81,13 @@ class AutIndex:
         f = np.asarray(f, dtype=np.intp)[..., None] * self.n
         return self.lookup(self.elements.ravel()[f + self.images[g]])
 
-    def rows(self, fs) -> np.ndarray:
-        """The composition rows of the automorphisms ``fs``, an int16
-        (len(fs), |Aut|) array: ``rows(fs)[i, j]`` indexes ``fs[i]`` o
-        ``elements[j]``.  They are composed about 8192 entries at a time,
-        so the int64 keys of the lookup stay small."""
-        import numpy as np
-
-        fs, na = np.asarray(fs), len(self.order)
-        out = np.empty((len(fs), na), dtype=np.int16)
-        step = max(1, 8192 // na)
-        for lo in range(0, len(fs), step):
-            out[lo:lo + step] = self.compose(fs[lo:lo + step, None])
-        return out
-
 
 class AutGroup:
     """The automorphism group of a base table, with every element listed.
 
     ``table`` is the composition structure that the holomorph search
     reads: an ``AutIndex`` over the listed elements, built on first use.
-    It computes a composition row only for the automorphisms a caller
-    asks for."""
+    ``rows`` composes a row only for the automorphisms a caller asks for."""
 
     def __init__(self, base: GroupTable, elements: list[Perm]):
         self.base = base
@@ -132,7 +117,10 @@ class AutGroup:
         ``row_s[reached]`` for each s in S until it is closed, which makes
         it the group S generates.  C7xC7 composes 4 of its 2016 rows (Holt,
         Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
-        section 4.1).
+        section 4.1).  The walk is kept as a Schreier tree for ``rows``:
+        each element e but the identity was first reached as s o p, with s
+        in S and p reached in an earlier round, and the |S| rows of S are
+        kept.
 
         A row s is composed as ``E[s][E]`` and looked up by generator key;
         the greedy generating sequence has at most log2(n) terms, so the
@@ -162,6 +150,12 @@ class AutGroup:
         E = index.elements
         reached = np.zeros(na, dtype=bool)
         reached[0] = True
+        # Element e was first reached as S[via[e]] o parent[e]; rounds[k]
+        # lists the elements first reached in round k, the identity alone
+        # in round 0.
+        parent = np.zeros(na, dtype=np.intp)
+        via = np.zeros(na, dtype=np.intp)
+        rounds = [np.zeros(1, dtype=np.intp)]
         looked_up: list[int] = []
         rows: list[np.ndarray] = []
         while not reached.all():
@@ -174,14 +168,19 @@ class AutGroup:
             rows.append(row)
             # Every reached element meets the new s, and each new one
             # meets all of S.
-            frontier = reached.copy()
-            while frontier.any():
+            frontier = np.flatnonzero(reached)
+            while frontier.size:
                 new = np.zeros(na, dtype=bool)
-                for row_s in rows:
-                    new[row_s[frontier]] = True
-                frontier = new & ~reached
-                reached |= frontier
+                for i, row_s in enumerate(rows):
+                    image = row_s[frontier]
+                    fresh = ~reached[image]
+                    e = image[fresh]
+                    reached[e] = new[e] = True
+                    parent[e], via[e] = frontier[fresh], i
+                frontier = np.flatnonzero(new)
+                rounds.append(frontier)
         self._table_generators = tuple(looked_up)
+        self._tree = np.array(rows, dtype=np.int16), parent, via, rounds
         return index
 
     @property
@@ -191,6 +190,38 @@ class AutGroup:
         from the identity by composing with elements of S."""
         self.table  # records S while it checks the list
         return self._table_generators
+
+    def rows(self, fs) -> np.ndarray:
+        """The composition rows of the automorphisms ``fs``, an int16
+        (len(fs), |Aut|) array: ``rows(fs)[i, j]`` indexes ``fs[i]`` o
+        ``elements[j]``.
+
+        Each row is one gather off the Schreier tree that ``table`` keeps.
+        If e was first reached as s o p, then e o g = s o (p o g) for every
+        g, so row_e = row_s[row_p].  The rows of ``fs`` and of their tree
+        ancestors are built round by round, so row p is built before row
+        e, and only the rows asked for are returned."""
+        import numpy as np
+
+        self.table  # records the tree while it checks the list
+        gen_rows, parent, via, rounds = self._tree
+        fs = np.asarray(fs, dtype=np.intp)
+        need = np.zeros(self.order, dtype=bool)
+        need[0] = True
+        up = fs
+        while up.size:
+            need[up] = True
+            up = parent[up]
+            up = up[~need[up]]
+        built = np.flatnonzero(need)
+        at = np.empty(self.order, dtype=np.intp)
+        at[built] = np.arange(len(built))
+        out = np.empty((len(built), self.order), dtype=np.int16)
+        out[0] = np.arange(self.order)  # the identity, index 0
+        for level in rounds[1:]:
+            e = level[need[level]]
+            out[at[e]] = gen_rows[via[e, None], out[at[parent[e]]]]
+        return out[at[fs]]
 
     @cached_property
     def inverses(self) -> np.ndarray:

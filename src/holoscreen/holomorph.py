@@ -62,41 +62,12 @@ class HolomorphGroup:
         self._rows: tuple[np.ndarray, np.ndarray] | None = None
         self._conjugators: list[tuple[np.ndarray, np.ndarray]] | None = None
 
-    # -- coded pairs -----------------------------------------------------
-
-    def code_mul(self, x, y):
-        """The coded product, on ints or elementwise on int arrays."""
-        import numpy as np
-
-        na, n = self.na, self.n
-        a, f = np.divmod(x, na)
-        b, g = np.divmod(y, na)
-        return (self.nmul[a * n + self.act[f * n + b]] * na
-                + self._aut_mul(f, g))
-
-    def _aut_mul(self, f, g):
-        """Index of elements[f] o elements[g], elementwise, read from the
-        rows of ``aut_rows``; the rows of other automorphisms among ``f``
-        are composed in one batch for this call and not kept."""
-        import numpy as np
-
-        at, rows = self.aut_rows()
-        f = np.asarray(f)
-        at = at[f]
-        missing = at < 0
-        if missing.any():
-            fetch = np.zeros(self.na, dtype=bool)
-            fetch[f[missing]] = True
-            fetch = np.flatnonzero(fetch)
-            at = np.where(missing, len(rows) + np.searchsorted(fetch, f), at)
-            rows = np.concatenate([rows, self.aut.table.rows(fetch)])
-        return rows[at, g]
-
     def aut_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(at, rows), cached: ``rows[at[f], g]`` indexes elements[f] o
         elements[g] for every f that is the automorphism part of a
         closable code, and ``at[f]`` is -1 for every other f.  Code 0 is
-        closable, so the identity's row is among them.
+        closable, so the identity's row is among them.  ``AutGroup.rows``
+        gathers them off the Schreier tree of the Aut(N) check.
 
         These are all the rows the search kernel reads.  It composes on
         the left only by the automorphism parts of a generator that passed
@@ -111,54 +82,8 @@ class HolomorphGroup:
             need = mask.reshape(self.n, self.na).any(axis=0)
             at = np.full(self.na, -1, dtype=np.intp)
             at[need] = np.arange(need.sum())
-            self._rows = at, self._compose_rows(need, at)
+            self._rows = at, self.aut.rows(np.flatnonzero(need))
         return self._rows
-
-    def _compose_rows(self, need, at) -> np.ndarray:
-        """The rows of ``aut_rows``, row f at ``at[f]`` for each f in ``need``.
-
-        A product of two rows had is a gather, row(s o p) = row_s[row_p].
-        Each round tries every product of a new row with a looked-up one,
-        either way round, and keeps the needed ones still missing.  When
-        there are none, the first missing row is looked up in
-        ``AutGroup.table`` and tried with every row had, itself included.
-        So the rows had stay closed under the looked-up ones, and where the
-        needed rows form a group, only a generating set of it is looked up:
-        all of Aut(N) is needed on each solvable base of order 60, and 3 or
-        4 of its 16 to 240 rows are looked up; C7xC7 looks up 8 of 49."""
-        import numpy as np
-
-        rows = np.empty((int(need.sum()), self.na), dtype=np.int16)
-        rows[0] = np.arange(self.na)  # the identity, index 0
-        missing = need.copy()
-        missing[0] = False
-        had = np.zeros(1, dtype=np.intp)
-        new = by = looked_up = had[:0]
-        pick = np.empty(self.na, dtype=np.intp)
-        while True:
-            # Each s o p with one factor new and the other in ``by`` is
-            # the entry row_s[p]; pick[f] is the position of one such pair.
-            s = np.repeat(by, len(new))
-            p = np.tile(new, len(by))
-            s, p = np.concatenate([s, p]), np.concatenate([p, s])
-            pick[:] = -1
-            pick[rows[at[s], p]] = np.arange(len(s))
-            f = np.flatnonzero(missing & (pick >= 0))
-            if f.size:
-                s, p = s[pick[f]], p[pick[f]]
-                rows[at[f]] = np.take_along_axis(rows[at[s]], rows[at[p]],
-                                                 axis=1)
-                by = looked_up
-            elif missing.any():
-                f = missing.nonzero()[0][:1]
-                rows[at[f]] = self.aut.table.rows(f)
-                looked_up = np.concatenate([looked_up, f])
-                by = np.concatenate([had, f])
-            else:
-                return rows
-            missing[f] = False
-            had = np.concatenate([had, f])
-            new = f
 
     def element_orders(self) -> list[int]:
         """Order of every coded element, cached."""
@@ -226,9 +151,9 @@ class HolomorphGroup:
         if self._conjugators is None:
             index, inv = self.aut.table, self.aut.inverses
             act = self.act.reshape(self.na, self.n)
-            self._conjugators = [(act[s], index.compose(index.compose(s),
-                                                        inv[s]))
-                                 for s in self.aut.table_generators]
+            gens = self.aut.table_generators
+            self._conjugators = [(act[s], index.compose(row_s, inv[s]))
+                                 for s, row_s in zip(gens, self.aut.rows(gens))]
         start = tuple(sorted(codes))
         seen = {start}
         frontier = [start]
@@ -335,24 +260,28 @@ class RegularEnumeration:
 
 
 def subgroup_table(hol: HolomorphGroup, codes: Sequence[int]) -> GroupTable:
-    """Multiplication table of a set of distinct codes closed under the
-    product, listed with the identity code 0 first and the rest in any
-    order."""
+    """Multiplication table of a regular subgroup listed in fiber order,
+    as every ``RegularSubgroupRecord`` holds it: ``codes[a]`` is (a, phi_a).
+
+    (a, phi_a) (b, phi_b) lies over fiber a * phi_a(b), its position, so
+    the table is the skew brace product and needs no product in Aut(N)
+    (Guarnieri and Vendramin, *Math. Comp.* 86, 2017).  The closure check
+    reads phi_a o phi_b from ``aut_rows``, which holds the row of every
+    element of a regular subgroup.  Any other listing raises ``ValueError``."""
     import numpy as np
 
+    n, na = hol.n, hol.na
     c = np.asarray(codes)
-    if c[0] != 0:
-        raise ValueError("code set must start with the identity")
-    prod = hol.code_mul(c[:, None], c[None, :])
-    # where[t] is the position of code t in the set, or -1 if unlisted.
-    where = np.full(hol.order, -1, dtype=np.int32)
-    where[c] = np.arange(len(c))
-    if (where[c] != np.arange(len(c))).any():
-        raise ValueError("code set lists a code twice")
-    pos = where[prod]
-    if (pos < 0).any():
+    fibers = np.arange(n)
+    if c.shape != (n,) or (c // na != fibers).any():
+        raise ValueError("codes must list one code per fiber, in fiber order")
+    phi = c % na
+    at, rows = hol.aut_rows()
+    cell = hol.nmul[fibers[:, None] * n + hol.act[phi[:, None] * n + fibers]]
+    if ((at[phi] < 0).any()
+            or (rows[at[phi][:, None], phi] != phi[cell]).any()):
         raise ValueError("code set is not closed under the product")
-    return GroupTable(pos.tolist(), validate=False)
+    return GroupTable(cell.tolist(), validate=False)
 
 
 def enumerate_regular_subgroups(

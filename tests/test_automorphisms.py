@@ -19,8 +19,8 @@ from holoscreen.lattice import all_subgroups
 from holoscreen.perms import PermutationGroup, inverse
 from holoscreen.tables import GroupTable, Homomorphism
 
-from oracles import (aut_index, composition_reference, inner_automorphism,
-                     is_characteristic, per_row_aut_table)
+from oracles import (aut_index, composition_reference, composition_row,
+                     inner_automorphism, is_characteristic, per_row_aut_table)
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -37,7 +37,7 @@ def shipped_tables():
 def full_grid(aut):
     """Every composition row of ``aut.table``, as one (|Aut|, |Aut|)
     array; only the tests build it."""
-    return aut.table.rows(np.arange(aut.order))
+    return aut.rows(np.arange(aut.order))
 
 
 def test_automorphism_group_orders():
@@ -174,6 +174,20 @@ def test_aut_table_matches_per_row_oracle():
         assert np.array_equal(full_grid(aut), per_row_aut_table(aut)), \
             base.name
     assert aut.order == 2016
+
+
+def test_rows_deep_in_the_tree_match_the_composition_reference():
+    # The search reads only 49 of C7xC7's 2016 rows; draw others, asked
+    # for out of order, with repeats and with the identity, and each is a
+    # chain of gathers up the tree that the table check recorded.
+    aut = automorphism_group(T("abelian(7,7)"))
+    fs = random.Random(28).sample(range(1, aut.order), 64)
+    fs += [fs[5], 0, fs[0], 0]
+    rows = aut.rows(fs)
+    assert rows.dtype == np.int16 and rows.shape == (68, 2016)
+    for f, row in zip(fs, rows.tolist()):
+        assert row == composition_row(aut, f), f
+    assert aut.rows([]).shape == (0, 2016)
 
 
 def test_inverses_match_perm_inverse():

@@ -112,7 +112,7 @@ def test_holomorph_orders():
 def test_holomorph_of_c4_is_d8():
     hol = holomorph(T("cyclic(4)"))
     assert hol.order == 8
-    whole = subgroup_table(hol, range(8))
+    whole = reference_table(hol, range(8))
     found, _ = are_isomorphic(whole, T("dihedral(8)"))
     assert found
 
@@ -121,13 +121,14 @@ def test_code_arithmetic_matches_permutations():
     hol = holomorph(T("symmetric(3)"))
     for x in range(hol.order):
         assert code_of_perm(hol, perm_of_code(hol, x)) == x
-        assert hol.code_mul(x, code_inv(hol, x)) == 0
-        assert hol.code_mul(0, x) == x and hol.code_mul(x, 0) == x
+        assert scalar_code_mul(hol, x, code_inv(hol, x)) == 0
+        assert scalar_code_mul(hol, 0, x) == x == scalar_code_mul(hol, x, 0)
     for x in range(hol.order):
         px = perm_of_code(hol, x)
         for y in range(0, hol.order, 7):
             py = perm_of_code(hol, y)
-            assert perm_of_code(hol, hol.code_mul(x, y)) == compose(px, py)
+            assert (perm_of_code(hol, scalar_code_mul(hol, x, y))
+                    == compose(px, py))
 
 
 def test_code_of_perm_rejects_outsiders():
@@ -173,17 +174,6 @@ def test_closable_matches_permutation_definition():
                    for code in range(hol.na, hol.order)) == count, expr
 
 
-def test_array_code_mul_matches_scalar():
-    hol = holomorph(T("symmetric(3)"))
-    codes = np.arange(hol.order)
-    grid = hol.code_mul(codes[:, None], codes[None, :])
-    assert grid.shape == (hol.order, hol.order)
-    for x in range(hol.order):
-        for y in range(hol.order):
-            assert (grid[x, y] == hol.code_mul(x, y)
-                    == scalar_code_mul(hol, x, y))
-
-
 def test_largest_holomorph_walks_without_overflow():
     # Hol(C7xC7), with the largest Aut(N) in use, has 98,784 codes; the
     # power walk runs in int32 and keeps no |Aut| x |Aut| array.
@@ -194,22 +184,20 @@ def test_largest_holomorph_walks_without_overflow():
     for code in codes:
         assert orders[code] == perm_order(perm_of_code(hol, code)), code
         assert mask[code] == closable_reference(hol, code), code
-    c = np.array(codes, dtype=np.int32)  # the walk's dtype
-    for x, y in ((c, c), (c, c[::-1])):
-        pairs = list(zip(x.tolist(), y.tolist()))
-        grid = hol.code_mul(x, y).tolist()
-        assert grid == [hol.code_mul(a, b) for a, b in pairs]
-        assert grid == [scalar_code_mul(hol, a, b) for a, b in pairs]
+    records = enumerate_regular_subgroups(hol).records
+    assert len(records) == 49
+    for rec in records:
+        table = subgroup_table(hol, rec.codes)
+        assert table.mul == reference_table(hol, rec.codes).mul
     assert arrays_of_aut_squared_size(hol) == []
 
 
 def subgroup_table_cases():
-    hol = holomorph(T("cyclic(4)"))
-    yield hol, tuple(range(8))
-    bases = [T(e) for e in ("cyclic(8)", "dihedral(8)", "alternating(4)")]
+    bases = [T(e) for e in ("cyclic(4)", "cyclic(8)", "dihedral(8)",
+                            "alternating(4)")]
     bases += [r.table for r in load_manifest(CORPORA / "o60").records
               if r.name == "a4xc5"]
-    assert len(bases) == 4
+    assert len(bases) == 5
     for base in bases:
         hol = holomorph(base)
         for rec in enumerate_regular_subgroups(hol).records:
@@ -218,28 +206,22 @@ def subgroup_table_cases():
 
 def test_subgroup_table_matches_scalar_reference():
     for hol, codes in subgroup_table_cases():
-        # Only the identity has to come first.
-        for order in (codes, codes[:1] + codes[:0:-1]):
-            table = subgroup_table(hol, order)
-            expected = reference_table(hol, order)
-            assert table.mul == expected.mul
-            assert table.inv == expected.inv
+        table = subgroup_table(hol, codes)
+        expected = reference_table(hol, codes)
+        assert table.mul == expected.mul
+        assert table.inv == expected.inv
 
 
-def test_subgroup_table_relabels_a_shuffled_listing():
+def test_subgroup_table_rejects_a_shuffled_listing():
+    # Only fiber order is read: position a is the code over fiber a.
     rng = random.Random(12)
     for hol, codes in subgroup_table_cases():
         rest = list(codes[1:])
-        rng.shuffle(rest)
-        shuffled = codes[:1] + tuple(rest)
-        table = subgroup_table(hol, codes)
-        other = subgroup_table(hol, shuffled)
-        # Entry i of the shuffled listing is entry sigma[i] of the first.
-        sigma = [codes.index(c) for c in shuffled]
-        for i in range(len(codes)):
-            for j in range(len(codes)):
-                assert (sigma[other.mul[i][j]]
-                        == table.mul[sigma[i]][sigma[j]])
+        while rest == sorted(rest):
+            rng.shuffle(rest)
+        for listing in (codes[:1] + tuple(rest), codes[:1] + codes[:0:-1]):
+            with pytest.raises(ValueError, match="in fiber order"):
+                subgroup_table(hol, listing)
 
 
 def test_encode_decode():
@@ -248,8 +230,8 @@ def test_encode_decode():
     hol = holomorph(T("cyclic(8)"))
     for a in range(hol.n):
         for f in range(hol.na):
-            assert hol.code_mul(a * hol.na, f) == a * hol.na + f
-            assert (hol.code_mul(f, a * hol.na)
+            assert scalar_code_mul(hol, a * hol.na, f) == a * hol.na + f
+            assert (scalar_code_mul(hol, f, a * hol.na)
                     == hol.aut.elements[f][a] * hol.na + f)
 
 
@@ -552,26 +534,39 @@ def test_has_regular_embedding_budget():
 
 
 def test_subgroup_table_requires_identity_first():
+    # Fiber 0 holds the identity code 0 of a regular subgroup; the first
+    # listing is not in fiber order, and (0, phi) squares to (0, phi^2).
     hol = holomorph(T("cyclic(4)"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="in fiber order"):
         subgroup_table(hol, (1, 0, 2, 3))
+    assert scalar_code_mul(hol, 1, 1) == 0
+    with pytest.raises(ValueError, match="not closed"):
+        subgroup_table(hol, (1, 2, 4, 6))
 
 
 def test_subgroup_table_rejects_unclosed_codes():
     hol = holomorph(T("cyclic(4)"))
-    # (1, id) squares to (2, id), code 4, which is missing.
-    with pytest.raises(ValueError, match="not closed"):
+    # Too few codes for the fibers.
+    with pytest.raises(ValueError, match="in fiber order"):
         subgroup_table(hol, (0, 2))
+    # (1, id) (2, id) = (3, id), code 6, where code 7 is listed.
+    assert scalar_code_mul(hol, 2, 4) == 6
     with pytest.raises(ValueError, match="not closed"):
-        subgroup_table(hol, (0, 2, 7))
+        subgroup_table(hol, (0, 2, 4, 7))
+    # Every automorphism but the identity has order 4 or 2 on C5, so no
+    # code (a, phi) with phi != id is closable and its row is not kept.
+    hol = holomorph(T("cyclic(5)"))
+    assert hol.aut_rows()[1].shape == (1, 4)
+    with pytest.raises(ValueError, match="not closed"):
+        subgroup_table(hol, (0, 5, 8, 12, 16))
 
 
 def test_subgroup_table_rejects_unlisted_codes_below_the_largest():
     # Swap one member of a regular subgroup of Hol(D8) for another code
     # over the same fiber, keeping the largest code, and keep the sets
     # whose products all lie at or below it: the set is then not closed
-    # (n - 1 members of a group of order n >= 3 generate it), and only an
-    # unlisted code inside the listed range shows it.
+    # (n - 1 members of a group of order n >= 3 generate it), though no
+    # product falls outside the listed range.
     hol = holomorph(T("dihedral(8)"))
     cases = 0
     for rec in enumerate_regular_subgroups(hol).records:
@@ -579,9 +574,9 @@ def test_subgroup_table_rejects_unlisted_codes_below_the_largest():
             fiber = rec.codes[i] // hol.na
             for code in range(fiber * hol.na, (fiber + 1) * hol.na):
                 codes = rec.codes[:i] + (code,) + rec.codes[i + 1:]
-                c = np.array(codes)
-                prod = hol.code_mul(c[:, None], c[None, :])
-                if code == rec.codes[i] or prod.max() > codes[-1]:
+                if code == rec.codes[i] or max(
+                        scalar_code_mul(hol, x, y)
+                        for x in codes for y in codes) > codes[-1]:
                     continue
                 cases += 1
                 with pytest.raises(ValueError, match="not closed"):
@@ -594,7 +589,7 @@ def test_subgroup_table_rejects_repeated_codes():
     hol = holomorph(T("cyclic(4)"))
     codes = enumerate_regular_subgroups(hol).records[0].codes
     for listing in (codes + (codes[1],), codes[:2] + codes[1:]):
-        with pytest.raises(ValueError, match="twice"):
+        with pytest.raises(ValueError, match="in fiber order"):
             subgroup_table(hol, listing)
 
 
