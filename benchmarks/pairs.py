@@ -7,12 +7,13 @@ Usage, from any directory:
         --seeds 901 902 ... --label TEXT [--seconds 10]
 
 For each seed, ``perfbench/run.py`` runs once in each checkout; the before
-side goes first on even positions and the after side on odd ones.  Then one
-traced run per side, on the first seed, gives the per-layer metrics.  The
-entry is appended to ``BENCH_<workload>.json`` beside this script: each
-side's median and quartiles of every end-to-end metric, the pairs the after
-side won (lower; ties count for neither side), and both traced runs, whose
-layer metrics name the layer that moved.
+side goes first on even positions and the after side on odd ones.  Then
+``TRACED_RUNS`` traced pairs, on the first seeds (cycled) and alternating
+the same way, give the per-layer metrics.  The entry is appended to
+``BENCH_<workload>.json`` beside this script: each side's median and
+quartiles of every end-to-end metric, the pairs the after side won (lower;
+ties count for neither side), and each side's traced runs and their median
+per metric, which name the layer that moved.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+# Traced runs per side; one traced run is a single sample of each layer.
+TRACED_RUNS = 3
 
 
 def run(root: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -54,6 +57,19 @@ def summarize(before: list[dict], after: list[dict]) -> dict:
             for k in METRICS}
 
 
+def summarize_traced(before: list[dict], after: list[dict]) -> dict:
+    """Per side and metric: the traced runs and their median."""
+    def layers(runs):
+        return {k: {"median": statistics.median(r[k] for r in runs),
+                    "runs": [r[k] for r in runs]} for k in runs[0]}
+    return {"before": layers(before), "after": layers(after)}
+
+
+def alternated(sides: dict, i: int) -> list:
+    """The sides in run order at position ``i``: before first when even."""
+    return list(sides)[::1 if i % 2 == 0 else -1]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", type=Path, required=True)
@@ -68,16 +84,21 @@ def main(argv=None) -> int:
     sides = {"before": args.before, "after": args.after}
     runs, backends = {"before": [], "after": []}, set()
     for i, seed in enumerate(args.seeds):
-        for side in list(sides)[::1 if i % 2 == 0 else -1]:
+        for side in alternated(sides, i):
             backend, metrics = run(sides[side], args.workload, seed,
                                    args.seconds, 0)
             backends.add(backend)
             runs[side].append(metrics)
-    traced = {side: run(root, args.workload, args.seeds[0], args.seconds, 1)[1]
-              for side, root in sides.items()}
+    traced = {"before": [], "after": []}
+    for i in range(TRACED_RUNS):
+        for side in alternated(sides, i):
+            traced[side].append(run(sides[side], args.workload,
+                                    args.seeds[i % len(args.seeds)],
+                                    args.seconds, 1)[1])
     entry = {"label": args.label, "backend": ",".join(sorted(backends)),
              "seconds": args.seconds, "seeds": args.seeds,
-             **summarize(runs["before"], runs["after"]), "traced": traced}
+             **summarize(runs["before"], runs["after"]),
+             "traced": summarize_traced(traced["before"], traced["after"])}
     path = HERE / f"BENCH_{args.workload}.json"
     entries = json.loads(path.read_text()) if path.exists() else []
     path.write_text(json.dumps(entries + [entry], indent=1) + "\n")

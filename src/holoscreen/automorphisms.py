@@ -1,19 +1,22 @@
 """Automorphism groups of table groups.
 
-Automorphisms are permutations of the element indices of the base table; the
-whole group is enumerated by the generator-image backtracking in the
-isomorphism module and kept as an explicit, lexicographically sorted element
-list (the holomorph search needs all of them, not just generators).
+Automorphisms are permutations of the element indices of the base table.
+``automorphism_group`` builds a stabiliser chain over the base's tower
+generators, asking the generator-image backtracking in the isomorphism
+module for one witness per orbit point, and lists the group as the products
+of the chain's transversals.  The group is kept as an explicit,
+lexicographically sorted element list (the holomorph search needs all of
+them, not just generators).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import CapExceeded
-from .isomorphism import automorphism_images
+from .isomorphism import (GeneratorTower, _matching_candidates,
+                          morphism_images)
 from .perms import Perm, compose, inverse
 from .tables import GroupTable, Subgroup, commutator_series, normal_closure
 
@@ -248,19 +251,63 @@ class AutGroup:
 
 def automorphism_group(N: GroupTable, *,
                        order_cap: int | None = None) -> AutGroup:
-    """Enumerate Aut(N) by backtracking over generator images.
+    """Aut(N) from a stabiliser chain over the tower generators.
 
-    ``order_cap`` bounds |Aut(N)|: the enumeration stops after one
-    automorphism more than it allows.  It defaults to ``AUT_LIST_CAP //
-    n``, so that the list holds at most ``AUT_LIST_CAP`` entries; the
-    holomorph passes its own, smaller cap."""
+    Let g_1, ..., g_d be the generators of N's ``GeneratorTower`` and A_k
+    the automorphisms fixing g_1, ..., g_k, so A_0 = Aut(N) and A_d = 1.
+    Bottom-up from k = d, the orbit of g_k under A_(k-1) grows from {g_k}.
+    Each candidate image c of g_k not yet in it is tried once: the first
+    map of ``morphism_images`` with g_1, ..., g_(k-1) fixed and g_k -> c,
+    if any, is a witness in A_(k-1).  The witnesses found so far at level
+    k and below generate A_(k-1) with A_k, and after each one the orbit is
+    closed under all of them, keeping for each point p one u with
+    u(g_k) = p, the transversal.  So |A_(k-1)| = |orbit| * |A_k|, and each
+    element of A_(k-1) is u o a for one u of the transversal and one a in
+    A_k (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+    2005, section 4.6).
+
+    ``order_cap`` bounds |Aut(N)|: the orbit sizes bound it from below
+    while the chain grows, so the cap fires before any automorphism is
+    listed.  It defaults to ``AUT_LIST_CAP // n``, so that the list holds
+    at most ``AUT_LIST_CAP`` entries; the holomorph passes its own, smaller
+    cap.  The list is then the products of the transversals, one
+    composition per automorphism."""
     if order_cap is None:
         order_cap = AUT_LIST_CAP // N.n
-    elements = [tuple(p) for p in islice(automorphism_images(N),
-                                         order_cap + 1)]
-    if len(elements) > order_cap:
-        raise CapExceeded("|Aut| exceeds automorphism order cap %d"
-                          % (order_cap,))
+    tower = GeneratorTower(N)
+    gens = tower.gens
+    candidates = _matching_candidates(N, N, gens)
+    identity = tuple(range(N.n))
+    witnesses: list[Perm] = []
+    transversals: list[list[Perm]] = []  # bottom-up, the identity first
+    size = 1  # |A_k|
+    for k in range(len(gens), 0, -1):
+        fixed = [[g] for g in gens[:k - 1]]
+        orbit = {gens[k - 1]: identity}
+        for c in candidates[k - 1]:
+            if c in orbit:
+                continue
+            tried = fixed + [[c]] + candidates[k:]
+            witness = next(morphism_images(N, N, tried, tower=tower), None)
+            if witness is None:
+                continue
+            witnesses.append(witness)
+            points = list(orbit)
+            for p in points:  # grows while it is walked
+                for s in witnesses:
+                    q = s[p]
+                    if q not in orbit:
+                        orbit[q] = tuple(map(s.__getitem__, orbit[p]))
+                        points.append(q)
+            if size * len(orbit) > order_cap:
+                raise CapExceeded("|Aut| exceeds automorphism order cap %d"
+                                  % (order_cap,))
+        transversals.append(list(orbit.values()))
+        size *= len(orbit)
+    elements = [identity]
+    for transversal in transversals:
+        elements = [tuple(map(u.__getitem__, x))
+                    for u in transversal for x in elements]
     return AutGroup(N, elements)
 
 

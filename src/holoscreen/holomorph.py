@@ -35,8 +35,9 @@ if TYPE_CHECKING:
 # arrays, not here, so that commands which build no holomorph never load it.
 
 HOL_ORDER_CAP = 64
-# Bounds |Aut(N)| in the holomorph, and with it the n * |Aut| codes that
-# the power walk and the candidate lists cover; C7xC7 needs 2016.
+# Bounds |Aut(N)| in the holomorph, checked while the stabiliser chain of
+# Aut(N) grows, before any automorphism is listed, and with it the n * |Aut|
+# entries of the order list and the closable mask; C7xC7 needs 2016.
 HOL_AUT_CAP = 2048
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -86,31 +87,52 @@ class HolomorphGroup:
         return self._rows
 
     def element_orders(self) -> list[int]:
-        """Order of every coded element, cached."""
+        """Per code x, ord(x) where it divides n and 0 elsewhere, cached.
+        The search reads no more: ``_divides``, ``closable`` and the kernel
+        ask only whether an order divides n.
+
+        ord(a, phi) is a multiple of ord(phi), since the automorphism part
+        of (a, phi)^k is phi^k, so only the codes with phi^n = 1 can have
+        an order dividing n, and only they are walked, for at most n steps.
+        C7xC7 walks 2,401 of its 98,784 codes."""
         import numpy as np
 
         if self._orders is None:
             na, n = self.na, self.n
+            index = self.aut.table
+            # phi^n for every phi, by repeated squaring.
+            nth, square, e = np.zeros(na, dtype=np.intp), np.arange(na), n
+            while e:
+                if e & 1:
+                    nth = index.compose(nth, square)
+                square, e = index.compose(square, square), e >> 1
+            torsion = np.flatnonzero(nth == 0)
             # int32 holds every code: below n * |Aut| <= 64 * HOL_AUT_CAP.
-            orders = np.ones(self.order, dtype=np.int32)
+            orders = np.zeros(self.order, dtype=np.int32)
+            orders[0] = 1
             # stuck[t]: some power t^k with 0 < k < ord(t) lies over fiber 0.
             stuck = np.zeros(self.order, dtype=bool)
             stuck[1:na] = True
-            # x[i] is live[i] to the k-th power, not yet the identity.
-            live = x = np.arange(1, self.order, dtype=np.int32)
-            # powers[k][phi] indexes elements[phi] to the k-th power, the
-            # automorphism part of x^k when phi is that of x.  Once a power
-            # is the identity 0 everywhere, the list repeats with its length.
-            powers = [np.zeros(na, dtype=np.int16),
-                      np.arange(na, dtype=np.int16)]
+            # x[i] is live[i] to the k-th power, not yet the identity; the
+            # identity, code 0, comes first and is left out.
+            live = x = (np.arange(n, dtype=np.int32)[:, None] * na
+                        + torsion.astype(np.int32)).ravel()[1:]
+            # powers[k][phi] indexes elements[phi] to the k-th power for
+            # phi in torsion, the automorphism part of x^k when phi is that
+            # of x.  Once a power is the identity 0 on torsion, the list
+            # repeats with its length.
+            powers = [np.zeros(na, dtype=np.int32),
+                      np.arange(na, dtype=np.int32)]
             period = 0
             k = 1
-            while live.size:
+            while live.size and k < n:
                 k += 1
                 if not period:
-                    power = self.aut.table.compose(powers[-1])
+                    power = np.zeros(na, dtype=np.int32)
+                    power[torsion] = index.compose(powers[-1][torsion],
+                                                   torsion)
                     if power.any():
-                        powers.append(power.astype(np.int16))
+                        powers.append(power)
                     else:
                         period = k
                 power = powers[k % period] if period else powers[-1]
@@ -119,11 +141,11 @@ class HolomorphGroup:
                 x = self.nmul[a * n + self.act[f * n + b]] * na + power[g]
                 done = x == 0
                 stuck[live[(x < na) & ~done]] = True
-                orders[live[done]] = k
+                if n % k == 0:
+                    orders[live[done]] = k
                 live, x = live[~done], x[~done]
             self._orders = orders.tolist()
-            # Per code, whether its order divides n.
-            self._divides = n % orders == 0
+            self._divides = orders > 0
             self._closable = (self._divides & ~stuck).tobytes()
         return self._orders
 
@@ -177,7 +199,7 @@ class HolomorphGroup:
 def holomorph(N: GroupTable, *,
               order_cap: int = HOL_ORDER_CAP) -> HolomorphGroup:
     """Hol(N).  |N| is capped before Aut(N) is listed, and |Aut(N)| while
-    it streams, before any table."""
+    its stabiliser chain grows, before any automorphism is listed."""
     if N.n > order_cap:
         raise CapExceeded("base order %d exceeds holomorph search cap %d"
                           % (N.n, order_cap))

@@ -1,8 +1,9 @@
 """Isomorphism testing via backtracking over generator images.
 
 The same engine drives two consumers: are_isomorphic (the first
-isomorphism found wins) and automorphism group enumeration (every
-automorphism).
+isomorphism found wins) and the stabiliser chain of
+``automorphisms.automorphism_group``, which asks it for one witness
+automorphism per orbit point.
 
 The source group is closed level by level over a greedy generating sequence;
 each element's first-seen factorization into earlier elements lets a partial
@@ -188,11 +189,4 @@ def are_isomorphic(G: GroupTable, H: GroupTable) -> tuple[bool, Homomorphism | N
         witness = Homomorphism(G, H, images)
         return True, witness
     return False, None
-
-
-def automorphism_images(N: GroupTable) -> Iterator[tuple[int, ...]]:
-    """All automorphisms of N as image vectors, lazily."""
-    tower = GeneratorTower(N)
-    candidates = _matching_candidates(N, N, tower.gens)
-    return morphism_images(N, N, candidates, tower=tower)
 

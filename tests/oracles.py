@@ -13,14 +13,16 @@ homomorphism equations, and every row of the composition table looked up
 and compared in full.  ``pairwise_search_regular`` is the search kernel
 with closure by all products of members, in place of coset keys, and
 ``unbounded_tower`` is ``GeneratorTower`` without its stop once the group
-is full.  ``conjugates`` maps a code set by every automorphism in turn,
-where ``HolomorphGroup.orbit`` walks generators.  ``bfs_closure`` multiplies
-every listed element by every generator, where the package's
-``normal_closure`` multiplies the elements already closed only by the
-newest generator.  ``brute_subgroups`` extends every subgroup by every
-element outside it, where ``all_subgroups`` extends one subgroup per
-conjugacy class by one element per coset.  Four oracles check the
-normal structure, each the route the package took before.
+is full.  ``automorphism_images`` lists Aut(N) by every branch of the
+generator-image backtrack, where ``automorphism_group`` asks it for one
+witness per orbit point of a stabiliser chain.  ``conjugates`` maps a code
+set by every automorphism in turn, where ``HolomorphGroup.orbit`` walks
+generators.  ``bfs_closure`` multiplies every listed element by every
+generator, where the package's ``normal_closure`` multiplies the elements
+already closed only by the newest generator.  ``brute_subgroups`` extends
+every subgroup by every element outside it, where ``all_subgroups`` extends
+one subgroup per conjugacy class by one element per coset.  Four oracles
+check the normal structure, each the route the package took before.
 ``sylow_subgroup`` grows a Sylow p-subgroup greedily, ``p_core``
 intersects its conjugates by every element, and ``fitting_by_p_cores``
 closes the product of the p-cores over ``_prime_factors``: they are the
@@ -50,9 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from holoscreen import isomorphism
 from holoscreen.automorphisms import automorphism_group
 from holoscreen.holomorph import HOL_AUT_CAP
-from holoscreen.isomorphism import GeneratorTower
+from holoscreen.isomorphism import GeneratorTower, _matching_candidates
 from holoscreen.perms import (PermutationGroup, check_perm, compose,
                               identity_perm, inverse)
 from holoscreen.tables import GroupTable, Subgroup
@@ -463,6 +466,16 @@ def conjugates(hol, codes):
     image = E[:, a] * hol.na + conj
     image.sort(axis=1)
     yield from map(tuple, image.tolist())
+
+
+def automorphism_images(N):
+    """All automorphisms of N as image vectors, lazily: every branch of
+    ``morphism_images`` over the generators' matching candidates, in its
+    yield order.  It looks ``morphism_images`` up on the module at call
+    time, so a test can swap in the all-pairs engine."""
+    tower = GeneratorTower(N)
+    candidates = _matching_candidates(N, N, tower.gens)
+    return isomorphism.morphism_images(N, N, candidates, tower=tower)
 
 
 def unbounded_tower(G, gens=None):

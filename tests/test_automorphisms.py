@@ -19,8 +19,9 @@ from holoscreen.lattice import all_subgroups
 from holoscreen.perms import PermutationGroup, inverse
 from holoscreen.tables import GroupTable, Homomorphism
 
-from oracles import (aut_index, composition_reference, composition_row,
-                     inner_automorphism, is_characteristic, per_row_aut_table)
+from oracles import (aut_index, automorphism_images, composition_reference,
+                     composition_row, inner_automorphism, is_characteristic,
+                     per_row_aut_table)
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -281,6 +282,46 @@ def test_default_order_cap_is_the_list_cap(monkeypatch):
     # AUT_LIST_CAP, read when Aut(N) is listed; |Aut(C8)| = 4.
     monkeypatch.setattr(automorphisms, "AUT_LIST_CAP", 32)
     assert automorphism_group(T("cyclic(8)")).order == 4
+    monkeypatch.setattr(automorphisms, "AUT_LIST_CAP", 31)
+    with pytest.raises(CapExceeded, match="order cap 3$"):
+        automorphism_group(T("cyclic(8)"))
+
+
+def test_chain_lists_what_the_full_backtrack_lists():
+    # The stabiliser chain against every branch of the generator-image
+    # backtrack, sorted as AutGroup keeps its list: every corpus group, the
+    # three wide-aut bases, and two groups with |Aut| above 10,000 under
+    # the default list cap.
+    bases = shipped_tables() + [
+        T(expr) for expr in ("abelian(5,5)", "abelian(5,5,2)", "abelian(7,7)",
+                             "abelian(2,2,2,2)", "abelian(3,3,3)")]
+    for base in bases:
+        assert automorphism_group(base).elements == tuple(
+            sorted(automorphism_images(base))), base.name
+    assert [automorphism_group(base).order for base in bases[-2:]] == [
+        20160, 11232]
+
+
+def test_cap_fires_before_anything_is_listed(monkeypatch):
+    # The orbit sizes pass the cap before the chain lists an automorphism,
+    # so AutGroup is never built.  |Aut(C2^5)| = 9,999,360 against 65,536
+    # by default, |Aut(C2^4)| = 20,160 against 2,048, |Aut(C8)| = 4 against
+    # 31 // 8 = 3.
+    def refuse(self, base, elements):
+        raise AssertionError("AutGroup built past the cap")
+
+    monkeypatch.setattr(AutGroup, "__init__", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="order cap 65536$"):
+            automorphism_group(T("abelian(2,2,2,2,2)"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 65,537 listed automorphisms of C2^5 would take about 20 MB.
+    assert peak < 1 << 20
+    with pytest.raises(CapExceeded, match="order cap %d$" % HOL_AUT_CAP):
+        automorphism_group(T("abelian(2,2,2,2)"), order_cap=HOL_AUT_CAP)
     monkeypatch.setattr(automorphisms, "AUT_LIST_CAP", 31)
     with pytest.raises(CapExceeded, match="order cap 3$"):
         automorphism_group(T("cyclic(8)"))

@@ -137,11 +137,18 @@ def test_code_of_perm_rejects_outsiders():
         code_of_perm(hol, (1, 0, 2, 3, 4, 5))  # a transposition, not affine
 
 
+def order_dividing_n(hol, code):
+    """The order of the permutation of ``code`` where it divides n, else 0:
+    what ``element_orders`` lists."""
+    m = perm_order(perm_of_code(hol, code))
+    return m if hol.n % m == 0 else 0
+
+
 def test_element_orders_match_permutation_orders():
     for expr in ("cyclic(6)", "symmetric(3)", "dihedral(8)", "alternating(4)",
                  "abelian(2,2,2)"):
         hol = holomorph(T(expr))
-        assert hol.element_orders() == [perm_order(perm_of_code(hol, code))
+        assert hol.element_orders() == [order_dividing_n(hol, code)
                                         for code in range(hol.order)], expr
 
 
@@ -170,19 +177,23 @@ def test_closable_matches_permutation_definition():
         assert mask == bytes(closable_reference(hol, code)
                              for code in range(hol.order)), expr
         orders = hol.element_orders()
-        assert sum(hol.n % orders[code] == 0 and not mask[code]
+        assert orders == [order_dividing_n(hol, code)
+                          for code in range(hol.order)], expr
+        assert sum(orders[code] > 0 and not mask[code]
                    for code in range(hol.na, hol.order)) == count, expr
 
 
 def test_largest_holomorph_walks_without_overflow():
     # Hol(C7xC7), with the largest Aut(N) in use, has 98,784 codes; the
-    # power walk runs in int32 and keeps no |Aut| x |Aut| array.
+    # power walk runs in int32 over the 2,401 whose automorphism part has
+    # order dividing 49, and keeps no |Aut| x |Aut| array.
     hol = holomorph(T("abelian(7,7)"))
     assert hol.order == 98_784
     codes = list(range(0, hol.order, 97)) + [hol.order - 1]
     orders, mask = hol.element_orders(), hol.closable()
+    assert sum(order > 0 for order in orders) == 49 * 49
     for code in codes:
-        assert orders[code] == perm_order(perm_of_code(hol, code)), code
+        assert orders[code] == order_dividing_n(hol, code), code
         assert mask[code] == closable_reference(hol, code), code
     records = enumerate_regular_subgroups(hol).records
     assert len(records) == 49
@@ -562,26 +573,24 @@ def test_subgroup_table_rejects_unclosed_codes():
 
 
 def test_subgroup_table_rejects_unlisted_codes_below_the_largest():
-    # Swap one member of a regular subgroup of Hol(D8) for another code
-    # over the same fiber, keeping the largest code, and keep the sets
-    # whose products all lie at or below it: the set is then not closed
-    # (n - 1 members of a group of order n >= 3 generate it), though no
-    # product falls outside the listed range.
+    # Swap one member of a regular subgroup of Hol(D8) for any other code
+    # over the same fiber, on every fiber but 0.  No swapped set is closed:
+    # n - 1 members of a group of order n >= 3 generate it, as a proper
+    # subgroup has at most n / 2 elements, so a closed swapped set would
+    # hold the whole subgroup and the swapped-in code besides.
     hol = holomorph(T("dihedral(8)"))
+    records = enumerate_regular_subgroups(hol).records
     cases = 0
-    for rec in enumerate_regular_subgroups(hol).records:
-        for i in range(1, hol.n - 1):
-            fiber = rec.codes[i] // hol.na
-            for code in range(fiber * hol.na, (fiber + 1) * hol.na):
-                codes = rec.codes[:i] + (code,) + rec.codes[i + 1:]
-                if code == rec.codes[i] or max(
-                        scalar_code_mul(hol, x, y)
-                        for x in codes for y in codes) > codes[-1]:
+    for rec in records:
+        for i in range(1, hol.n):
+            for code in range(i * hol.na, (i + 1) * hol.na):
+                if code == rec.codes[i]:
                     continue
                 cases += 1
                 with pytest.raises(ValueError, match="not closed"):
-                    subgroup_table(hol, codes)
-    assert cases
+                    subgroup_table(hol, rec.codes[:i] + (code,)
+                                   + rec.codes[i + 1:])
+    assert cases == len(records) * (hol.n - 1) * (hol.na - 1)
 
 
 def test_subgroup_table_rejects_repeated_codes():

@@ -7,11 +7,11 @@ import pytest
 
 from holoscreen import isomorphism
 from holoscreen.corpus import construct, load_manifest
-from holoscreen.isomorphism import (GeneratorTower, are_isomorphic,
-                                    automorphism_images)
+from holoscreen.isomorphism import GeneratorTower, are_isomorphic
 from holoscreen.tables import GroupTable, Homomorphism
 
-from oracles import hom_images, pairwise_morphism_images, unbounded_tower
+from oracles import (automorphism_images, hom_images,
+                     pairwise_morphism_images, unbounded_tower)
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 

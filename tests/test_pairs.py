@@ -41,3 +41,25 @@ def test_summary_interpolates_quartiles_of_an_even_count():
     assert wall["q1"] == pytest.approx(1.75)
     assert wall["median"] == pytest.approx(2.5)
     assert wall["q3"] == pytest.approx(3.25)
+
+
+def test_traced_runs_keep_each_run_and_the_median_per_side():
+    before = [{"kernel.search_s": 0.30, "trace.wall_s": 0.9},
+              {"kernel.search_s": 0.10, "trace.wall_s": 0.7},
+              {"kernel.search_s": 0.20, "trace.wall_s": 0.8}]
+    after = [{"kernel.search_s": 0.05, "trace.wall_s": 0.6},
+             {"kernel.search_s": 0.07, "trace.wall_s": 0.5},
+             {"kernel.search_s": 0.06, "trace.wall_s": 0.4}]
+    traced = pairs.summarize_traced(before, after)
+    assert traced["before"]["kernel.search_s"] == {
+        "median": 0.20, "runs": [0.30, 0.10, 0.20]}
+    assert traced["after"] == {
+        "kernel.search_s": {"median": 0.06, "runs": [0.05, 0.07, 0.06]},
+        "trace.wall_s": {"median": 0.5, "runs": [0.6, 0.5, 0.4]}}
+
+
+def test_traced_runs_alternate_like_the_pairs():
+    sides = {"before": "a", "after": "b"}
+    assert pairs.TRACED_RUNS == 3
+    assert [pairs.alternated(sides, i) for i in range(pairs.TRACED_RUNS)] == [
+        ["before", "after"], ["after", "before"], ["before", "after"]]
