@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 HOL_ORDER_CAP = 64
 # Bounds |Aut(N)| in the holomorph, checked while the stabiliser chain of
 # Aut(N) grows, before any automorphism is listed, and with it the n * |Aut|
-# entries of the order list and the closable mask; C7xC7 needs 2016.
+# entries of the order array and the closable mask; C7xC7 needs 2016.
 HOL_AUT_CAP = 2048
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -57,11 +57,10 @@ class HolomorphGroup:
         self.order = self.n * self.na
         self.nmul = np.array(base.mul, dtype=np.int32).ravel()
         self.act = aut.table.elements.ravel()
-        self._orders: list[int] | None = None
+        self._orders: np.ndarray | None = None
         self._divides: np.ndarray | None = None
         self._closable: bytes | None = None
         self._rows: tuple[np.ndarray, np.ndarray] | None = None
-        self._conjugators: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def aut_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(at, rows), cached: ``rows[at[f], g]`` indexes elements[f] o
@@ -86,110 +85,87 @@ class HolomorphGroup:
             self._rows = at, self.aut.rows(np.flatnonzero(need))
         return self._rows
 
-    def element_orders(self) -> list[int]:
-        """Per code x, ord(x) where it divides n and 0 elsewhere, cached.
-        The search reads no more: ``_divides``, ``closable`` and the kernel
-        ask only whether an order divides n.
+    def element_orders(self) -> np.ndarray:
+        """Per code x, ord(x) where it divides n and 0 elsewhere, as an
+        int32 array, cached.  ``_divides``, ``closable`` and the kernel ask
+        only whether an order divides n; ``subgroup_table`` reads the
+        orders of a regular subgroup's codes.
 
-        ord(a, phi) is a multiple of ord(phi), since the automorphism part
-        of (a, phi)^k is phi^k, so only the codes with phi^n = 1 can have
-        an order dividing n, and only they are walked, for at most n steps.
-        C7xC7 walks 2,401 of its 98,784 codes."""
+        ord(x) divides n exactly when x^n = 1, and then it is the least
+        divisor d of n with x^d = 1.  So only the powers x^d for the
+        divisors d of n are built, each as its fiber and phi^d, by one
+        square-and-multiply chain shared by all divisors:
+
+            (a, phi)^i (a, phi)^j = (a_i * phi^i(a_j), phi^(i+j)),
+
+        where a_i is the fiber of (a, phi)^i.  The chain visits 14
+        exponents for n = 60.  The automorphism part of x^n is phi^n, so
+        only the codes with phi^n = 1 can have an order dividing n, and
+        only they are powered: C7xC7 powers 2,401 of its 98,784 codes."""
         import numpy as np
 
         if self._orders is None:
-            na, n = self.na, self.n
-            index = self.aut.table
-            # phi^n for every phi, by repeated squaring.
-            nth, square, e = np.zeros(na, dtype=np.intp), np.arange(na), n
-            while e:
-                if e & 1:
-                    nth = index.compose(nth, square)
-                square, e = index.compose(square, square), e >> 1
-            torsion = np.flatnonzero(nth == 0)
-            # int32 holds every code: below n * |Aut| <= 64 * HOL_AUT_CAP.
+            na, n, index = self.na, self.n, self.aut.table
+            divisors = [d for d in range(1, n + 1) if n % d == 0]
+            steps = _square_and_multiply(divisors)
+            # auts[e][phi] indexes elements[phi] to the e-th power.
+            auts = {1: np.arange(na)}
+            for e, i, j in steps:
+                auts[e] = index.compose(auts[i], auts[j])
+            torsion = np.flatnonzero(auts[n] == 0)
+            # The codes (a, phi) with phi in torsion but code 0, the
+            # identity.  Fibers take the least type that holds n - 1; the
+            # indices into the tables below are built in intp by naming
+            # the product's type, since a small type would wrap.
+            fiber = np.min_scalar_type(n - 1)
+            a = np.repeat(np.arange(n, dtype=fiber), len(torsion))[1:]
+            phi = np.tile(torsion, n)[1:]
+            mul, act = self.nmul.astype(fiber), self.act.astype(fiber)
+            # fibers[e]: the fiber of each code to the e-th power.
+            fibers = {1: a}
+            for e, i, j in steps:
+                at = np.multiply(auts[i].take(phi), n, dtype=np.intp)
+                at += fibers[j]
+                image = act.take(at)
+                at = np.multiply(fibers[i], n, dtype=np.intp)
+                at += image
+                fibers[e] = mul.take(at)
+            # found: the least divisor d with x^d = 1, written last; stuck:
+            # some x^d over fiber 0 is not 1, so some power x^k with
+            # 0 < k < ord(x) fixes the identity point.
+            found = np.zeros(len(phi), dtype=np.int32)
+            stuck = np.zeros(len(phi), dtype=bool)
+            for d in reversed(divisors):
+                over = fibers[d] == 0
+                one = over & (auts[d] == 0).take(phi)
+                found[one] = d
+                stuck |= over & ~one
+            codes = np.multiply(a, na, dtype=np.intp)
+            codes += phi
             orders = np.zeros(self.order, dtype=np.int32)
             orders[0] = 1
-            # stuck[t]: some power t^k with 0 < k < ord(t) lies over fiber 0.
-            stuck = np.zeros(self.order, dtype=bool)
-            stuck[1:na] = True
-            # x[i] is live[i] to the k-th power, not yet the identity; the
-            # identity, code 0, comes first and is left out.
-            live = x = (np.arange(n, dtype=np.int32)[:, None] * na
-                        + torsion.astype(np.int32)).ravel()[1:]
-            # powers[k][phi] indexes elements[phi] to the k-th power for
-            # phi in torsion, the automorphism part of x^k when phi is that
-            # of x.  Once a power is the identity 0 on torsion, the list
-            # repeats with its length.
-            powers = [np.zeros(na, dtype=np.int32),
-                      np.arange(na, dtype=np.int32)]
-            period = 0
-            k = 1
-            while live.size and k < n:
-                k += 1
-                if not period:
-                    power = np.zeros(na, dtype=np.int32)
-                    power[torsion] = index.compose(powers[-1][torsion],
-                                                   torsion)
-                    if power.any():
-                        powers.append(power)
-                    else:
-                        period = k
-                power = powers[k % period] if period else powers[-1]
-                a, f = np.divmod(x, na)
-                b, g = np.divmod(live, na)
-                x = self.nmul[a * n + self.act[f * n + b]] * na + power[g]
-                done = x == 0
-                stuck[live[(x < na) & ~done]] = True
-                if n % k == 0:
-                    orders[live[done]] = k
-                live, x = live[~done], x[~done]
-            self._orders = orders.tolist()
+            orders[codes] = found
+            closable = np.zeros(self.order, dtype=bool)
+            closable[0] = True
+            closable[codes] = (found > 0) & ~stuck
+            self._orders = orders
             self._divides = orders > 0
-            self._closable = (self._divides & ~stuck).tobytes()
+            self._closable = closable.tobytes()
         return self._orders
 
     def closable(self) -> bytes:
         """Per code, 1 exactly when its order divides n and none of its
         non-identity powers lies over fiber 0, else 0; cached.  Every
         element of a regular subgroup is closable, since the subgroup meets
-        fiber 0 only in the identity."""
+        fiber 0 only in the identity.
+
+        ``element_orders`` builds it from the powers x^d for the divisors d
+        of n alone.  The exponents k with x^k over fiber 0, the stabiliser
+        of the identity point, are the multiples of some m dividing ord(x).
+        So when ord(x) divides n, some power x^k != 1 lies over fiber 0
+        exactly when x^m != 1, and m divides n."""
         self.element_orders()
         return self._closable
-
-    def orbit(self, codes: Sequence[int]) -> set[tuple[int, ...]]:
-        """The images of a code set under conjugation by every (1, phi),
-        each as a sorted tuple:
-
-            (1, phi) (a, psi) (1, phi)^-1 = (phi(a), phi psi phi^-1).
-
-        Breadth-first over the automorphisms S that ``AutGroup.table``
-        composed in full, which generate Aut(N): every image found is
-        mapped by each s in S.  That costs |S| images per orbit member, not
-        |Aut| per orbit.  Per s only its ``act`` row and its conjugation
-        map on Aut(N) are kept, n + |Aut| entries."""
-        import numpy as np
-
-        if self._conjugators is None:
-            index, inv = self.aut.table, self.aut.inverses
-            act = self.act.reshape(self.na, self.n)
-            gens = self.aut.table_generators
-            self._conjugators = [(act[s], index.compose(row_s, inv[s]))
-                                 for s, row_s in zip(gens, self.aut.rows(gens))]
-        start = tuple(sorted(codes))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            a, psi = np.divmod(np.array(frontier), self.na)
-            frontier = []
-            for act_s, conj_s in self._conjugators:
-                image = act_s[a] * self.na + conj_s[psi]
-                image.sort(axis=1)
-                for t in map(tuple, image.tolist()):
-                    if t not in seen:
-                        seen.add(t)
-                        frontier.append(t)
-        return seen
 
     def __repr__(self) -> str:
         return "HolomorphGroup(n=%d, aut=%d, order=%d)" % (
@@ -242,43 +218,170 @@ class RegularEnumeration:
         """Partition the records into isomorphism classes, in discovery order.
 
         Fills ``iso_type`` on every record with its class's index, and
-        ``orbit``.  Conjugation by (1, phi) maps regular subgroups to
-        isomorphic ones, so one table and one round of isomorphism tests
-        serve each Aut(N)-orbit of records, and one solvability check each
-        class; ``orbit`` numbers the orbits in discovery order.  Under an
-        exhausted budget an orbit may be only partly among the records, and
-        a class counts only the records listed.
+        ``orbit`` with its Aut(N)-orbit, numbered by first record.
+        Conjugation by (1, phi) maps regular subgroups to isomorphic ones,
+        and so does the inversion map iota: x -> x^-1 of N, which
+        normalises Hol(N) and commutes with Aut(N) (the opposite skew
+        brace; Koch and Truman, *J. Algebra* 546, 2020).  So one table,
+        one ``iso_invariants`` and one round of isomorphism tests serve
+        each <Aut(N), iota>-orbit of records, one or two Aut(N)-orbits,
+        and one solvability check each class.  ``_orbit_labels`` finds both
+        kinds of orbit in one array pass.  Under an exhausted budget an
+        orbit may be only partly among the records, and a class counts
+        only the records listed.
 
-        A table is tested only against the representatives with the same
-        ``iso_invariants``, in discovery order.  ``are_isomorphic`` rejects
-        every other one at its invariant check, so the class found is the
-        same as in a scan over all representatives."""
+        Each <Aut(N), iota>-orbit is classified by the table of its first
+        record, in record order, so a class's table is that of its first
+        record.  A table is tested only against the representatives with
+        the same ``iso_invariants``, in discovery order; each builds its
+        ``GeneratorTower`` once, as ``GroupTable.tower``.
+        ``are_isomorphic`` rejects every other one at its invariant check,
+        so the class found is the same as in a scan over all
+        representatives."""
         if self.classes is not None:
             return self.classes
-        by_codes = {rec.codes: rec for rec in self.records}
+        import numpy as np
+
         classes: list[RegularClass] = []
+        if not self.records:
+            self.classes = classes
+            return classes
+        hol = self.hol
+        orbits, merged = _orbit_labels(hol, [rec.codes for rec in self.records])
+        _, orbit_of = np.unique(orbits, return_inverse=True)
+        heads, merged_of = np.unique(merged, return_inverse=True)
         buckets: dict[tuple, list[int]] = {}  # invariants -> iso types
-        orbit = 0
-        for rec in self.records:
-            if rec.iso_type is not None:
-                continue
-            table = subgroup_table(self.hol, rec.codes)
+        head_types = []
+        for head in heads.tolist():
+            table = subgroup_table(hol, self.records[head].codes)
             bucket = buckets.setdefault(iso_invariants(table), [])
             for iso_type in bucket:
-                if are_isomorphic(table, classes[iso_type].table)[0]:
+                if are_isomorphic(classes[iso_type].table, table)[0]:
                     break
             else:
                 iso_type = len(classes)
                 classes.append(RegularClass(table, table.is_solvable()))
                 bucket.append(iso_type)
-            for image in self.hol.orbit(rec.codes):
-                hit = by_codes.get(image)
-                if hit is not None:
-                    hit.iso_type, hit.orbit = iso_type, orbit
-                    classes[iso_type].count += 1
-            orbit += 1
+            head_types.append(iso_type)
+        types = np.array(head_types)[merged_of]
+        for cls, count in zip(classes, np.bincount(types).tolist()):
+            cls.count = count
+        for rec, iso_type, orbit in zip(self.records, types.tolist(),
+                                        orbit_of.tolist()):
+            rec.iso_type, rec.orbit = iso_type, orbit
         self.classes = classes
         return classes
+
+
+def _square_and_multiply(exponents: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Steps (e, i, j) with e = i + j that reach every exponent from 1, in
+    an order where i and j are reached before e: x^2k = x^k x^k and
+    x^(2k+1) = x^2k x, each exponent reached once.  j is 1 or i, so an
+    exponent needs only the chain of halvings below it."""
+    steps: list[tuple[int, int, int]] = []
+    reached = {1}
+    for e in exponents:
+        chain = []
+        while e not in reached:
+            chain.append(e)
+            e = e - 1 if e % 2 else e // 2
+        for e in reversed(chain):
+            i = e - 1 if e % 2 else e // 2
+            reached.add(e)
+            steps.append((e, i, e - i))
+    return steps
+
+
+def _orbit_labels(hol: HolomorphGroup, codes: list[tuple[int, ...]],
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(orbits, merged) for regular subgroups listed in fiber order: per
+    record, the index of the first record in its Aut(N)-orbit, and in its
+    <Aut(N), iota>-orbit.
+
+    A node is a regular subgroup as the row of its automorphism parts,
+    ``psi[b]`` for its code over fiber b; the records are the first nodes.
+    Every node is mapped under each generator s in
+    ``AutGroup.table_generators`` and under iota, unless N is abelian, when
+    iota lies in Aut(N), one generator at a time over int32 rows.  Images
+    are matched to nodes by the bytes of their rows, an exact key.  An
+    image that is no node, which happens only under an exhausted budget,
+    joins as a node and is mapped in turn, until the node set is closed.
+    Each generator then permutes the nodes, and an orbit is a component
+    of these permutations; ``_min_labels`` labels it by its least node,
+    a record, since every node is reached from one.
+
+    Conjugation by (1, s) maps the code (a, psi) over fiber a to
+    (s(a), s psi s^-1) over fiber s(a), and iota, with
+    iota (a, psi) iota = (a^-1, inn(a) o psi), maps it to the fiber a^-1,
+    where inn(a) is conjugation by a."""
+    import numpy as np
+
+    n, na, aut = hol.n, hol.na, hol.aut
+    index = aut.table
+    # (table, columns, offset) per generator: a node's image over fiber c
+    # is table[offset[c] + psi_b], where b = columns[c] is the fiber that
+    # c came from.
+    maps = []
+    for s, row_s in zip(aut.table_generators, aut.rows(aut.table_generators)):
+        conj = index.compose(row_s, aut.inverses[s]).astype(np.int32)
+        maps.append((conj, np.argsort(hol.act[s * n:(s + 1) * n]), 0))
+    if not hol.base.is_abelian:
+        mul = hol.nmul.reshape(n, n)
+        inv = np.array(hol.base.inv)
+        gens = np.array(index.gens)
+        inner = index.lookup(mul[mul[:, gens], inv[:, None]])
+        rows = aut.rows(inner[inv]).astype(np.int32).ravel()
+        maps.append((rows, inv, np.arange(n, dtype=np.int32) * na))
+
+    def keys(rows: np.ndarray) -> list[bytes]:
+        return rows.view(np.dtype((np.void, 4 * n))).ravel().tolist()
+
+    psi = np.array(codes, dtype=np.int32)
+    psi %= na
+    known = {key: i for i, key in enumerate(keys(psi))}
+    # targets[g]: the node that generator g maps each node to, by block.
+    targets: list[list[np.ndarray]] = [[] for _ in maps]
+    block = psi
+    while len(block):
+        fresh = [block[:0]]  # the nodes new in this round; none without maps
+        for (table, columns, offset), out in zip(maps, targets):
+            image = block.take(columns, axis=1)
+            image += offset
+            image = table[image]
+            start = len(known)
+            ids = np.array([known.setdefault(key, len(known))
+                            for key in keys(image)])
+            out.append(ids)
+            new = np.flatnonzero(ids >= start)
+            _, first = np.unique(ids[new], return_index=True)
+            fresh.append(image[new[first]])
+        block = np.concatenate(fresh)
+    perms = [np.concatenate(out) for out in targets]
+    count = len(aut.table_generators)
+    orbits = _min_labels(perms[:count], np.arange(len(known)))
+    merged = _min_labels(perms, orbits)
+    return orbits[:len(psi)], merged[:len(psi)]
+
+
+def _min_labels(perms: list[np.ndarray], labels: np.ndarray) -> np.ndarray:
+    """Per node, the least node in its component under the permutations
+    ``perms`` of the nodes, from ``labels`` that give each node a node of
+    its component no greater than itself.  Each round takes the least
+    label over one step of each permutation, then jumps to the label's
+    label; neither raises a label, so a round that changes nothing changed
+    nothing in either step.  Then the labels do not rise along any cycle
+    of a permutation, so they are constant on each component, and the
+    least node of a component keeps its own label."""
+    import numpy as np
+
+    while True:
+        new = labels
+        for p in perms:
+            new = np.minimum(new, new[p])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 def subgroup_table(hol: HolomorphGroup, codes: Sequence[int]) -> GroupTable:
@@ -299,11 +402,16 @@ def subgroup_table(hol: HolomorphGroup, codes: Sequence[int]) -> GroupTable:
         raise ValueError("codes must list one code per fiber, in fiber order")
     phi = c % na
     at, rows = hol.aut_rows()
-    cell = hol.nmul[fibers[:, None] * n + hol.act[phi[:, None] * n + fibers]]
-    if ((at[phi] < 0).any()
-            or (rows[at[phi][:, None], phi] != phi[cell]).any()):
+    cell = hol.nmul.take(fibers[:, None] * n
+                         + hol.act.take(phi[:, None] * n + fibers))
+    row = at.take(phi)
+    if ((row < 0).any()
+            or (rows.take(row[:, None] * na + phi) != phi.take(cell)).any()):
         raise ValueError("code set is not closed under the product")
-    return GroupTable(cell.tolist(), validate=False)
+    table = GroupTable(cell.tolist(), validate=False)
+    # The codes form the group, so each has the same order in it as in Hol(N).
+    table.element_orders = tuple(hol.element_orders()[c].tolist())
+    return table
 
 
 def enumerate_regular_subgroups(

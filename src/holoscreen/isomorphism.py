@@ -28,11 +28,12 @@ class GeneratorTower:
     After level k the elements of <g_1, ..., g_k> are known; ``segments[k]``
     lists the elements new at level k in deterministic order, and ``expr[e]``
     holds a pair (u, v) with e = u*v where u, v appear earlier (None for the
-    identity and for the generators themselves).
+    identity and for the generators themselves).  It keeps no reference
+    to G, so ``GroupTable.tower`` makes no reference cycle: a table and
+    its tower are freed together as soon as the table is dropped.
     """
 
     def __init__(self, G: GroupTable, gens: Sequence[int] | None = None):
-        self.G = G
         self.gens = tuple(G.generating_sequence() if gens is None else gens)
         self.order: list[int] = [0]
         self.expr: dict[int, tuple[int, int] | None] = {0: None}
@@ -175,6 +176,7 @@ def _matching_candidates(G: GroupTable, H: GroupTable,
 
 def are_isomorphic(G: GroupTable, H: GroupTable) -> tuple[bool, Homomorphism | None]:
     """Decide isomorphism; on success also return a verified witness map.
+    Maps are searched over ``G.tower``, built once per table G.
 
     Raises ValueError when the orders differ, so that a size mismatch is
     never silently reported as mere non-isomorphism.
@@ -183,7 +185,7 @@ def are_isomorphic(G: GroupTable, H: GroupTable) -> tuple[bool, Homomorphism | N
         raise ValueError("order mismatch: %d vs %d" % (G.n, H.n))
     if iso_invariants(G) != iso_invariants(H):
         return False, None
-    tower = GeneratorTower(G)
+    tower = G.tower
     candidates = _matching_candidates(G, H, tower.gens)
     for images in morphism_images(G, H, candidates, tower=tower):
         witness = Homomorphism(G, H, images)

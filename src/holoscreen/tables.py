@@ -23,9 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import (TYPE_CHECKING, Callable, Hashable, Iterable, Sequence,
+                    TypeVar)
 
 from .perms import PermutationGroup, Perm
+
+if TYPE_CHECKING:
+    from .isomorphism import GeneratorTower
 
 # A Cayley table is n^2 Python ints, so its time and memory grow as n^2: at
 # the cap, cyclic(2000) builds in about a second with a 126 MB peak RSS on a
@@ -75,16 +79,23 @@ def normal_closure(seed: Iterable[E], gens: Sequence[E],
 
 def commutator_series(gens: Sequence[E], mul: Callable[[E, E], E],
                       inv: Callable[[E], E], one: E, *,
-                      lower: bool = False) -> list[list[E]]:
+                      lower: bool = False,
+                      elements: Sequence[E] | None = None) -> list[list[E]]:
     """Derived series of G = <gens>, or with ``lower`` its lower central
     series, as a list of element lists starting with G.
 
     Each term after G is the normal closure in G of the commutators of the
     previous term's generators with each other (derived series) or with
     ``gens`` (lower central series).  The series stops at the trivial group
-    or at the first term equal to its predecessor.
+    or at the first term equal to its predecessor.  A caller that already
+    lists G passes it as ``elements``, and G is not closed again; its
+    generators are then all of ``gens``, which for a greedy sequence are
+    the ones the closure would adjoin.
     """
-    ks, elements = normal_closure(gens, gens, mul, inv, one)
+    if elements is None:
+        ks, elements = normal_closure(gens, gens, mul, inv, one)
+    else:
+        ks, elements = list(gens), list(elements)
     series = [elements]
     while len(series[-1]) > 1:
         others = gens if lower else ks
@@ -188,9 +199,10 @@ class GroupTable:
 
     @cached_property
     def center(self) -> tuple[int, ...]:
-        m, gens = self.mul, self.generating_sequence()
-        return tuple(a for a in range(self.n)
-                     if all(m[a][g] == m[g][a] for g in gens))
+        """The central elements, in order: the conjugacy classes of one
+        element."""
+        return tuple(cls[0] for cls in self.conjugacy_classes
+                     if len(cls) == 1)
 
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -240,6 +252,14 @@ class GroupTable:
     def _generating_sequence(self) -> tuple[int, ...]:
         return tuple(self._closure(range(1, self.n))[0])
 
+    @cached_property
+    def tower(self) -> "GeneratorTower":
+        """The ``isomorphism.GeneratorTower`` over ``generating_sequence()``,
+        built once however many tables this one is tested against."""
+        from .isomorphism import GeneratorTower
+
+        return GeneratorTower(self)
+
     def _closure(self, seed: Iterable[int]) -> tuple[list[int], list[int]]:
         m = self.mul
         # No conjugating generators, so inverses are never looked up; the
@@ -256,7 +276,7 @@ class GroupTable:
         m = self.mul
         return commutator_series(self.generating_sequence(),
                                  lambda a, b: m[a][b], self.inv.__getitem__,
-                                 0, lower=lower)
+                                 0, lower=lower, elements=range(self.n))
 
     @cached_property
     def derived_terms(self) -> tuple[tuple[int, ...], ...]:

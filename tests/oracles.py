@@ -16,8 +16,14 @@ with closure by all products of members, in place of coset keys, and
 is full.  ``automorphism_images`` lists Aut(N) by every branch of the
 generator-image backtrack, where ``automorphism_group`` asks it for one
 witness per orbit point of a stabiliser chain.  ``conjugates`` maps a code
-set by every automorphism in turn, where ``HolomorphGroup.orbit`` walks
-generators.  ``bfs_closure`` multiplies every listed element by every
+set by every automorphism in turn, where ``generator_orbit`` walks the
+generators that ``AutGroup.table`` composed in full.  ``orbit_walk_classify``
+is the classification that the package ran before it labelled every orbit
+in one array pass: one table and one round of isomorphism tests per
+Aut(N)-orbit, each orbit walked by ``generator_orbit`` from its first
+record.  ``walked_element_orders`` powers each code k = 2, 3, ... until it
+is the identity or k passes n, where ``HolomorphGroup.element_orders``
+builds only the powers to the divisors of n.  ``bfs_closure`` multiplies every listed element by every
 generator, where the package's ``normal_closure`` multiplies the elements
 already closed only by the newest generator.  ``brute_subgroups`` extends
 every subgroup by every element outside it, where ``all_subgroups`` extends
@@ -451,6 +457,127 @@ def conjugation_column(aut, psi):
         cache[psi] = np.array([index[compose(compose(phi, p), inverse(phi))]
                                for phi in aut.elements])
     return cache[psi]
+
+
+def generator_orbit(hol, codes):
+    """The images of a code set under conjugation by every (1, phi), each
+    as a sorted tuple, breadth-first over the automorphisms S in
+    ``AutGroup.table_generators``: every image found is mapped by each s
+    in S, |S| images per orbit member.  Per s only its ``act`` row and its
+    conjugation map on Aut(N) are built."""
+    index, inv = hol.aut.table, hol.aut.inverses
+    act = hol.act.reshape(hol.na, hol.n)
+    gens = hol.aut.table_generators
+    conjugators = [(act[s], index.compose(row_s, inv[s]))
+                   for s, row_s in zip(gens, hol.aut.rows(gens))]
+    start = tuple(sorted(codes))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        a, psi = np.divmod(np.array(frontier), hol.na)
+        frontier = []
+        for act_s, conj_s in conjugators:
+            image = act_s[a] * hol.na + conj_s[psi]
+            image.sort(axis=1)
+            for t in map(tuple, image.tolist()):
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+    return seen
+
+
+@dataclass
+class WalkedClass:
+    """A class of ``orbit_walk_classify``: its first record's table,
+    whether that is solvable, and how many records the class has."""
+
+    table: GroupTable
+    solvable: bool
+    count: int = 0
+
+
+def orbit_walk_classify(enum):
+    """The per-orbit classification, without touching the records:
+    (classes, labels) with one ``WalkedClass`` per isomorphism class in
+    discovery order and (iso_type, orbit) per record.  For each record not
+    yet labelled, in record order, it builds the record's table, finds its
+    class among the representatives with the same ``iso_invariants``, and
+    labels every record in the record's ``generator_orbit``."""
+    from holoscreen.holomorph import subgroup_table
+
+    at = {rec.codes: i for i, rec in enumerate(enum.records)}
+    labels = [None] * len(enum.records)
+    classes, buckets = [], {}
+    orbit = 0
+    for i, rec in enumerate(enum.records):
+        if labels[i] is not None:
+            continue
+        table = subgroup_table(enum.hol, rec.codes)
+        bucket = buckets.setdefault(isomorphism.iso_invariants(table), [])
+        for iso_type in bucket:
+            if isomorphism.are_isomorphic(table, classes[iso_type].table)[0]:
+                break
+        else:
+            iso_type = len(classes)
+            classes.append(WalkedClass(table, table.is_solvable()))
+            bucket.append(iso_type)
+        for image in generator_orbit(enum.hol, rec.codes):
+            j = at.get(image)
+            if j is not None:
+                labels[j] = (iso_type, orbit)
+                classes[iso_type].count += 1
+        orbit += 1
+    return classes, labels
+
+
+def walked_element_orders(hol):
+    """(orders, divides, closable) as ``HolomorphGroup.element_orders``,
+    ``_divides`` and ``closable`` give them, by powering: each code whose
+    automorphism part has an order dividing n is multiplied by itself
+    k = 2, 3, ... times until it is the identity or k passes n.  On the
+    way a code is stuck once a power other than the identity lies over
+    fiber 0."""
+    na, n = hol.na, hol.n
+    index = hol.aut.table
+    # phi^n for every phi, by repeated squaring.
+    nth, square, e = np.zeros(na, dtype=np.intp), np.arange(na), n
+    while e:
+        if e & 1:
+            nth = index.compose(nth, square)
+        square, e = index.compose(square, square), e >> 1
+    torsion = np.flatnonzero(nth == 0)
+    orders = np.zeros(hol.order, dtype=np.int32)
+    orders[0] = 1
+    stuck = np.zeros(hol.order, dtype=bool)
+    stuck[1:na] = True
+    # x[i] is live[i] to the k-th power, not yet the identity.
+    live = x = (np.arange(n, dtype=np.int32)[:, None] * na
+                + torsion.astype(np.int32)).ravel()[1:]
+    # powers[k][phi] indexes elements[phi] to the k-th power for phi in
+    # torsion; once a power is the identity the list repeats.
+    powers = [np.zeros(na, dtype=np.int32), np.arange(na, dtype=np.int32)]
+    period = 0
+    k = 1
+    while live.size and k < n:
+        k += 1
+        if not period:
+            power = np.zeros(na, dtype=np.int32)
+            power[torsion] = index.compose(powers[-1][torsion], torsion)
+            if power.any():
+                powers.append(power)
+            else:
+                period = k
+        power = powers[k % period] if period else powers[-1]
+        a, f = np.divmod(x, na)
+        b, g = np.divmod(live, na)
+        x = hol.nmul[a * n + hol.act[f * n + b]] * na + power[g]
+        done = x == 0
+        stuck[live[(x < na) & ~done]] = True
+        if n % k == 0:
+            orders[live[done]] = k
+        live, x = live[~done], x[~done]
+    divides = orders > 0
+    return orders, divides, (divides & ~stuck).tobytes()
 
 
 def conjugates(hol, codes):

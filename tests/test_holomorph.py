@@ -21,7 +21,7 @@ from holoscreen.perms import compose, identity_perm
 from holoscreen.tables import GroupTable
 from oracles import (EmbeddingSearchResult, aut_index, code_inv,
                      code_of_perm, composition_row, conjugate_code, conjugates,
-                     has_regular_embedding, is_regular_subgroup, left_regular,
+                     generator_orbit, has_regular_embedding, is_regular_subgroup, left_regular,
                      left_regular_codes, left_translation, perm_of_code,
                      perm_order, record_permutations, right_regular,
                      right_regular_codes, right_translation,
@@ -148,8 +148,8 @@ def test_element_orders_match_permutation_orders():
     for expr in ("cyclic(6)", "symmetric(3)", "dihedral(8)", "alternating(4)",
                  "abelian(2,2,2)"):
         hol = holomorph(T(expr))
-        assert hol.element_orders() == [order_dividing_n(hol, code)
-                                        for code in range(hol.order)], expr
+        assert hol.element_orders().tolist() == [
+            order_dividing_n(hol, code) for code in range(hol.order)], expr
 
 
 def closable_reference(hol, code):
@@ -176,7 +176,7 @@ def test_closable_matches_permutation_definition():
         mask = hol.closable()
         assert mask == bytes(closable_reference(hol, code)
                              for code in range(hol.order)), expr
-        orders = hol.element_orders()
+        orders = hol.element_orders().tolist()
         assert orders == [order_dividing_n(hol, code)
                           for code in range(hol.order)], expr
         assert sum(orders[code] > 0 and not mask[code]
@@ -185,12 +185,12 @@ def test_closable_matches_permutation_definition():
 
 def test_largest_holomorph_walks_without_overflow():
     # Hol(C7xC7), with the largest Aut(N) in use, has 98,784 codes; the
-    # power walk runs in int32 over the 2,401 whose automorphism part has
-    # order dividing 49, and keeps no |Aut| x |Aut| array.
+    # powers run in int32 over the 2,401 whose automorphism part has
+    # order dividing 49, and keep no |Aut| x |Aut| array.
     hol = holomorph(T("abelian(7,7)"))
     assert hol.order == 98_784
     codes = list(range(0, hol.order, 97)) + [hol.order - 1]
-    orders, mask = hol.element_orders(), hol.closable()
+    orders, mask = hol.element_orders().tolist(), hol.closable()
     assert sum(order > 0 for order in orders) == 49 * 49
     for code in codes:
         assert orders[code] == order_dividing_n(hol, code), code
@@ -410,16 +410,23 @@ def orbit_cases():
 
 
 def test_orbit_is_the_set_of_all_conjugates():
-    # The search walks the automorphisms that Aut(N)'s table composed in
-    # full, 4 of the 2016 for C7xC7, and must still reach every conjugate.
+    # The orbits map by the automorphisms that Aut(N)'s table composed in
+    # full, 4 of the 2016 for C7xC7, and must still reach every conjugate:
+    # in the oracle's walk, and in the records that ``classify`` labels
+    # with one orbit, also where the budget ran out.
     for name, enum in orbit_cases():
         hol = enum.hol
         if name == "abelian(7,7)":
             assert len(hol.aut.table_generators) == 4
+        enum.classify()
+        members = collections.defaultdict(set)
         for rec in enum.records:
-            orbit = hol.orbit(rec.codes)
+            members[rec.orbit].add(rec.codes)
+        for rec in enum.records:
+            orbit = generator_orbit(hol, rec.codes)
             assert orbit == set(conjugates(hol, rec.codes)), name
-            assert rec.codes in orbit
+            assert members[rec.orbit] == {r.codes for r in enum.records
+                                          if r.codes in orbit}, name
 
 
 def test_every_record_replays_as_regular():
