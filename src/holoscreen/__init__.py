@@ -24,8 +24,8 @@ from .corpus import (CorpusManifest, CorpusReport, GroupRecord, construct,
 from .errors import CapExceeded, CorpusError, HoloscreenError
 from .holomorph import (DEFAULT_NODE_BUDGET, HOL_ORDER_CAP, HolomorphGroup,
                         RegularClass, RegularEnumeration,
-                        RegularSubgroupRecord, enumerate_regular_subgroups,
-                        holomorph, subgroup_table)
+                        enumerate_regular_subgroups, holomorph,
+                        subgroup_table)
 from .isomorphism import are_isomorphic
 from .lattice import SUBGROUP_CAP, all_subgroups, fitting_subgroup
 from .numbers import (DoublingFamilyConditions, OrderClassification,
@@ -45,7 +45,7 @@ __all__ = [
     "DoublingFamilyConditions", "GroupRecord", "GroupTable", "GroupTrace",
     "HAVE_COMPILED", "HOL_ORDER_CAP", "HolomorphGroup", "HoloscreenError",
     "Homomorphism", "OrderClassification", "PermutationGroup", "RegularClass",
-    "RegularEnumeration", "RegularSubgroupRecord", "SUBGROUP_CAP",
+    "RegularEnumeration", "SUBGROUP_CAP",
     "ScreenReport", "SimpleOrderTable", "Subgroup", "SubgroupOrderSets",
     "SuzukiExponentCheck", "all_subgroups", "are_isomorphic",
     "automorphism_group", "build_order_sets", "characteristic_subgroups",

@@ -55,11 +55,13 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
     ``HolomorphGroup.closable``, and ``ainv``, the inverse of each
     automorphism (``AutGroup.inverses``).
 
-    Returns (subgroups, nodes, exhausted) where each subgroup is a sorted
-    tuple of element codes.
+    Returns (subgroups, nodes, exhausted) where each subgroup is an
+    ``array('i')`` row of its element codes in fiber order, so sorted.
     """
+    from array import array  # loaded by a search only, as numpy is
+
     if n == 1:
-        return [(0,)], 0, False
+        return [array('i', (0,))], 0, False
     # Plain ints for the tight loops.  A list indexes about twice as fast
     # as a memoryview, and while every index is below 257 its entries are
     # CPython's shared small ints, so it costs only its pointers; a longer
@@ -67,7 +69,7 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
     nmul, act, ainv = nmul.tolist(), act.tolist(), ainv.tolist()
     amul = [row if row is None else row.tolist() if na <= 257
             else memoryview(row) for row in amul]
-    results: list[tuple[int, ...]] = []
+    results = []
     nodes = 0
     exhausted = False
     budget_val = -1 if budget is None else int(budget)
@@ -130,8 +132,8 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
                     reps.append(nmul[an + act[gn + c]] * na + grow[h])
             else:
                 if ksize == n:
-                    results.append(tuple(p * na + amul[uaut[p]][key[r]]
-                                         for p, r in enumerate(root)))
+                    results.append(array('i', [p * na + amul[uaut[p]][key[r]]
+                                               for p, r in enumerate(root)]))
                 elif n % ksize == 0:
                     rec(kgens)
             if exhausted:

@@ -58,7 +58,6 @@ class HolomorphGroup:
         self.nmul = np.array(base.mul, dtype=np.int32).ravel()
         self.act = aut.table.elements.ravel()
         self._orders: np.ndarray | None = None
-        self._divides: np.ndarray | None = None
         self._closable: bytes | None = None
         self._rows: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -87,8 +86,8 @@ class HolomorphGroup:
 
     def element_orders(self) -> np.ndarray:
         """Per code x, ord(x) where it divides n and 0 elsewhere, as an
-        int32 array, cached.  ``_divides``, ``closable`` and the kernel ask
-        only whether an order divides n; ``subgroup_table`` reads the
+        int32 array, cached.  ``closable`` and the kernel's candidate lists
+        ask only whether an order divides n; ``subgroup_table`` reads the
         orders of a regular subgroup's codes.
 
         ord(x) divides n exactly when x^n = 1, and then it is the least
@@ -149,7 +148,6 @@ class HolomorphGroup:
             closable[0] = True
             closable[codes] = (found > 0) & ~stuck
             self._orders = orders
-            self._divides = orders > 0
             self._closable = closable.tobytes()
         return self._orders
 
@@ -183,17 +181,6 @@ def holomorph(N: GroupTable, *,
 
 
 @dataclass
-class RegularSubgroupRecord:
-    """One regular subgroup as its sorted element codes, with its class and
-    Aut(N)-orbit once ``classify()`` has run.  A regular subgroup meets
-    every fiber once, so ``codes[a]`` is its element over fiber ``a``."""
-
-    codes: tuple[int, ...]
-    iso_type: int | None = None
-    orbit: int | None = None
-
-
-@dataclass
 class RegularClass:
     """An isomorphism class of regular subgroups: its first record's table,
     whether that group is solvable, and how many records the class has."""
@@ -206,19 +193,24 @@ class RegularClass:
 @dataclass
 class RegularEnumeration:
     """Result of enumerating the regular subgroups of one holomorph, with
-    the isomorphism classes that ``classify()`` caches on ``classes``."""
+    the isomorphism classes that ``classify()`` caches on ``classes``.
+    ``records`` is an (R, n) int32 array, one row per regular subgroup in
+    discovery order; ``records[i, a]`` is its code over fiber a, so a row
+    is sorted.  ``classify()`` sets ``iso_type`` and ``orbit``."""
 
     hol: HolomorphGroup
-    records: list[RegularSubgroupRecord]
+    records: np.ndarray
     nodes: int
     exhausted: bool
     classes: list[RegularClass] | None = None
+    iso_type: np.ndarray | None = None
+    orbit: np.ndarray | None = None
 
     def classify(self) -> list[RegularClass]:
         """Partition the records into isomorphism classes, in discovery order.
 
-        Fills ``iso_type`` on every record with its class's index, and
-        ``orbit`` with its Aut(N)-orbit, numbered by first record.
+        Sets the int arrays ``iso_type``, each record's class index, and
+        ``orbit``, its Aut(N)-orbit numbered by first record.
         Conjugation by (1, phi) maps regular subgroups to isomorphic ones,
         and so does the inversion map iota: x -> x^-1 of N, which
         normalises Hol(N) and commutes with Aut(N) (the opposite skew
@@ -243,17 +235,18 @@ class RegularEnumeration:
         import numpy as np
 
         classes: list[RegularClass] = []
-        if not self.records:
+        if not len(self.records):
+            self.iso_type = self.orbit = np.zeros(0, dtype=np.intp)
             self.classes = classes
             return classes
         hol = self.hol
-        orbits, merged = _orbit_labels(hol, [rec.codes for rec in self.records])
+        orbits, merged = _orbit_labels(hol, self.records)
         _, orbit_of = np.unique(orbits, return_inverse=True)
         heads, merged_of = np.unique(merged, return_inverse=True)
         buckets: dict[tuple, list[int]] = {}  # invariants -> iso types
         head_types = []
         for head in heads.tolist():
-            table = subgroup_table(hol, self.records[head].codes)
+            table = subgroup_table(hol, self.records[head])
             bucket = buckets.setdefault(iso_invariants(table), [])
             for iso_type in bucket:
                 if are_isomorphic(classes[iso_type].table, table)[0]:
@@ -266,9 +259,7 @@ class RegularEnumeration:
         types = np.array(head_types)[merged_of]
         for cls, count in zip(classes, np.bincount(types).tolist()):
             cls.count = count
-        for rec, iso_type, orbit in zip(self.records, types.tolist(),
-                                        orbit_of.tolist()):
-            rec.iso_type, rec.orbit = iso_type, orbit
+        self.iso_type, self.orbit = types, orbit_of
         self.classes = classes
         return classes
 
@@ -292,11 +283,11 @@ def _square_and_multiply(exponents: Sequence[int]) -> list[tuple[int, int, int]]
     return steps
 
 
-def _orbit_labels(hol: HolomorphGroup, codes: list[tuple[int, ...]],
+def _orbit_labels(hol: HolomorphGroup, records: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(orbits, merged) for regular subgroups listed in fiber order: per
-    record, the index of the first record in its Aut(N)-orbit, and in its
-    <Aut(N), iota>-orbit.
+    """(orbits, merged) for regular subgroups given as the (R, n) int32
+    rows of ``RegularEnumeration.records``: per record, the index of the
+    first record in its Aut(N)-orbit, and in its <Aut(N), iota>-orbit.
 
     A node is a regular subgroup as the row of its automorphism parts,
     ``psi[b]`` for its code over fiber b; the records are the first nodes.
@@ -336,8 +327,7 @@ def _orbit_labels(hol: HolomorphGroup, codes: list[tuple[int, ...]],
     def keys(rows: np.ndarray) -> list[bytes]:
         return rows.view(np.dtype((np.void, 4 * n))).ravel().tolist()
 
-    psi = np.array(codes, dtype=np.int32)
-    psi %= na
+    psi = records % na
     known = {key: i for i, key in enumerate(keys(psi))}
     # targets[g]: the node that generator g maps each node to, by block.
     targets: list[list[np.ndarray]] = [[] for _ in maps]
@@ -386,7 +376,7 @@ def _min_labels(perms: list[np.ndarray], labels: np.ndarray) -> np.ndarray:
 
 def subgroup_table(hol: HolomorphGroup, codes: Sequence[int]) -> GroupTable:
     """Multiplication table of a regular subgroup listed in fiber order,
-    as every ``RegularSubgroupRecord`` holds it: ``codes[a]`` is (a, phi_a).
+    as in a row of ``RegularEnumeration.records``: ``codes[a]`` is (a, phi_a).
 
     (a, phi_a) (b, phi_b) lies over fiber a * phi_a(b), its position, so
     the table is the skew brace product and needs no product in Aut(N)
@@ -428,15 +418,14 @@ def enumerate_regular_subgroups(
     import numpy as np
 
     n, na = hol.n, hol.na
-    hol.element_orders()
-    divides = hol._divides.reshape(n, na)
-    allowed = [[]] + [np.flatnonzero(row).tolist() for row in divides[1:]]
+    orders = hol.element_orders().reshape(n, na)
+    allowed = [[]] + [np.flatnonzero(row).tolist() for row in orders[1:]]
     at, rows = hol.aut_rows()
     amul = [None if i < 0 else rows[i] for i in at.tolist()]
     subgroups, nodes, exhausted = _kernel.search_regular(
         n, na, hol.nmul, amul, hol.act, allowed, node_budget,
         hol.closable(), hol.aut.inverses)
-    records = [RegularSubgroupRecord(codes=tuple(codes)) for codes in subgroups]
+    records = np.array(subgroups, dtype=np.int32).reshape(-1, n)
     return RegularEnumeration(hol=hol, records=records, nodes=nodes,
                               exhausted=exhausted)
 

@@ -149,7 +149,12 @@ def morphism_images(
                 yield from rec(k + 1)
                 undo_level(k)
 
-    yield from rec(0)
+    # rec reaches itself through its closure; dropping it lets reference
+    # counting free the tower, candidate lists and closures, not a collection.
+    try:
+        yield from rec(0)
+    finally:
+        rec = None  # noqa: F841
 
 
 def iso_invariants(G: GroupTable):

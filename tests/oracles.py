@@ -421,8 +421,14 @@ def code_inv(hol, code):
     return phi_inv[hol.base.inv[a]] * hol.na + aut_index(hol.aut)[phi_inv]
 
 
-def record_permutations(hol, rec):
-    return [perm_of_code(hol, c) for c in rec.codes]
+def record_rows(enum):
+    """The records of an enumeration, each row as a tuple of its codes in
+    fiber order."""
+    return [tuple(row) for row in enum.records.tolist()]
+
+
+def record_permutations(hol, codes):
+    return [perm_of_code(hol, c) for c in codes]
 
 
 def left_regular_codes(hol):
@@ -505,14 +511,15 @@ def orbit_walk_classify(enum):
     labels every record in the record's ``generator_orbit``."""
     from holoscreen.holomorph import subgroup_table
 
-    at = {rec.codes: i for i, rec in enumerate(enum.records)}
-    labels = [None] * len(enum.records)
+    rows = record_rows(enum)
+    at = {codes: i for i, codes in enumerate(rows)}
+    labels = [None] * len(rows)
     classes, buckets = [], {}
     orbit = 0
-    for i, rec in enumerate(enum.records):
+    for i, codes in enumerate(rows):
         if labels[i] is not None:
             continue
-        table = subgroup_table(enum.hol, rec.codes)
+        table = subgroup_table(enum.hol, codes)
         bucket = buckets.setdefault(isomorphism.iso_invariants(table), [])
         for iso_type in bucket:
             if isomorphism.are_isomorphic(table, classes[iso_type].table)[0]:
@@ -521,7 +528,7 @@ def orbit_walk_classify(enum):
             iso_type = len(classes)
             classes.append(WalkedClass(table, table.is_solvable()))
             bucket.append(iso_type)
-        for image in generator_orbit(enum.hol, rec.codes):
+        for image in generator_orbit(enum.hol, codes):
             j = at.get(image)
             if j is not None:
                 labels[j] = (iso_type, orbit)
@@ -531,8 +538,9 @@ def orbit_walk_classify(enum):
 
 
 def walked_element_orders(hol):
-    """(orders, divides, closable) as ``HolomorphGroup.element_orders``,
-    ``_divides`` and ``closable`` give them, by powering: each code whose
+    """(orders, divides, closable) by powering, where divides is
+    ``HolomorphGroup.element_orders() > 0``, and orders and closable are
+    as ``element_orders`` and ``closable`` give them: each code whose
     automorphism part has an order dividing n is multiplied by itself
     k = 2, 3, ... times until it is the identity or k passes n.  On the
     way a code is stuck once a power other than the identity lies over

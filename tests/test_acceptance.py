@@ -21,8 +21,8 @@ from holoscreen.numbers import (classify_order, default_table, is_cube_free,
                                 wieferich_scan)
 from holoscreen.perms import PermutationGroup
 from holoscreen.screening import screen_order
-from oracles import (has_regular_embedding, left_regular_codes, right_regular,
-                     right_regular_codes)
+from oracles import (has_regular_embedding, left_regular_codes, record_rows,
+                     right_regular, right_regular_codes)
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -146,7 +146,7 @@ def test_criterion_05_translations_found_and_holomorph_order():
             assert len(perms.listing()[0]) == hol.order, record.name
             enum = enumerate_regular_subgroups(hol)
             assert not enum.exhausted
-            codes = {rec.codes for rec in enum.records}
+            codes = set(record_rows(enum))
             lam = left_regular_codes(hol)
             rho = right_regular_codes(hol)
             assert lam in codes, record.name

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from holoscreen.corpus import construct, load_manifest
-from holoscreen.holomorph import (RegularEnumeration, RegularSubgroupRecord,
+from holoscreen.holomorph import (RegularEnumeration,
                                   enumerate_regular_subgroups, holomorph)
 from oracles import (code_of_perm, orbit_walk_classify, perm_of_code,
-                     walked_element_orders)
+                     record_rows, walked_element_orders)
 
 holomorph_module = importlib.import_module("holoscreen.holomorph")
 isomorphism_module = importlib.import_module("holoscreen.isomorphism")
@@ -38,20 +38,20 @@ def base(corpus, name):
 
 @functools.lru_cache(maxsize=None)
 def searched(corpus, name, budget=None):
-    """(hol, record codes, nodes, exhausted) of one search, kept for the
-    whole module; ``fresh`` wraps it in an unclassified enumeration."""
+    """(hol, records, nodes, exhausted) of one search, kept for the whole
+    module; ``fresh`` wraps it in an unclassified enumeration.  The records
+    are read-only, so no enumeration that shares them can change them."""
     hol = holomorph(base(corpus, name))
     kwargs = {} if budget is None else {"node_budget": budget}
     enum = enumerate_regular_subgroups(hol, **kwargs)
-    return (hol, tuple(rec.codes for rec in enum.records), enum.nodes,
-            enum.exhausted)
+    enum.records.flags.writeable = False
+    return hol, enum.records, enum.nodes, enum.exhausted
 
 
 def fresh(corpus, name, budget=None):
-    hol, codes, nodes, exhausted = searched(corpus, name, budget)
-    return RegularEnumeration(
-        hol=hol, records=[RegularSubgroupRecord(c) for c in codes],
-        nodes=nodes, exhausted=exhausted)
+    hol, records, nodes, exhausted = searched(corpus, name, budget)
+    return RegularEnumeration(hol=hol, records=records, nodes=nodes,
+                              exhausted=exhausted)
 
 
 def solvable_names(corpus):
@@ -62,7 +62,7 @@ def solvable_names(corpus):
 def assert_matches_walk(enum):
     walked, labels = orbit_walk_classify(enum)
     classes = enum.classify()
-    assert [(r.iso_type, r.orbit) for r in enum.records] == labels
+    assert list(zip(enum.iso_type.tolist(), enum.orbit.tolist())) == labels
     assert ([(c.table.mul, c.solvable, c.count) for c in classes]
             == [(w.table.mul, w.solvable, w.count) for w in walked])
 
@@ -87,7 +87,7 @@ def test_classify_matches_the_orbit_walk_under_a_budget(name):
     full = searched("o60", name)[2]
     for budget in (full // 3, 2 * full // 3):
         enum = fresh("o60", name, budget)
-        assert enum.exhausted and enum.records
+        assert enum.exhausted and len(enum.records)
         assert_matches_walk(enum)
 
 
@@ -106,7 +106,7 @@ def test_element_orders_match_the_power_walk():
         orders, divides, closable = walked_element_orders(hol)
         assert hol.element_orders().dtype == np.int32, name
         assert hol.element_orders().tobytes() == orders.tobytes(), name
-        assert hol._divides.tobytes() == divides.tobytes(), name
+        assert (hol.element_orders() > 0).tobytes() == divides.tobytes(), name
         assert hol.closable() == closable, name
         seen += 1
     assert seen == 19
@@ -129,19 +129,20 @@ def iota_image(hol, codes, cache):
 def orbit_counts(enum):
     """(Aut(N)-orbits, <Aut(N), iota>-orbits) among classified records;
     asserts that each iota-image is a record of the same class."""
-    at = {rec.codes: rec for rec in enum.records}
+    labels = list(zip(enum.iso_type.tolist(), enum.orbit.tolist()))
+    at = dict(zip(record_rows(enum), labels))
     cache = {}
-    parent = {rec.orbit: rec.orbit for rec in enum.records}
+    parent = {orbit: orbit for _, orbit in labels}
 
     def find(x):
         while parent[x] != x:
             x = parent[x]
         return x
 
-    for rec in enum.records:
-        image = at[iota_image(enum.hol, rec.codes, cache)]
-        assert image.iso_type == rec.iso_type
-        parent[find(image.orbit)] = find(rec.orbit)
+    for codes, (iso_type, orbit) in at.items():
+        image_type, image_orbit = at[iota_image(enum.hol, codes, cache)]
+        assert image_type == iso_type
+        parent[find(image_orbit)] = find(orbit)
     return len(parent), len({find(x) for x in parent})
 
 
@@ -221,6 +222,27 @@ def test_classify_peak_memory_on_s3xd10():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_search_and_classify_leave_no_reference_cycle():
+    # Everything that a search and its classification make, isomorphism
+    # searches included, is freed by reference counting.  A first round
+    # runs with the collector on, since numpy's first lazy imports leave
+    # cycles of their own.
+    tables = [base("o60", name) for name in ("s3xc10", "a4xc5")]
+
+    def search_and_classify():
+        for table in tables:
+            enumerate_regular_subgroups(holomorph(table)).classify()
+
+    search_and_classify()
+    gc.collect()
+    gc.disable()
+    try:
+        search_and_classify()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_class_tables_are_freed_without_the_cycle_collector():

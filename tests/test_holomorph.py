@@ -23,8 +23,8 @@ from oracles import (EmbeddingSearchResult, aut_index, code_inv,
                      code_of_perm, composition_row, conjugate_code, conjugates,
                      generator_orbit, has_regular_embedding, is_regular_subgroup, left_regular,
                      left_regular_codes, left_translation, perm_of_code,
-                     perm_order, record_permutations, right_regular,
-                     right_regular_codes, right_translation,
+                     perm_order, record_permutations, record_rows,
+                     right_regular, right_regular_codes, right_translation,
                      verify_crossed_pair)
 
 # The package exports the function ``holomorph`` under the module's name.
@@ -195,11 +195,11 @@ def test_largest_holomorph_walks_without_overflow():
     for code in codes:
         assert orders[code] == order_dividing_n(hol, code), code
         assert mask[code] == closable_reference(hol, code), code
-    records = enumerate_regular_subgroups(hol).records
+    records = record_rows(enumerate_regular_subgroups(hol))
     assert len(records) == 49
-    for rec in records:
-        table = subgroup_table(hol, rec.codes)
-        assert table.mul == reference_table(hol, rec.codes).mul
+    for codes in records:
+        table = subgroup_table(hol, codes)
+        assert table.mul == reference_table(hol, codes).mul
     assert arrays_of_aut_squared_size(hol) == []
 
 
@@ -211,8 +211,8 @@ def subgroup_table_cases():
     assert len(bases) == 5
     for base in bases:
         hol = holomorph(base)
-        for rec in enumerate_regular_subgroups(hol).records:
-            yield hol, rec.codes
+        for codes in record_rows(enumerate_regular_subgroups(hol)):
+            yield hol, codes
 
 
 def test_subgroup_table_matches_scalar_reference():
@@ -286,7 +286,7 @@ def test_enumerate_hol_c8():
     assert len(enum.records) == 6
     classes = enum.classify()
     assert len(classes) == 4
-    sizes = [sum(1 for r in enum.records if r.iso_type == i)
+    sizes = [sum(1 for t in enum.iso_type.tolist() if t == i)
              for i in range(len(classes))]
     assert [cls.count for cls in classes] == sizes
     assert sorted(sizes) == [1, 1, 2, 2]
@@ -300,8 +300,8 @@ def pairwise_classify(enum):
     isomorphism tests against the class representatives for every record.
     Returns the representative tables and (iso_type, solvable) per record."""
     reps, types = [], []
-    for rec in enum.records:
-        table = subgroup_table(enum.hol, rec.codes)
+    for codes in record_rows(enum):
+        table = subgroup_table(enum.hol, codes)
         for i, rep in enumerate(reps):
             if are_isomorphic(table, rep)[0]:
                 break
@@ -316,16 +316,16 @@ def assert_classify_matches_pairwise(enum):
     reps, types = pairwise_classify(enum)
     classes = enum.classify()
     assert [cls.table.mul for cls in classes] == [rep.mul for rep in reps]
-    assert [(r.iso_type, classes[r.iso_type].solvable)
-            for r in enum.records] == types
+    assert [(t, classes[t].solvable)
+            for t in enum.iso_type.tolist()] == types
     counts = collections.Counter(i for i, _ in types)
     assert [cls.count for cls in classes] == [counts[i]
                                               for i in range(len(reps))]
     # Orbits are numbered in discovery order.
     first_seen = []
-    for rec in enum.records:
-        if rec.orbit not in first_seen:
-            first_seen.append(rec.orbit)
+    for orbit in enum.orbit.tolist():
+        if orbit not in first_seen:
+            first_seen.append(orbit)
     assert first_seen == list(range(len(first_seen)))
 
 
@@ -348,12 +348,12 @@ def test_classify_matches_pairwise_oracle():
         assert_classify_matches_pairwise(enum)
         # Orbit-stabilizer: each orbit has |Aut| / |Stab| records, where
         # Stab fixes the orbit's first record.
-        sizes = collections.Counter(rec.orbit for rec in enum.records)
+        rows, orbits = record_rows(enum), enum.orbit.tolist()
+        sizes = collections.Counter(orbits)
         assert sum(sizes.values()) == len(enum.records)
         for orbit, size in sizes.items():
-            first = next(r for r in enum.records if r.orbit == orbit)
-            stab = sum(image == first.codes
-                       for image in conjugates(hol, first.codes))
+            first = rows[orbits.index(orbit)]
+            stab = sum(image == first for image in conjugates(hol, first))
             assert size * stab == hol.na, (name, orbit)
         seen.append(name)
     assert len(seen) == 15
@@ -366,7 +366,7 @@ def test_classify_partial_enumerations(name, nodes):
     hol = holomorph(base)
     for budget in (nodes // 3, 2 * nodes // 3):
         enum = enumerate_regular_subgroups(hol, node_budget=budget)
-        assert enum.exhausted and enum.records
+        assert enum.exhausted and len(enum.records)
         assert_classify_matches_pairwise(enum)
 
 
@@ -377,7 +377,7 @@ def test_orbit_counts_are_skew_brace_counts():
     def orbits(base):
         enum = enumerate_regular_subgroups(holomorph(base))
         enum.classify()
-        return len({rec.orbit for rec in enum.records})
+        return len(set(enum.orbit.tolist()))
 
     counts = {n: sum(orbits(r.table)
                      for r in load_manifest(CORPORA / f"o{n}").records)
@@ -390,12 +390,12 @@ def test_conjugates_match_reference():
     for expr in ("symmetric(3)", "dihedral(8)", "alternating(4)",
                  "abelian(5,5)"):
         hol = holomorph(T(expr))
-        for rec in enumerate_regular_subgroups(hol).records[:3]:
-            images = list(conjugates(hol, rec.codes))
+        for codes in record_rows(enumerate_regular_subgroups(hol))[:3]:
+            images = list(conjugates(hol, codes))
             assert len(images) == hol.na
             for phi, image in enumerate(images):
                 assert image == tuple(sorted(conjugate_code(hol, phi, c)
-                                             for c in rec.codes)), expr
+                                             for c in codes)), expr
 
 
 def orbit_cases():
@@ -405,7 +405,7 @@ def orbit_cases():
     base = next(r.table for r in load_manifest(CORPORA / "o60").records
                 if r.name == "s3xd10")
     enum = enumerate_regular_subgroups(holomorph(base), node_budget=28440 // 3)
-    assert enum.exhausted and enum.records
+    assert enum.exhausted and len(enum.records)
     yield "o60/s3xd10", enum
 
 
@@ -419,14 +419,14 @@ def test_orbit_is_the_set_of_all_conjugates():
         if name == "abelian(7,7)":
             assert len(hol.aut.table_generators) == 4
         enum.classify()
+        rows, labels = record_rows(enum), enum.orbit.tolist()
         members = collections.defaultdict(set)
-        for rec in enum.records:
-            members[rec.orbit].add(rec.codes)
-        for rec in enum.records:
-            orbit = generator_orbit(hol, rec.codes)
-            assert orbit == set(conjugates(hol, rec.codes)), name
-            assert members[rec.orbit] == {r.codes for r in enum.records
-                                          if r.codes in orbit}, name
+        for codes, label in zip(rows, labels):
+            members[label].add(codes)
+        for codes, label in zip(rows, labels):
+            orbit = generator_orbit(hol, codes)
+            assert orbit == set(conjugates(hol, codes)), name
+            assert members[label] == {c for c in rows if c in orbit}, name
 
 
 def test_every_record_replays_as_regular():
@@ -435,13 +435,13 @@ def test_every_record_replays_as_regular():
         hol = holomorph(T(expr))
         enum = enumerate_regular_subgroups(hol)
         assert not enum.exhausted
-        for rec in enum.records:
-            assert rec.codes[0] == 0
-            assert list(rec.codes) == sorted(rec.codes)
-            assert [c // hol.na for c in rec.codes] == list(range(hol.n))
-            assert is_regular_subgroup(record_permutations(hol, rec), hol.n)
+        for codes in record_rows(enum):
+            assert codes[0] == 0
+            assert list(codes) == sorted(codes)
+            assert [c // hol.na for c in codes] == list(range(hol.n))
+            assert is_regular_subgroup(record_permutations(hol, codes), hol.n)
         # Both canonical regular representations occur among the records.
-        code_sets = {rec.codes for rec in enum.records}
+        code_sets = set(record_rows(enum))
         assert left_regular_codes(hol) in code_sets
         assert right_regular_codes(hol) in code_sets
 
@@ -450,7 +450,7 @@ def test_enumeration_is_deterministic():
     hol = holomorph(T("cyclic(8)"))
     first = enumerate_regular_subgroups(hol)
     second = enumerate_regular_subgroups(hol)
-    assert [r.codes for r in first.records] == [r.codes for r in second.records]
+    assert record_rows(first) == record_rows(second)
     assert first.nodes == second.nodes
 
 
@@ -458,6 +458,10 @@ def test_budget_exhaustion_is_reported():
     hol = holomorph(T("cyclic(8)"))
     enum = enumerate_regular_subgroups(hol, node_budget=1)
     assert enum.exhausted
+    # A budget spent before any leaf leaves no record, and no class.
+    enum = enumerate_regular_subgroups(hol, node_budget=0)
+    assert enum.exhausted and enum.records.shape == (0, hol.n)
+    assert enum.classify() == [] and len(enum.iso_type) == len(enum.orbit) == 0
 
 
 def test_order_cap():
@@ -586,24 +590,23 @@ def test_subgroup_table_rejects_unlisted_codes_below_the_largest():
     # subgroup has at most n / 2 elements, so a closed swapped set would
     # hold the whole subgroup and the swapped-in code besides.
     hol = holomorph(T("dihedral(8)"))
-    records = enumerate_regular_subgroups(hol).records
+    records = record_rows(enumerate_regular_subgroups(hol))
     cases = 0
-    for rec in records:
+    for codes in records:
         for i in range(1, hol.n):
             for code in range(i * hol.na, (i + 1) * hol.na):
-                if code == rec.codes[i]:
+                if code == codes[i]:
                     continue
                 cases += 1
                 with pytest.raises(ValueError, match="not closed"):
-                    subgroup_table(hol, rec.codes[:i] + (code,)
-                                   + rec.codes[i + 1:])
+                    subgroup_table(hol, codes[:i] + (code,) + codes[i + 1:])
     assert cases == len(records) * (hol.n - 1) * (hol.na - 1)
 
 
 def test_subgroup_table_rejects_repeated_codes():
     # A repeated code used to give a 5-row table that is not a group.
     hol = holomorph(T("cyclic(4)"))
-    codes = enumerate_regular_subgroups(hol).records[0].codes
+    codes = record_rows(enumerate_regular_subgroups(hol))[0]
     for listing in (codes + (codes[1],), codes[:2] + codes[1:]):
         with pytest.raises(ValueError, match="in fiber order"):
             subgroup_table(hol, listing)
@@ -679,6 +682,27 @@ def test_largest_search_peaks_below_the_aut_table():
         tracemalloc.stop()
     assert (len(enum.records), len(classes), enum.nodes) == (49, 1, 2450)
     assert peak < 2016 ** 2 * 2
+
+
+def test_records_keep_one_int32_row_each():
+    # Hol(C2xC32) has 832 regular subgroups of order 64.  A record is one
+    # int32 row, 4n bytes.  As a tuple of Python ints it took about 2,600
+    # bytes, since codes above 256 are int objects of their own.  The
+    # holomorph's tables are built first, so only the search is measured.
+    hol = holomorph(T("abelian(2,32)"))
+    hol.element_orders()
+    hol.aut_rows()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        enum = enumerate_regular_subgroups(hol)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    count = len(enum.records)
+    assert count == 832 and not enum.exhausted
+    assert current - start <= count * (4 * hol.n + 64)
+    assert peak - start <= count * 1300
 
 
 def test_identity_perm_roundtrip():

@@ -6,13 +6,17 @@ orders, where the kernel keys each right coset by the orbits of the group
 closed so far and lists no member.  Both run on the tables and
 candidate lists that ``enumerate_regular_subgroups`` builds.  The reference
 ignores the ``closable`` mask that lets the kernel abandon a closure early,
-so agreeing with it, node for node, shows that the mask is exact.
+so agreeing with it, node for node, shows that the mask is exact.  The
+kernel returns each regular subgroup as an ``array('i')`` row and the
+reference as a tuple; ``enumerate_regular_subgroups`` reads both into one
+int32 array, whose rows are compared.
 """
 
 import gc
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import holoscreen
@@ -20,7 +24,7 @@ from holoscreen import _kernel
 from holoscreen._kernel import pure
 from holoscreen.corpus import construct, load_manifest
 from holoscreen.holomorph import enumerate_regular_subgroups, holomorph
-from oracles import pairwise_search_regular
+from oracles import pairwise_search_regular, record_rows
 
 HOLOMORPH_BASES = [
     "cyclic(4)",
@@ -71,10 +75,12 @@ def test_backend_module_exposes_contract():
 
 @pytest.mark.parametrize("expr", HOLOMORPH_BASES)
 def test_backends_agree(expr):
-    kernel, reference = both_searches(holomorph(base_table(expr)))
-    assert kernel.records
-    assert [r.codes for r in kernel.records] == \
-        [r.codes for r in reference.records]
+    hol = holomorph(base_table(expr))
+    kernel, reference = both_searches(hol)
+    assert len(kernel.records)
+    assert record_rows(kernel) == record_rows(reference)
+    assert kernel.records.dtype == np.int32
+    assert kernel.records.shape == (len(reference.records), hol.n)
     assert kernel.nodes == reference.nodes
     assert kernel.exhausted == reference.exhausted is False
 
@@ -87,8 +93,7 @@ def test_backends_agree_under_budget_pressure():
         full = enumerate_regular_subgroups(hol).nodes
         for budget in (1, full // 3, 2 * full // 3):
             a, b = both_searches(hol, budget)
-            assert [r.codes for r in a.records] == \
-                [r.codes for r in b.records], (expr, budget)
+            assert record_rows(a) == record_rows(b), (expr, budget)
             assert a.nodes == b.nodes == budget + 1, (expr, budget)
             assert a.exhausted and b.exhausted, (expr, budget)
 

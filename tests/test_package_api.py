@@ -1,4 +1,5 @@
-"""No package code that only tests reach, or that nothing reaches.
+"""No package code that only tests reach, or that nothing reaches, and a
+README example that runs.
 
 Every module-level function, class and constant under ``src/holoscreen``,
 public or private, and every method other than a dunder, must be
@@ -91,6 +92,18 @@ def test_allowed_names_are_entry_points():
                 or f"`{name}`" in readme), name
     # An allowed name that the package reaches after all is stale.
     assert sorted(set(ALLOWED) - set(unreached())) == []
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    # The README's one Python block, run from the repo root as it reads
+    # the corpus by a relative path.
+    (block,) = re.findall(r"```python\n(.*?)```",
+                          (ROOT / "README.md").read_text(), re.S)
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "(28, 12) int32"
+    assert lines[-1] == "holds"
 
 
 def test_every_all_entry_resolves():
