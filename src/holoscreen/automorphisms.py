@@ -15,8 +15,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import CapExceeded
-from .isomorphism import (GeneratorTower, _matching_candidates,
-                          morphism_images)
+from .isomorphism import _matching_candidates, morphism_images
 from .perms import Perm, compose, inverse
 from .tables import GroupTable, Subgroup, commutator_series, normal_closure
 
@@ -274,8 +273,7 @@ def automorphism_group(N: GroupTable, *,
     composition per automorphism."""
     if order_cap is None:
         order_cap = AUT_LIST_CAP // N.n
-    tower = GeneratorTower(N)
-    gens = tower.gens
+    gens = N.tower.gens
     candidates = _matching_candidates(N, N, gens)
     identity = tuple(range(N.n))
     witnesses: list[Perm] = []
@@ -288,7 +286,7 @@ def automorphism_group(N: GroupTable, *,
             if c in orbit:
                 continue
             tried = fixed + [[c]] + candidates[k:]
-            witness = next(morphism_images(N, N, tried, tower=tower), None)
+            witness = next(morphism_images(N, N, tried), None)
             if witness is None:
                 continue
             witnesses.append(witness)

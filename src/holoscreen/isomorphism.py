@@ -67,13 +67,11 @@ def morphism_images(
     src: GroupTable,
     dst: GroupTable,
     candidates: Sequence[Sequence[int]],
-    *,
-    tower: GeneratorTower | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield image vectors of all injective morphisms src -> dst consistent
-    with the per-generator candidate lists.  Each yielded tuple maps every
-    source element to its image and satisfies the homomorphism equations in
-    full.
+    with the per-generator candidate lists of ``src.tower``.  Each yielded
+    tuple maps every source element to its image and satisfies the
+    homomorphism equations in full.
 
     Level k, with H_k = <g_1, ..., g_k>, checks img[x*h] = img[x]*img[h]
     for each x new at level k and each generator h among g_1..g_k.  Given
@@ -93,7 +91,7 @@ def morphism_images(
     pair of H_k would, and the yield order is the same.  The check costs
     |segment| * k products per level instead of 2 * |segment| * |H_k|.
     """
-    tower = tower or GeneratorTower(src)
+    tower = src.tower
     gens = tower.gens
     if len(candidates) != len(gens):
         raise ValueError("need one candidate list per generator")
@@ -150,7 +148,7 @@ def morphism_images(
                 undo_level(k)
 
     # rec reaches itself through its closure; dropping it lets reference
-    # counting free the tower, candidate lists and closures, not a collection.
+    # counting free the candidate lists and closures, not a collection.
     try:
         yield from rec(0)
     finally:
@@ -190,9 +188,8 @@ def are_isomorphic(G: GroupTable, H: GroupTable) -> tuple[bool, Homomorphism | N
         raise ValueError("order mismatch: %d vs %d" % (G.n, H.n))
     if iso_invariants(G) != iso_invariants(H):
         return False, None
-    tower = G.tower
-    candidates = _matching_candidates(G, H, tower.gens)
-    for images in morphism_images(G, H, candidates, tower=tower):
+    candidates = _matching_candidates(G, H, G.tower.gens)
+    for images in morphism_images(G, H, candidates):
         witness = Homomorphism(G, H, images)
         return True, witness
     return False, None

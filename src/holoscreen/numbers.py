@@ -12,11 +12,11 @@ other direction a simple group times a cyclic complement realizes any
 multiple of its order.
 
 Factorization-backed answers are honest about effort: past the trial bound
-they fall back to Pollard rho, at most ``RHO_RETRIES`` attempts of at most
-``RHO_STEPS`` steps each per split, and a number that does not split within
-that budget is reported ``unknown`` instead of guessed.  Trial division
-walks the primes of a segmented sieve kept in this module; the primality
-and factoring primitives come from sympy, which is loaded on first use.
+they fall back to Lenstra's elliptic-curve method, at most ``ECM_CURVES``
+curves per split, and a number that does not factor within that budget is
+reported ``unknown`` instead of guessed.  Trial division walks the primes
+of a segmented sieve kept in this module; the primality and factoring
+primitives come from sympy, which is loaded on first use.
 """
 
 from __future__ import annotations
@@ -54,11 +54,10 @@ __all__ = [
 ]
 
 TRIAL_BOUND = 10**7
-RHO_RETRIES = 4
-# Steps per rho attempt.  A prime factor p takes about sqrt(p) steps, so
-# the attempts split off factors below about 2**33; a step costs about 9 us
-# at 401 bits, so a give-up there costs about 5 s.
-RHO_STEPS = 1 << 17
+# Curves per split, with sympy's default stage bounds B1 = 10**4 and
+# B2 = 10**5.  They find the 39-43-bit factors behind ell = 101 and 139;
+# a give-up costs about 4 s at ell = 401 and 12 s at ell = 1009.
+ECM_CURVES = 10
 WIEFERICH_CAP = 10**7
 _SEGMENT = 1 << 16
 
@@ -195,26 +194,12 @@ def _primes(stop: int):
         yield from compress(range(lo + 1, hi, 2), window)
 
 
-def _rho_divisor(n: int) -> int | None:
-    """A certified nontrivial divisor of composite n, or None once
-    ``RHO_RETRIES`` attempts of ``RHO_STEPS`` steps each have failed."""
-    from sympy.ntheory import pollard_rho
-
-    for attempt in range(RHO_RETRIES):
-        d = pollard_rho(n, a=attempt + 1, retries=0, max_steps=RHO_STEPS)
-        if d is not None and 1 < d < n and n % d == 0:
-            return d
-    return None
-
-
-def square_free_status(
-    n: int, *, trial_bound: int = TRIAL_BOUND
-) -> tuple[bool | None, int | None]:
+def square_free_status(n: int) -> tuple[bool | None, int | None]:
     """(status, witness) for square-freeness of n.
 
     status is True / False / None, with None meaning the factorization
     budget ran out before a decision.  When status is False the witness is
-    a prime whose square divides n, when one was identified.
+    a prime whose square divides n.
     """
     from sympy import isprime
 
@@ -224,7 +209,7 @@ def square_free_status(
     # A prime cofactor ends the search without walking the trial primes,
     # and no prime past sqrt(n) can end it either.
     prime = isprime(m)
-    for p in _primes(min(trial_bound, math.isqrt(n)) + 1):
+    for p in _primes(min(TRIAL_BOUND, math.isqrt(n)) + 1):
         if prime or p * p > m:
             break
         if m % p == 0:
@@ -239,31 +224,17 @@ def square_free_status(
 
 
 def _square_free_tail(m: int) -> tuple[bool | None, int | None]:
-    from sympy import isprime, perfect_power
+    from sympy.ntheory import ecm
 
-    power = perfect_power(m)
-    if power:
-        base = power[0]
-        return False, base if isprime(base) else None
-    d = _rho_divisor(m)
-    if d is None:
+    try:
+        primes = ecm(m, max_curve=ECM_CURVES, seed=1234)
+    except ValueError:  # "Increase the bounds": the curves ran out
         return None, None
-    a, b = d, m // d
-    g = math.gcd(a, b)
-    if g > 1:
-        return False, g if isprime(g) else None
-    results = []
-    for part in (a, b):
-        if isprime(part):
-            results.append((True, None))
-        else:
-            results.append(_square_free_tail(part))
-    for status, witness in results:
-        if status is False:
-            return False, witness
-    if any(status is None for status, _ in results):
-        return None, None
-    return True, None
+    # ecm returns the distinct prime factors of m, whose product is m
+    # exactly when m is square-free.
+    if math.prod(primes) == m:
+        return True, None
+    return False, min(p for p in primes if m % (p * p) == 0)
 
 
 def _split_four_power_plus_one(ell: int) -> tuple[int, int]:
@@ -309,11 +280,8 @@ def suzuki_exponent_check(ell: int) -> SuzukiExponentCheck:
     for label, part in parts:
         status, witness = square_free_status(part)
         if status is False:
-            if witness is not None:
-                reason = f"{witness}^2 divides {label}"
-            else:
-                reason = f"{label} has a repeated prime factor"
-            return SuzukiExponentCheck(ell, "ineligible", reason)
+            return SuzukiExponentCheck(ell, "ineligible",
+                                       f"{witness}^2 divides {label}")
         if status is None:
             return SuzukiExponentCheck(
                 ell, "unknown", f"could not finish factoring {label}"

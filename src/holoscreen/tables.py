@@ -327,9 +327,6 @@ class Homomorphism:
     target: GroupTable
     images: tuple[int, ...]
 
-    def __call__(self, a: int) -> int:
-        return self.images[a]
-
     def verify(self) -> bool:
         s, t, im = self.source, self.target, self.images
         if len(im) != s.n or im[0] != 0:

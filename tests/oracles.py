@@ -608,9 +608,8 @@ def automorphism_images(N):
     ``morphism_images`` over the generators' matching candidates, in its
     yield order.  It looks ``morphism_images`` up on the module at call
     time, so a test can swap in the all-pairs engine."""
-    tower = GeneratorTower(N)
-    candidates = _matching_candidates(N, N, tower.gens)
-    return isomorphism.morphism_images(N, N, candidates, tower=tower)
+    candidates = _matching_candidates(N, N, N.tower.gens)
+    return isomorphism.morphism_images(N, N, candidates)
 
 
 def unbounded_tower(G, gens=None):
@@ -643,12 +642,11 @@ def unbounded_tower(G, gens=None):
     return gens, order, expr, segments
 
 
-def pairwise_morphism_images(src, dst, candidates, *, bijective=True,
-                             tower=None):
+def pairwise_morphism_images(src, dst, candidates, *, bijective=True):
     """``isomorphism.morphism_images`` with the all-pairs level check: each
     new element u of level k is multiplied by every v known after level k,
     in both orders."""
-    tower = tower or GeneratorTower(src)
+    tower = src.tower
     gens = tower.gens
     if len(candidates) != len(gens):
         raise ValueError("need one candidate list per generator")
@@ -815,13 +813,11 @@ def hom_images(G, target):
     """All homomorphisms G -> target, lazily, from the all-pairs engine:
     each generator's candidates are the elements whose order divides its
     own."""
-    tower = GeneratorTower(G)
     orders = target.element_orders
     candidates = [[x for x in range(target.n)
                    if G.element_orders[g] % orders[x] == 0]
-                  for g in tower.gens]
-    return pairwise_morphism_images(G, target, candidates, bijective=False,
-                                    tower=tower)
+                  for g in G.tower.gens]
+    return pairwise_morphism_images(G, target, candidates, bijective=False)
 
 
 # -- the (f, g) fixed-point search ---------------------------------------

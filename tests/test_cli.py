@@ -15,6 +15,7 @@ import holoscreen.cli as cli
 from holoscreen.cli import main
 from holoscreen.corpus import construct, save_group, write_index
 from holoscreen.holomorph import enumerate_regular_subgroups, holomorph
+from holoscreen.numbers import suzuki_order
 from holoscreen.screening import ScreenReport
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
@@ -490,6 +491,11 @@ def test_numtheory_base_check(capsys):
     code, out, _ = run(["numtheory", "base-check", "--ell", 9], capsys)
     assert code == 0
     assert out.strip() == "ineligible: 9 is not prime"
+    # A part of (4^139 + 1)(2^139 - 1) keeps a composite cofactor with no
+    # prime factor below 10^7, which the elliptic-curve method factors.
+    code, out, _ = run(["numtheory", "base-check", "--ell", 139], capsys)
+    assert code == 0
+    assert out.strip() == f"eligible: base order {suzuki_order(139)}"
 
 
 def test_numtheory_solvable(capsys):

@@ -92,7 +92,7 @@ def test_suzuki_order():
         suzuki_order(4)
 
 
-def test_square_free_status():
+def test_square_free_status(monkeypatch):
     assert square_free_status(1) == (True, None)
     assert square_free_status(30) == (True, None)
     assert square_free_status(4) == (False, 2)
@@ -103,30 +103,35 @@ def test_square_free_status():
     status, witness = square_free_status(3**4 * (2**61 - 1))
     assert status is False and witness == 3
     # A square of a large prime, found past the trial bound: every prime
-    # below the default bound is tried before the perfect-power test.
+    # below the default bound is tried before the elliptic-curve method.
     p = 2**61 - 1
-    status, witness = square_free_status(p * p, trial_bound=100)
-    assert status is False
     assert square_free_status(p * p) == (False, p)
-    # Primes past the trial bound, so Pollard rho splits the cofactor.
-    # For p*p*q it splits off q and the part p*p is a perfect power; for
-    # q*q*p it splits off q, and q is the gcd of the two parts.
+    # Past a trial bound of 100 the elliptic-curve method factors what is
+    # left, and a repeated prime comes back as the witness.
+    monkeypatch.setattr(numbers, "TRIAL_BOUND", 100)
+    assert square_free_status(p * p) == (False, p)
     p, q = 1000003, 1000033
-    assert square_free_status(p * q, trial_bound=100) == (True, None)
-    assert square_free_status(p * p * q, trial_bound=100) == (False, p)
-    assert square_free_status(q * q * p, trial_bound=100) == (False, q)
+    assert square_free_status(p * q) == (True, None)
+    assert square_free_status(p * p * q) == (False, p)
+    assert square_free_status(q * q * p) == (False, q)
 
 
-def test_rho_gives_up_after_its_step_budget(monkeypatch):
-    # Two primes near 10**9: rho splits their product in about 4 * 10**4
-    # steps.  With 100 steps per attempt it gives up, and square-freeness
-    # is unknown rather than guessed.
+def test_ecm_gives_up_after_its_curve_budget(monkeypatch):
+    # Two primes near 10**9: the elliptic-curve method splits their
+    # product within its curve budget.  With no curves it gives up, and
+    # square-freeness is unknown rather than guessed.
     p, q = 999999937, 1000000007
-    assert square_free_status(p * q, trial_bound=100) == (True, None)
-    monkeypatch.setattr(numbers, "RHO_STEPS", 100)
+    monkeypatch.setattr(numbers, "TRIAL_BOUND", 100)
+    assert square_free_status(p * q) == (True, None)
+    monkeypatch.setattr(numbers, "ECM_CURVES", 0)
     start = time.perf_counter()
-    assert square_free_status(p * q, trial_bound=100) == (None, None)
+    assert square_free_status(p * q) == (None, None)
     assert time.perf_counter() - start < 0.5
+    # Factors below the trial bound need no curve; the bound is read at
+    # call time.
+    assert square_free_status(1000003 * 1000033) == (None, None)
+    monkeypatch.setattr(numbers, "TRIAL_BOUND", 10**7)
+    assert square_free_status(1000003 * 1000033) == (True, None)
 
 
 # 10 and 257**2 + 1 end just past the square of a base prime.
@@ -180,7 +185,9 @@ def test_suzuki_exponent_check():
 def test_suzuki_exponents_frozen():
     # Each of the three parts for 67 keeps a composite cofactor with no
     # factor below the trial bound, so each walks every prime below it.
-    for ell in (3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 67):
+    # 101 and 139 each need the elliptic-curve method past that bound.
+    for ell in (3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 67, 71, 101,
+                139):
         check = suzuki_exponent_check(ell)
         assert check.status == "eligible", ell
         assert check.base_order == suzuki_order(ell)

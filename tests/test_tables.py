@@ -260,7 +260,7 @@ def test_homomorphism_sign_map():
     sign = Homomorphism(s3, c2, tuple(parity(p) for p in elements))
     assert sign.verify()
     assert not sign.is_bijective()
-    assert sum(sign(a) == 0 for a in range(s3.n)) == 3
+    assert sum(x == 0 for x in sign.images) == 3
 
     broken = Homomorphism(s3, c2, (0,) * 6)
     assert broken.verify()  # trivial map is a homomorphism
