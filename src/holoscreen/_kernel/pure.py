@@ -14,14 +14,18 @@ one breadth-first pass over the n points under them, which gives each point
 p its H-orbit, whether that orbit is free (of size |H|), and the
 automorphism part of the u_p in H that maps the orbit's least point r to p.
 Orbit 0 is the set of fibers H covers.  Adjoining x walks the right cosets
-H*y of <H, x> (Dimino's algorithm), from y = x, queueing y*s for every
+H*y of <H, x> (Dimino's algorithm), from y = x, forming y*s for every
 generator s.  The elements of H*y lie over the H-orbit of y's fiber a; two
 of them share a fiber unless that orbit is free.  If it is, the element
 u_a^-1 * y of H*y over r has an automorphism part, the key, that names the
 coset.  Another key on a covered orbit is a second coset over the same
 fibers; the same key is a coset already walked.  So x is rejected exactly
 when <H, x> meets some fiber twice, and a coset costs one product per
-generator, not one per member.
+generator, not one per member.  Each product is checked where it is
+formed, from its fiber and automorphism part, so the queue holds only new
+cosets, as (fiber, automorphism) pairs.  The products are checked in the
+order they are formed, so the keys and the verdict are those of a walk
+that queued every product and checked it later.
 
 Two prunes keep the tree small: candidates are restricted per fiber up
 front (the caller filters by element order), and a group whose size does
@@ -73,12 +77,14 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
     nodes = 0
     exhausted = False
     budget_val = -1 if budget is None else int(budget)
+    key0 = [0] + [-1] * (n - 1)
 
     def rec(gens: list[tuple[int, int]]) -> None:
         """Branch below the group H generated by ``gens``, as (c, h)."""
         nonlocal nodes, exhausted
         # root[p] is the least point of p's orbit, or -1 if it is not free;
-        # uaut[p] is the automorphism part of u_p, uinv[p] its inverse's row.
+        # uaut[p] is the automorphism part of u_p, urows[p] its composition
+        # row and uinv[p] its inverse's row.
         root: list[int | None] = [None] * n
         uaut = [0] * n
         rows = [(c * n, h * n, amul[h]) for c, h in gens]
@@ -101,39 +107,48 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
                 for p in orbit:
                     root[p] = -1
         uinv = [amul[ainv[u]] for u in uaut]
+        urows = [amul[u] for u in uaut]
         f = next(p for p in range(n) if root[p])  # outside orbit 0
+        rf = root[f]
         for phi in allowed[f]:
             nodes += 1
             if budget_val >= 0 and nodes > budget_val:
                 exhausted = True
                 return
-            x = f * na + phi
-            if not closable[x]:
+            # A fiber whose orbit is not free rejects every x over it.
+            if rf < 0 or not closable[f * na + phi]:
                 continue
             kgens = gens + [(f, phi)]
             # key[r] names the coset of <H, x> over the orbit of r, or -1.
-            key = [0] + [-1] * (n - 1)
-            ksize = size
-            reps = [x]
-            for y in reps:  # grows while it is walked
-                a, g = divmod(y, na)
-                r = root[a]
-                if r < 0:
-                    break
-                k = uinv[a][g]
-                if key[r] == k:
-                    continue
-                if key[r] >= 0 or not closable[y]:
-                    break
-                key[r] = k
-                ksize += size
+            key = key0.copy()
+            key[rf] = uinv[f][phi]
+            ksize = 2 * size
+            queue = [(f, phi)]
+            for a, g in queue:  # grows while it is walked
                 an, gn, grow = a * n, g * n, amul[g]
                 for c, h in kgens:
-                    reps.append(nmul[an + act[gn + c]] * na + grow[h])
+                    b = nmul[an + act[gn + c]]
+                    r = root[b]
+                    if r < 0:
+                        break
+                    e = grow[h]
+                    k = uinv[b][e]
+                    kr = key[r]
+                    if kr == k:
+                        continue
+                    if kr >= 0 or not closable[b * na + e]:
+                        break
+                    key[r] = k
+                    ksize += size
+                    queue.append((b, e))
+                else:
+                    continue
+                break  # x is rejected
             else:
                 if ksize == n:
-                    results.append(array('i', [p * na + amul[uaut[p]][key[r]]
-                                               for p, r in enumerate(root)]))
+                    results.append(array('i', [
+                        pn + urow[key[r]] for pn, urow, r
+                        in zip(range(0, n * na, na), urows, root)]))
                 elif n % ksize == 0:
                     rec(kgens)
             if exhausted:

@@ -413,10 +413,12 @@ def enumerate_regular_subgroups(
 
     When the node budget runs out the result carries ``exhausted=True`` and
     possibly a partial record list; callers must treat that as undecided,
-    never as proof of absence.
+    never as proof of absence.  A negative budget is a ``ValueError``.
     """
     import numpy as np
 
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
     n, na = hol.n, hol.na
     orders = hol.element_orders().reshape(n, na)
     allowed = [[]] + [np.flatnonzero(row).tolist() for row in orders[1:]]

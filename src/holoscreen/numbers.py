@@ -15,8 +15,10 @@ Factorization-backed answers are honest about effort: past the trial bound
 they fall back to Lenstra's elliptic-curve method, at most ``ECM_CURVES``
 curves per split, and a number that does not factor within that budget is
 reported ``unknown`` instead of guessed.  Trial division walks the primes
-of a segmented sieve kept in this module; the primality and factoring
-primitives come from sympy, which is loaded on first use.
+of a segmented sieve kept in this module, or, for the parts of a Suzuki
+order, only 5 and the one residue class that their prime factors lie in;
+the primality and factoring primitives come from sympy, which is loaded on
+first use.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
-from itertools import compress
+from itertools import chain, compress
 
 # sympy is imported inside the functions that call it, not here: it is most
 # of the package's import time, and commands that do no number theory never
@@ -194,22 +196,37 @@ def _primes(stop: int):
         yield from compress(range(lo + 1, hi, 2), window)
 
 
-def square_free_status(n: int) -> tuple[bool | None, int | None]:
+def square_free_status(n: int,
+                       step: int | None = None) -> tuple[bool | None, int | None]:
     """(status, witness) for square-freeness of n.
 
     status is True / False / None, with None meaning the factorization
     budget ran out before a decision.  When status is False the witness is
     a prime whose square divides n.
+
+    Trial division walks every prime up to the bound, or, with ``step``,
+    only 5 and the numbers 1 + k * step, for a caller that knows every
+    prime factor of n to be 5 or 1 modulo ``step``.  That walk also meets
+    composites, but none of them divides what is left of n: each prime
+    factor of such a divisor would divide n, so it would be 5 or in the
+    class, and smaller, so it was divided out first (or its square ended
+    the check).  The primes of n are met in the same order either way, so
+    the answer and the witness are the same.
     """
     from sympy import isprime
 
     if n < 1:
         raise ValueError("argument must be positive")
+    if step is not None and step < 1:
+        raise ValueError(f"step must be positive, got {step}")
     m = n
-    # A prime cofactor ends the search without walking the trial primes,
+    stop = min(TRIAL_BOUND, math.isqrt(n)) + 1
+    trial = (_primes(stop) if step is None
+             else chain((5,), range(1 + step, stop, step)))
+    # A prime cofactor ends the search without walking the trial divisors,
     # and no prime past sqrt(n) can end it either.
     prime = isprime(m)
-    for p in _primes(min(TRIAL_BOUND, math.isqrt(n)) + 1):
+    for p in trial:
         if prime or p * p > m:
             break
         if m % p == 0:
@@ -262,6 +279,13 @@ def suzuki_exponent_check(ell: int) -> SuzukiExponentCheck:
     (4**ell + 1) * (2**ell - 1) is square-free.  A budget-limited
     factorization that cannot decide square-freeness yields status
     "unknown" rather than a guess.
+
+    Trial division tries only the divisors the prime factors can have.  By
+    Fermat's little theorem the order of 2 modulo an odd prime p divides
+    p - 1.  If p divides 2**ell - 1, that order divides the prime ell and is
+    not 1, so it is ell; as p - 1 is even, p = 1 (mod 2ell).  If p divides
+    4**ell + 1, the order divides 4ell but not 2ell, so it is 4 (and p = 5)
+    or 4ell (and p = 1 (mod 4ell)).
     """
     from sympy import isprime
 
@@ -271,14 +295,14 @@ def suzuki_exponent_check(ell: int) -> SuzukiExponentCheck:
         return SuzukiExponentCheck(ell, "ineligible", f"{ell} is not prime")
     lo, hi = _split_four_power_plus_one(ell)
     parts = [
-        (f"4^{ell}+1", lo),
-        (f"4^{ell}+1", hi),
-        (f"2^{ell}-1", (1 << ell) - 1),
+        (f"4^{ell}+1", lo, 4 * ell),
+        (f"4^{ell}+1", hi, 4 * ell),
+        (f"2^{ell}-1", (1 << ell) - 1, 2 * ell),
     ]
     # The three parts are pairwise coprime, so the product is square-free
     # exactly when each part is.
-    for label, part in parts:
-        status, witness = square_free_status(part)
+    for label, part, step in parts:
+        status, witness = square_free_status(part, step)
         if status is False:
             return SuzukiExponentCheck(ell, "ineligible",
                                        f"{witness}^2 divides {label}")

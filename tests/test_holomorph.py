@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from holoscreen import _kernel
 from holoscreen.automorphisms import automorphism_group
 from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
@@ -462,6 +463,16 @@ def test_budget_exhaustion_is_reported():
     enum = enumerate_regular_subgroups(hol, node_budget=0)
     assert enum.exhausted and enum.records.shape == (0, hol.n)
     assert enum.classify() == [] and len(enum.iso_type) == len(enum.orbit) == 0
+
+
+def test_negative_budget_is_refused(monkeypatch):
+    # The kernel reads -1 as no budget at all, so a negative budget must
+    # fail before any search starts.
+    monkeypatch.setattr(_kernel, "search_regular", None)
+    hol = holomorph(T("dihedral(12)"))
+    for budget in (-1, -5):
+        with pytest.raises(ValueError, match="node budget must be >= 0"):
+            enumerate_regular_subgroups(hol, node_budget=budget)
 
 
 def test_order_cap():

@@ -3,13 +3,16 @@
 The reference, ``oracles.pairwise_search_regular``, branches like the kernel
 but closes each adjoined element by products with every member in both
 orders, where the kernel keys each right coset by the orbits of the group
-closed so far and lists no member.  Both run on the tables and
+closed so far, lists no member, and checks each generator product where it
+forms it, queueing only new cosets.  Both run on the tables and
 candidate lists that ``enumerate_regular_subgroups`` builds.  The reference
 ignores the ``closable`` mask that lets the kernel abandon a closure early,
 so agreeing with it, node for node, shows that the mask is exact.  The
 kernel returns each regular subgroup as an ``array('i')`` row and the
 reference as a tuple; ``enumerate_regular_subgroups`` reads both into one
-int32 array, whose rows are compared.
+int32 array, whose rows are compared.  Two bases have |Aut| > 257, so the
+kernel reads their composition rows in place: abelian(5,5) in full and
+dihedral(64), the non-abelian one, under a budget.
 """
 
 import gc
@@ -96,6 +99,16 @@ def test_backends_agree_under_budget_pressure():
             assert record_rows(a) == record_rows(b), (expr, budget)
             assert a.nodes == b.nodes == budget + 1, (expr, budget)
             assert a.exhausted and b.exhausted, (expr, budget)
+    # |Aut(D64)| = 512, so the kernel reads its rows in place, as for
+    # abelian(5,5), but under a non-abelian base.  Its full search is too
+    # long for the reference, so it runs under one budget only.
+    hol = holomorph(base_table("dihedral(64)"))
+    assert hol.na == 512
+    a, b = both_searches(hol, 5000)
+    assert len(a.records)
+    assert record_rows(a) == record_rows(b)
+    assert a.nodes == b.nodes == 5001
+    assert a.exhausted and b.exhausted
 
 
 def test_kernel_leaves_no_reference_cycle(monkeypatch):

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import primerange
+from sympy import factorint, primerange
 
 from holoscreen import numbers
 from holoscreen.numbers import (_SEGMENT, TRIAL_BOUND, SimpleOrderTable,
@@ -102,6 +102,14 @@ def test_square_free_status(monkeypatch):
     assert square_free_status(4 * (2**61 - 1)) == (False, 2)
     status, witness = square_free_status(3**4 * (2**61 - 1))
     assert status is False and witness == 3
+    # With a step, only 5 and the numbers 1 modulo the step are tried:
+    # 2**43 - 1 = 431 * 9719 * 2099863, each prime 1 modulo 86.
+    assert square_free_status(2**43 - 1, 86) == (True, None)
+    assert square_free_status(431**2 * 9719, 86) == (False, 431)
+    assert square_free_status(5**2 * 173, 172) == (False, 5)
+    for step in (0, -86):
+        with pytest.raises(ValueError, match="step must be positive"):
+            square_free_status(2**43 - 1, step)
     # A square of a large prime, found past the trial bound: every prime
     # below the default bound is tried before the elliptic-curve method.
     p = 2**61 - 1
@@ -184,14 +192,41 @@ def test_suzuki_exponent_check():
 
 def test_suzuki_exponents_frozen():
     # Each of the three parts for 67 keeps a composite cofactor with no
-    # factor below the trial bound, so each walks every prime below it.
-    # 101 and 139 each need the elliptic-curve method past that bound.
+    # factor below the trial bound, so each walks its whole residue class
+    # below it.  101 and 139 each need the elliptic-curve method past that
+    # bound.
     for ell in (3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 67, 71, 101,
                 139):
         check = suzuki_exponent_check(ell)
         assert check.status == "eligible", ell
         assert check.base_order == suzuki_order(ell)
     assert suzuki_exponent_check(5).status == "ineligible"
+
+
+def test_suzuki_parts_walk_one_residue_class_each(monkeypatch):
+    # perfbench/tracing.py hooks numbers.square_free_status by name, so the
+    # three parts must reach it through the module, each with the step of
+    # the class its prime factors lie in.
+    calls = []
+    real = numbers.square_free_status
+
+    def counting(n, step=None):
+        calls.append((n, step))
+        return real(n, step)
+
+    monkeypatch.setattr(numbers, "square_free_status", counting)
+    assert suzuki_exponent_check(43).status == "eligible"
+    assert [step for _, step in calls] == [172, 172, 86]
+    assert math.prod(n for n, _ in calls) == (4**43 + 1) * (2**43 - 1)
+
+
+def test_suzuki_part_primes_lie_in_the_walked_class():
+    for ell in primerange(3, 44):
+        h = 2 ** ((ell + 1) // 2)
+        for part, step in ((2**ell - h + 1, 4 * ell),
+                           (2**ell + h + 1, 4 * ell), (2**ell - 1, 2 * ell)):
+            for p in factorint(part):
+                assert p == 5 or p % step == 1, (ell, part, p)
 
 
 def test_wieferich_scan(monkeypatch):
