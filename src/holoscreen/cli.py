@@ -25,8 +25,8 @@ from .holomorph import (DEFAULT_NODE_BUDGET, HOL_ORDER_CAP,
                         enumerate_regular_subgroups, holomorph)
 from .lattice import SUBGROUP_CAP
 from .numbers import (WIEFERICH_CAP, classify_order, default_table,
-                      doubling_family_conditions, is_solvable_number,
-                      suzuki_exponent_check, suzuki_order, wieferich_scan)
+                      doubling_family_conditions, suzuki_exponent_check,
+                      suzuki_order, wieferich_scan)
 from .screening import render_report, screen_order
 
 EXIT_HOLDS = 0
@@ -188,11 +188,10 @@ def cmd_numtheory(args) -> int:
         print(f"{check.status}: {check.reason}")
         return EXIT_HOLDS if check.status == "ineligible" else EXIT_UNDECIDED
     if args.nt_command == "solvable":
-        table = default_table()
-        if is_solvable_number(args.n, table):
+        witness = default_table().nonsolvable_witness(args.n)
+        if witness is None:
             print(f"{args.n} is a solvable number")
         else:
-            witness = table.nonsolvable_witness(args.n)
             print(f"{args.n} is non-solvable (divisible by the simple group "
                   f"order {witness})")
         return EXIT_HOLDS

@@ -16,12 +16,14 @@ permutation generators or by an explicit multiplication table::
     0 1 2 3 4 5 6 7
     ... (one row per element, identity first)
 
+Each header line (``group``, ``order``, ``degree``) appears at most once.
 Canonical serialization sorts the generator lines, uses LF endings, and
 carries no trailing whitespace, so files are diffable and hashing is
 stable.  A corpus is a directory of such files plus an ``index.txt``
-naming the order, the member files, and whether the collection claims to
-contain every group of that order up to isomorphism.  Completeness is a
-documented claim about the corpus, never something this module computes.
+naming the order (one ``order`` line), the member files, and whether the
+collection claims to contain every group of that order up to isomorphism
+(one ``complete`` line).  Completeness is a documented claim about the
+corpus, never something this module computes.
 
 Constructor expressions build the standard families directly::
 
@@ -124,6 +126,8 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupRecord:
             if not _NAME_RE.match(name):
                 _fail(f"bad group name {name!r}", source, lineno)
         elif line.startswith("order "):
+            if order is not None:
+                _fail("second 'order' line", source, lineno)
             try:
                 order = int(line.split(None, 1)[1])
             except ValueError:
@@ -134,6 +138,8 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupRecord:
                 _fail(f"order {order} exceeds the table cap {TABLE_CAP}",
                       source, lineno)
         elif line.startswith("degree "):
+            if degree is not None:
+                _fail("second 'degree' line", source, lineno)
             try:
                 degree = int(line.split(None, 1)[1])
             except ValueError:
@@ -612,6 +618,8 @@ def load_manifest(directory) -> CorpusManifest:
         if not line or line.startswith("#"):
             continue
         if line.startswith("order "):
+            if order is not None:
+                _fail("second 'order' line", str(index), lineno)
             try:
                 order = int(line.split(None, 1)[1])
             except ValueError:
@@ -620,6 +628,8 @@ def load_manifest(directory) -> CorpusManifest:
                 _fail(f"order must be positive, got {order}", str(index),
                       lineno)
         elif line.startswith("complete "):
+            if complete is not None:
+                _fail("second 'complete' line", str(index), lineno)
             value = line.split(None, 1)[1]
             if value not in ("true", "false"):
                 _fail(f"complete must be true or false, got {value!r}",
@@ -678,23 +688,19 @@ class CorpusReport:
         return not self.errors
 
 
-def validate_corpus(target, *, strict: bool = True) -> CorpusReport:
-    """Validate a corpus directory (or loaded manifest); collect problems.
+def validate_corpus(directory, *, strict: bool = True) -> CorpusReport:
+    """Load and validate a corpus directory; collect problems.
 
-    Errors are collected into the report rather than raised.  At the
-    strict level every pair of records is tested for isomorphism and
-    duplicates are reported as errors.
+    Errors are collected into the report rather than raised, a load error
+    included.  At the strict level every pair of records is tested for
+    isomorphism and duplicates are reported as errors.
     """
-    if isinstance(target, CorpusManifest):
-        manifest = target
-        report = CorpusReport(directory=str(manifest.directory))
-    else:
-        report = CorpusReport(directory=str(target))
-        try:
-            manifest = load_manifest(target)
-        except CorpusError as exc:
-            report.errors.append(str(exc))
-            return report
+    report = CorpusReport(directory=str(directory))
+    try:
+        manifest = load_manifest(directory)
+    except CorpusError as exc:
+        report.errors.append(str(exc))
+        return report
     report.order = manifest.order
     report.complete = manifest.complete
     report.count = len(manifest.records)
@@ -716,10 +722,10 @@ def validate_corpus(target, *, strict: bool = True) -> CorpusReport:
                 "claims completeness but lists no groups; every positive "
                 "order has at least the cyclic group")
         else:
-            from .numbers import default_table, is_solvable_number
-            table = default_table()
-            if (manifest.order <= table.bound
-                    and not is_solvable_number(manifest.order, table)
+            # A loaded member has order at most TABLE_CAP, well inside the
+            # simple-order table's bound.
+            from .numbers import is_solvable_number
+            if (not is_solvable_number(manifest.order)
                     and all(r.is_solvable() for r in manifest.records)):
                 report.warnings.append(
                     "claims completeness but every member is solvable, and "

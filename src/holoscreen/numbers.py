@@ -4,6 +4,11 @@ Everything in this module is exact integer arithmetic.  The only piece of
 shipped data is the table of orders of non-abelian finite simple groups
 (``data/simple_orders.txt``, regenerated by ``scripts/gen_simple_orders.py``);
 it is treated as an axiom and every other fact is computed on demand.
+Every function here reads that one table, so no caller passes one.  Each
+solvability question goes through ``SimpleOrderTable.nonsolvable_witness``,
+which refuses an order past the table bound rather than guess; only
+``doubling_family_conditions`` steps past the bound on purpose, and it
+reports that check as unknown.
 
 An order n is called *solvable* when every group of that order is solvable,
 which happens exactly when no non-abelian simple group order divides n: a
@@ -101,16 +106,22 @@ class SimpleOrderTable:
             raise ValueError("simple-order table has no '# bound:' line")
         return cls(bound=bound, orders=tuple(orders))
 
-    def require(self, n: int) -> None:
-        if n > self.bound:
-            raise ValueError(f"{n} exceeds the simple-order table bound {self.bound}")
-
     def __contains__(self, n: int) -> bool:
         i = bisect_left(self.orders, n)
         return i < len(self.orders) and self.orders[i] == n
 
     def nonsolvable_witness(self, n: int) -> int | None:
-        """Smallest simple group order dividing n, or None."""
+        """Smallest simple group order dividing n, or None.
+
+        Every solvability question goes through this lookup.  It refuses
+        n < 1, and n past the table bound, where a simple order the table
+        does not list might divide n.
+        """
+        if n < 1:
+            raise ValueError("order must be positive")
+        if n > self.bound:
+            raise ValueError(
+                f"{n} exceeds the simple-order table bound {self.bound}")
         for d in self.orders:
             if d > n:
                 break
@@ -129,13 +140,10 @@ def default_table() -> SimpleOrderTable:
     return _TABLE
 
 
-def is_solvable_number(n: int, table: SimpleOrderTable | None = None) -> bool:
-    """Whether every group of order n is solvable."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    table = table or default_table()
-    table.require(n)
-    return table.nonsolvable_witness(n) is None
+def is_solvable_number(n: int) -> bool:
+    """Whether every group of order n is solvable: no order in the shipped
+    table divides n.  Raises ValueError for n < 1 or n past the bound."""
+    return default_table().nonsolvable_witness(n) is None
 
 
 def is_cube_free(n: int) -> bool:
@@ -347,17 +355,17 @@ class DoublingFamilyConditions:
 
 
 def doubling_family_conditions(
-    n0: int,
-    table: SimpleOrderTable | None = None,
-    r_max: int | None = None,
+    n0: int, *, r_max: int | None = None,
 ) -> DoublingFamilyConditions:
     """Check the arithmetic conditions on the family 2**r * n0.
 
     Three checks: no 2**r * n0 (r >= 1) is the order of a simple group;
     n0/2 is a solvable number when n0 is even; and (2**r * n0)/p is a
     solvable number for every odd prime p dividing n0 and every r >= 0.
-    The doubling exponent runs to ``r_max`` (at least 0), by default as far
-    as the table bound allows.
+    The doubling exponent runs to ``r_max`` (at least 0), by default to
+    the largest r with 2**r * n0 within the table bound.  A check that
+    reaches past the bound before it fails is unknown (None), and
+    ``failure`` describes the first check that fails.
     """
     from sympy import factorint
 
@@ -365,53 +373,45 @@ def doubling_family_conditions(
         raise ValueError("base order must be at least 2")
     if r_max is not None and r_max < 0:
         raise ValueError(f"r_max must be >= 0, got {r_max}")
-    table = table or default_table()
-    table.require(n0)
-    natural_max = 0
-    while (n0 << (natural_max + 1)) <= table.bound:
-        natural_max += 1
+    table = default_table()
+    bound = table.bound
+    if n0 > bound:
+        raise ValueError(f"{n0} exceeds the simple-order table bound {bound}")
+    r_top = (bound // n0).bit_length() - 1  # 2**r * n0 <= bound up to here
     if r_max is None:
-        r_max = natural_max
+        r_max = r_top
+    failures = []
 
-    failure = None
+    r_simple = next((r for r in range(1, min(r_max, r_top) + 1)
+                     if n0 << r in table), None)
+    if r_simple is not None:
+        cond_simple = False
+        failures.append(f"2^{r_simple} * {n0} = {n0 << r_simple} is the "
+                        "order of a simple group")
+    else:
+        cond_simple = None if r_max > r_top else True
 
-    cond_simple: bool | None = True
-    for r in range(1, r_max + 1):
-        value = n0 << r
-        if value > table.bound:
-            cond_simple = None
-            break
-        if value in table:
-            cond_simple = False
-            failure = f"2^{r} * {n0} = {value} is the order of a simple group"
-            break
+    cond_half = n0 % 2 == 1 or is_solvable_number(n0 // 2)
+    if not cond_half:
+        failures.append(f"{n0}/2 = {n0 // 2} is not a solvable number")
 
-    cond_half: bool | None = True
-    if n0 % 2 == 0:
-        cond_half = is_solvable_number(n0 // 2, table)
-        if cond_half is False and failure is None:
-            failure = f"{n0}/2 = {n0 // 2} is not a solvable number"
-
+    # The first quotient, r before p, that is past the bound or not a
+    # solvable number.  At r = bound.bit_length() every quotient is at
+    # least 2**r > bound, so no larger r is ever reached.
     odd_primes = sorted(p for p in factorint(n0) if p % 2 == 1)
-    cond_quot: bool | None = True
-    for r in range(0, r_max + 1):
-        value = n0 << r
-        stop = False
-        for p in odd_primes:
-            q = value // p
-            if q > table.bound:
-                if cond_quot is True:
-                    cond_quot = None
-                stop = True
-                break
-            if not is_solvable_number(q, table):
-                cond_quot = False
-                if failure is None:
-                    failure = f"(2^{r} * {n0})/{p} = {q} is not a solvable number"
-                stop = True
-                break
-        if stop:
-            break
+    quotients = ((r, p, (n0 << r) // p)
+                 for r in range(min(r_max, bound.bit_length()) + 1)
+                 for p in odd_primes)
+    stuck = next(((r, p, q) for r, p, q in quotients
+                  if q > bound or not is_solvable_number(q)), None)
+    if stuck is None:
+        cond_quot = True
+    elif stuck[2] > bound:
+        cond_quot = None
+    else:
+        cond_quot = False
+        r, p, q = stuck
+        failures.append(f"(2^{r} * {n0})/{p} = {q} is not a solvable number")
 
     return DoublingFamilyConditions(
         n0=n0,
@@ -419,7 +419,7 @@ def doubling_family_conditions(
         no_simple_doubled_order=cond_simple,
         half_solvable=cond_half,
         prime_quotients_solvable=cond_quot,
-        failure=failure,
+        failure=failures[0] if failures else None,
     )
 
 
@@ -461,7 +461,7 @@ class OrderClassification:
     verdict: str
 
 
-def classify_order(n: int, table: SimpleOrderTable | None = None) -> OrderClassification:
+def classify_order(n: int) -> OrderClassification:
     """Attribute an order to the cheapest criterion that settles it.
 
     Verdicts, in the order they are tried: ``trivial-solvable`` (every
@@ -471,11 +471,7 @@ def classify_order(n: int, table: SimpleOrderTable | None = None) -> OrderClassi
     cube-free tests is 60; it is attributed to the family, which settles
     all of 60, 120, 240, ... at once.
     """
-    if n < 1:
-        raise ValueError("order must be positive")
-    table = table or default_table()
-    table.require(n)
-    solvable = is_solvable_number(n, table)
+    solvable = is_solvable_number(n)
     cube = is_cube_free(n)
     family = None if solvable else doubling_family_base(n)
     if solvable:

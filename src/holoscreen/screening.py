@@ -75,25 +75,20 @@ class SubgroupOrderSets:
             raise ValueError("solvable orders must be a subset of all orders")
 
 
-def build_order_sets(records, n: int | None = None, *,
+def build_order_sets(records, n: int, *,
                      cap: int = SUBGROUP_CAP) -> SubgroupOrderSets:
     """Exhaustively enumerate subgroups of each insolvable record.
 
-    The records must all be insolvable and share one order.  An empty
-    sequence is legal (solvable orders have no insolvable groups) and
-    yields empty sets.
+    The records must all be insolvable and of order n.  An empty sequence
+    is legal (solvable orders have no insolvable groups) and yields empty
+    sets for n.
     """
     records = list(records)
-    if records:
-        orders = {rec.order for rec in records}
-        if len(orders) != 1:
-            raise ValueError(f"mixed orders in input: {sorted(orders)}")
-        if n is None:
-            n = records[0].order
-        elif n != records[0].order:
-            raise ValueError(f"records have order {records[0].order}, not {n}")
-    elif n is None:
-        n = 0
+    orders = sorted({rec.order for rec in records})
+    if len(orders) > 1:
+        raise ValueError(f"mixed orders in input: {orders}")
+    if orders and orders[0] != n:
+        raise ValueError(f"records have order {orders[0]}, not {n}")
     solvable: set[int] = set()
     every: set[int] = set()
     for rec in records:
@@ -352,8 +347,8 @@ def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
     digest = corpus_hash(manifest)
     solvable_groups = [r for r in manifest.records if r.is_solvable()]
     insolvable_groups = [r for r in manifest.records if not r.is_solvable()]
-    table = default_table()
-    solvable_number = (is_solvable_number(n, table) if n <= table.bound else None)
+    solvable_number = (is_solvable_number(n) if n <= default_table().bound
+                       else None)
 
     problems: list[str] = []
     if not solvable_groups:  # every order has a cyclic group

@@ -79,18 +79,16 @@ def normal_closure(seed: Iterable[E], gens: Sequence[E],
 
 def commutator_series(gens: Sequence[E], mul: Callable[[E, E], E],
                       inv: Callable[[E], E], one: E, *,
-                      lower: bool = False,
                       elements: Sequence[E] | None = None) -> list[list[E]]:
-    """Derived series of G = <gens>, or with ``lower`` its lower central
-    series, as a list of element lists starting with G.
+    """Derived series of G = <gens>, as a list of element lists starting
+    with G.
 
     Each term after G is the normal closure in G of the commutators of the
-    previous term's generators with each other (derived series) or with
-    ``gens`` (lower central series).  The series stops at the trivial group
-    or at the first term equal to its predecessor.  A caller that already
-    lists G passes it as ``elements``, and G is not closed again; its
-    generators are then all of ``gens``, which for a greedy sequence are
-    the ones the closure would adjoin.
+    previous term's generators with each other.  The series stops at the
+    trivial group or at the first term equal to its predecessor.  A caller
+    that already lists G passes it as ``elements``, and G is not closed
+    again; its generators are then all of ``gens``, which for a greedy
+    sequence are the ones the closure would adjoin.
     """
     if elements is None:
         ks, elements = normal_closure(gens, gens, mul, inv, one)
@@ -98,9 +96,7 @@ def commutator_series(gens: Sequence[E], mul: Callable[[E, E], E],
         ks, elements = list(gens), list(elements)
     series = [elements]
     while len(series[-1]) > 1:
-        others = gens if lower else ks
-        comms = [mul(mul(inv(a), inv(b)), mul(a, b))
-                 for a in ks for b in others]
+        comms = [mul(mul(inv(a), inv(b)), mul(a, b)) for a in ks for b in ks]
         ks, elements = normal_closure(comms, gens, mul, inv, one)
         if len(elements) == len(series[-1]):
             break
@@ -272,23 +268,24 @@ class GroupTable:
 
     # -- structure -------------------------------------------------------
 
-    def _commutator_series(self, *, lower: bool) -> list[list[int]]:
-        m = self.mul
-        return commutator_series(self.generating_sequence(),
-                                 lambda a, b: m[a][b], self.inv.__getitem__,
-                                 0, lower=lower, elements=range(self.n))
-
     @cached_property
     def derived_terms(self) -> tuple[tuple[int, ...], ...]:
         """Element tuples of the derived series, computed once per table."""
-        return tuple(tuple(sorted(term))
-                     for term in self._commutator_series(lower=False))
+        m = self.mul
+        series = commutator_series(self.generating_sequence(),
+                                   lambda a, b: m[a][b], self.inv.__getitem__,
+                                   0, elements=range(self.n))
+        return tuple(tuple(sorted(term)) for term in series)
 
     def is_solvable(self) -> bool:
         return len(self.derived_terms[-1]) == 1
 
     def is_nilpotent(self) -> bool:
-        return len(self._commutator_series(lower=True)[-1]) == 1
+        """A finite group is nilpotent exactly when it is its own Fitting
+        subgroup, the largest normal nilpotent subgroup."""
+        from .lattice import fitting_subgroup  # lattice imports this module
+
+        return fitting_subgroup(self).order == self.n
 
     def __repr__(self) -> str:
         label = " %r" % (self.name,) if self.name else ""

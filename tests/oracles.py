@@ -37,12 +37,17 @@ whose closure has prime-power order.  ``normal_subgroups`` joins
 conjugacy class closures pairwise until nothing changes; the package
 filtered it for the characteristic subgroups, where
 ``characteristic_subgroups`` now walks joins of Aut(N)-orbit closures.
-``is_associative`` tests every triple of a table, the cubic check that
-``GroupTable`` ran before it took Light's test over its generating
-sequence.  ``compose_table`` lists a permutation group with its own
-breadth-first loop and fills the table by n^2 permutation products, where
-``from_permutation_group`` reads it off the Schreier tree of the
-listing.  The subgroup predicates check their definitions over every
+``lower_central_series`` builds that series from every commutator of an
+element of G with one of the previous term; a group is nilpotent when it
+reaches 1, the reference for ``GroupTable.is_nilpotent``, which asks
+whether Fit(G) = G.  ``doubling_conditions_by_loop`` is
+``doubling_family_conditions`` as the package ran it before its
+straight-line rewrite.  ``is_associative`` tests every triple of a
+table, the cubic check that ``GroupTable`` ran before it took Light's
+test over its generating sequence.  ``compose_table`` lists a
+permutation group with its own breadth-first loop and fills the table by
+n^2 permutation products, where ``from_permutation_group`` reads it off
+the Schreier tree of the listing.  The subgroup predicates check their definitions over every
 element.  ``has_regular_embedding`` is the crossed-map search, a second
 exact route to the regular subgroups of Hol(N) that the tests hold
 against enumeration; it draws the homomorphisms G -> Aut(N) from
@@ -62,6 +67,8 @@ from holoscreen import isomorphism
 from holoscreen.automorphisms import automorphism_group
 from holoscreen.holomorph import HOL_AUT_CAP
 from holoscreen.isomorphism import GeneratorTower, _matching_candidates
+from holoscreen.numbers import (DoublingFamilyConditions, default_table,
+                                is_solvable_number)
 from holoscreen.perms import (PermutationGroup, check_perm, compose,
                               identity_perm, inverse)
 from holoscreen.tables import GroupTable, Subgroup
@@ -138,6 +145,27 @@ def bfs_closure(table, seed):
                 members.add(y)
                 order.append(y)
     return tuple(sorted(members))
+
+
+def lower_central_series(table):
+    """The lower central series by its definition, as sorted element
+    tuples: each term is generated by every commutator [a, b] with a in G
+    and b in the previous term.  It stops at the trivial group or at the
+    first term equal to its predecessor."""
+    series = [tuple(range(table.n))]
+    while len(series[-1]) > 1:
+        nxt = bfs_closure(table, {commutator(table, a, b)
+                                  for a in range(table.n)
+                                  for b in series[-1]})
+        if len(nxt) == len(series[-1]):
+            break
+        series.append(nxt)
+    return series
+
+
+def is_nilpotent_by_definition(table):
+    """Whether the lower central series reaches the trivial group."""
+    return len(lower_central_series(table)[-1]) == 1
 
 
 def is_associative(mul):
@@ -818,6 +846,76 @@ def hom_images(G, target):
                    if G.element_orders[g] % orders[x] == 0]
                   for g in G.tower.gens]
     return pairwise_morphism_images(G, target, candidates, bijective=False)
+
+
+def doubling_conditions_by_loop(n0, r_max=None):
+    """``numbers.doubling_family_conditions`` as the package ran it before
+    its straight-line rewrite: the default exponent range by a doubling
+    loop, and each check walked until it fails or passes the bound."""
+    from sympy import factorint
+
+    if n0 < 2:
+        raise ValueError("base order must be at least 2")
+    if r_max is not None and r_max < 0:
+        raise ValueError(f"r_max must be >= 0, got {r_max}")
+    table = default_table()
+    if n0 > table.bound:
+        raise ValueError(
+            f"{n0} exceeds the simple-order table bound {table.bound}")
+    natural_max = 0
+    while (n0 << (natural_max + 1)) <= table.bound:
+        natural_max += 1
+    if r_max is None:
+        r_max = natural_max
+
+    failure = None
+
+    cond_simple = True
+    for r in range(1, r_max + 1):
+        value = n0 << r
+        if value > table.bound:
+            cond_simple = None
+            break
+        if value in table:
+            cond_simple = False
+            failure = f"2^{r} * {n0} = {value} is the order of a simple group"
+            break
+
+    cond_half = True
+    if n0 % 2 == 0:
+        cond_half = is_solvable_number(n0 // 2)
+        if cond_half is False and failure is None:
+            failure = f"{n0}/2 = {n0 // 2} is not a solvable number"
+
+    odd_primes = sorted(p for p in factorint(n0) if p % 2 == 1)
+    cond_quot = True
+    for r in range(0, r_max + 1):
+        value = n0 << r
+        stop = False
+        for p in odd_primes:
+            q = value // p
+            if q > table.bound:
+                if cond_quot is True:
+                    cond_quot = None
+                stop = True
+                break
+            if not is_solvable_number(q):
+                cond_quot = False
+                if failure is None:
+                    failure = f"(2^{r} * {n0})/{p} = {q} is not a solvable number"
+                stop = True
+                break
+        if stop:
+            break
+
+    return DoublingFamilyConditions(
+        n0=n0,
+        r_checked=r_max,
+        no_simple_doubled_order=cond_simple,
+        half_solvable=cond_half,
+        prime_quotients_solvable=cond_quot,
+        failure=failure,
+    )
 
 
 # -- the (f, g) fixed-point search ---------------------------------------

@@ -16,7 +16,7 @@ from holoscreen.corpus import construct, load_manifest
 from holoscreen.holomorph import enumerate_regular_subgroups, holomorph
 from holoscreen.isomorphism import are_isomorphic
 from holoscreen.lattice import all_subgroups
-from holoscreen.numbers import (classify_order, default_table, is_cube_free,
+from holoscreen.numbers import (classify_order, is_cube_free,
                                 is_solvable_number, suzuki_exponent_check,
                                 wieferich_scan)
 from holoscreen.perms import PermutationGroup
@@ -203,9 +203,7 @@ def test_criterion_09_mersenne_gcd_identity():
 
 
 def test_criterion_10_solvable_numbers_closed():
-    table = default_table()
-    solvable = [False] + [is_solvable_number(n, table)
-                          for n in range(1, 5001)]
+    solvable = [False] + [is_solvable_number(n) for n in range(1, 5001)]
     for n in range(1, 5001):
         if not solvable[n]:
             for m in range(2 * n, 5001, n):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from holoscreen import corpus
+from holoscreen.cli import main
 from holoscreen.corpus import (CorpusError, construct, corpus_hash, load_group,
                                load_manifest, parse_group_text,
                                regular_generators, save_group,
@@ -298,6 +299,42 @@ def test_manifest_errors(tmp_path):
     (tmp_path / "index.txt").write_text("order 6\ncomplete true\nfile c4.grp\n")
     with pytest.raises(CorpusError, match="corpus claims 6"):
         load_manifest(tmp_path)
+
+
+REPEATED_DEGREE = "group g\norder 2\ndegree 2\ngen: 1 0\ndegree 3\n"
+
+
+@pytest.mark.parametrize("text,lineno", [
+    (REPEATED_DEGREE, 5),
+    ("group g\norder 2\ndegree 2\norder 4\ngen: 1 0\n", 4),
+], ids=["degree", "order"])
+def test_repeated_group_header_is_refused(text, lineno):
+    word = text.splitlines()[lineno - 1].split()[0]
+    with pytest.raises(CorpusError, match=f"g.grp:{lineno}: second '{word}'"):
+        parse_group_text(text, source="g.grp")
+
+
+@pytest.mark.parametrize("index,lineno", [
+    ("order 6\ncomplete true\norder 6\n", 3),
+    ("order 6\ncomplete true\ncomplete false\n", 3),
+], ids=["order", "complete"])
+def test_repeated_index_header_is_refused(tmp_path, index, lineno):
+    (tmp_path / "index.txt").write_text(index)
+    word = index.splitlines()[lineno - 1].split()[0]
+    with pytest.raises(CorpusError,
+                       match=f"index.txt:{lineno}: second '{word}'"):
+        load_manifest(tmp_path)
+
+
+def test_validate_reports_a_repeated_degree_line(tmp_path, capsys):
+    # The second degree line once reached PermutationGroup, whose bare
+    # ValueError escaped the report.
+    (tmp_path / "g.grp").write_text(REPEATED_DEGREE)
+    write_index(tmp_path, 2, False, ["g.grp"])
+    assert main(["corpus", "validate", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "g.grp:5: second 'degree' line" in out
+    assert "result: failed" in out
 
 
 @pytest.mark.parametrize("line,fragment", [

@@ -10,8 +10,9 @@ from holoscreen.errors import CapExceeded
 from holoscreen.lattice import all_subgroups, fitting_subgroup
 from holoscreen.perms import PermutationGroup
 from holoscreen.tables import from_permutation_group
-from oracles import (brute_subgroups, fitting_by_p_cores, is_normal,
-                     is_subgroup, normal_subgroups, p_core, sylow_subgroup)
+from oracles import (brute_subgroups, fitting_by_p_cores,
+                     is_nilpotent_by_definition, is_normal, is_subgroup,
+                     normal_subgroups, p_core, sylow_subgroup)
 
 A5_GENS = [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
@@ -153,7 +154,8 @@ def test_fitting_subgroup():
         assert fit.order == order
         assert is_normal(table, fit.elements)
         fit_table, _ = fit.to_table()
-        assert fit_table.is_nilpotent()
+        assert is_nilpotent_by_definition(fit_table)
+        assert table.is_nilpotent() == is_nilpotent_by_definition(table)
 
 
 def test_fitting_subgroup_matches_p_cores():

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from sympy import factorint, primerange
 
 from holoscreen import numbers
+from holoscreen.tables import TABLE_CAP
 from holoscreen.numbers import (_SEGMENT, TRIAL_BOUND, SimpleOrderTable,
                                 _primes, classify_order,
                                 default_table, doubling_family_base,
@@ -17,6 +19,7 @@ from holoscreen.numbers import (_SEGMENT, TRIAL_BOUND, SimpleOrderTable,
                                 is_solvable_number, square_free_status,
                                 suzuki_exponent_check, suzuki_order,
                                 wieferich_scan)
+from oracles import doubling_conditions_by_loop
 
 
 def test_default_table_shape():
@@ -50,6 +53,16 @@ def test_nonsolvable_witness():
     assert table.nonsolvable_witness(336) == 168
     assert table.nonsolvable_witness(840) == 60
     assert table.nonsolvable_witness(2448) == 2448
+    with pytest.raises(ValueError, match="order must be positive"):
+        table.nonsolvable_witness(0)
+    with pytest.raises(ValueError, match="exceeds the simple-order table"):
+        table.nonsolvable_witness(10**7)
+
+
+def test_every_corpus_order_is_inside_the_table_bound():
+    # ``validate_corpus`` asks whether a listed corpus's order is a
+    # solvable number with no bound check; a member's order is capped.
+    assert TABLE_CAP <= default_table().bound
 
 
 def test_is_solvable_number():
@@ -280,9 +293,39 @@ def test_doubling_family_conditions_r_max():
 
 
 def test_doubling_family_conditions_unknown_past_bound():
-    tiny = SimpleOrderTable(bound=200, orders=(60, 168))
-    result = doubling_family_conditions(60, table=tiny, r_max=5)
+    # 60 * 2^15 > 10^6, the table bound.
+    result = doubling_family_conditions(60, r_max=15)
     assert result.no_simple_doubled_order is None
+    assert not result.all_hold and result.failure is None
+    assert doubling_family_conditions(60).r_checked == 14
+
+
+def test_doubling_family_conditions_match_the_loop():
+    cases = [(n0, r_max)
+             for n0 in [*range(2, 4001), 2448, 29120, 61440, 999999, 10**6]
+             for r_max in (None, 0, 1, 3, 25)]
+    assert len(cases) == 20020
+    for n0, r_max in cases:
+        assert (doubling_family_conditions(n0, r_max=r_max)
+                == doubling_conditions_by_loop(n0, r_max)), (n0, r_max)
+    assert [doubling_family_conditions(n0).r_checked
+            for n0 in (60, 2448, 29120)] == [14, 8, 5]
+    for n0, r_max, message in [(1, None, "at least 2"),
+                               (10**6 + 1, None, "table bound"),
+                               (60, -1, "r_max")]:
+        for check in (doubling_family_conditions, doubling_conditions_by_loop):
+            with pytest.raises(ValueError, match=message):
+                check(n0, r_max=r_max)
+
+
+def test_doubling_family_conditions_stop_at_the_bound():
+    # Every quotient at r = 20 is at least 2^20 > 10^6, the table bound, so
+    # an r_max of 10^9 walks no further than one of 25 and answers alike.
+    for n0 in (64, 60, 3 * 2**18):
+        huge = doubling_family_conditions(n0, r_max=10**9)
+        capped = doubling_family_conditions(n0, r_max=25)
+        assert huge.r_checked == 10**9
+        assert replace(huge, r_checked=25) == capped, n0
 
 
 def test_doubling_family_base():

@@ -45,7 +45,7 @@ def o60_records(o60):
 
 @pytest.fixture(scope="module")
 def sets60(o60_records):
-    return build_order_sets([o60_records["a5"]])
+    return build_order_sets([o60_records["a5"]], 60)
 
 
 def test_order_sets_for_a5(sets60):
@@ -65,13 +65,13 @@ def test_order_sets_input_errors(o60_records):
     a5 = o60_records["a5"]
     s5 = load_manifest(CORPORA / "o120").records[0]
     with pytest.raises(ValueError, match="mixed orders"):
-        build_order_sets([a5, s5])
+        build_order_sets([a5, s5], 60)
     with pytest.raises(ValueError, match="order 60, not 30"):
         build_order_sets([a5], 30)
     with pytest.raises(ValueError, match="expected insolvable"):
-        build_order_sets([o60_records["c60"]])
+        build_order_sets([o60_records["c60"]], 60)
     with pytest.raises(CapExceeded):
-        build_order_sets([a5], cap=3)
+        build_order_sets([a5], 60, cap=3)
 
 
 def passes(stage, record, sets=None):
@@ -266,7 +266,7 @@ def test_timings_include_the_fitting_check(monkeypatch, stage_cases,
 
 def test_pair_test_fitting_exclusion(o60_records):
     # A5 has no solvable subgroup of order |Fit(N)| for N = C60 or D60.
-    sets = build_order_sets([o60_records["a5"]])
+    sets = build_order_sets([o60_records["a5"]], 60)
     fitting = get_stage("fitting")
     assert fitting.evaluate(Candidate(o60_records["c60"], sets)) == (60, False)
     assert fitting.evaluate(Candidate(o60_records["d60"], sets)) == (30, False)
@@ -278,11 +278,11 @@ def test_pair_test_char_orders_exclusion():
     assert Candidate(s4xc5).char_orders == (1, 4, 5, 12, 20, 24, 60, 120)
     # S5 has subgroups of every characteristic order of S4 x C5, and a
     # solvable one of order |Fit| = 20, so the pair survives.
-    s5 = Candidate(s4xc5, build_order_sets([o120["s5"]]))
+    s5 = Candidate(s4xc5, build_order_sets([o120["s5"]], 120))
     assert get_stage("fitting").evaluate(s5) == (20, True)
     assert get_stage("char-orders").evaluate(s5) == ([], True)
     # SL(2,5) has no subgroup of order 60, which is characteristic here.
-    sl25 = Candidate(s4xc5, build_order_sets([o120["sl25"]]))
+    sl25 = Candidate(s4xc5, build_order_sets([o120["sl25"]], 120))
     assert get_stage("fitting").evaluate(sl25) == (20, True)
     assert get_stage("char-orders").evaluate(sl25) == ([60], False)
 
