@@ -175,7 +175,7 @@ def main() -> int:
             files.append(f"{name}.grp")
         write_index(directory, order, complete, files)
 
-        report = validate_corpus(directory, strict=True)
+        report = validate_corpus(directory)
         for line in report.errors:
             print(f"  error: {line}")
         if not report.ok:

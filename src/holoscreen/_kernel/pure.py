@@ -54,8 +54,8 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
     ``amul``, a list of na numpy composition rows in which ``amul[f][g]``
     indexes f o g (None for a row the search never reads; see
     ``HolomorphGroup.aut_rows``), per-fiber candidate lists ``allowed``
-    (index 0 unused), a node ``budget`` (None for unlimited; a node is one
-    closure attempt), the per-code ``closable`` mask of
+    (index 0 unused), a node ``budget`` (an int; a node is one closure
+    attempt), the per-code ``closable`` mask of
     ``HolomorphGroup.closable``, and ``ainv``, the inverse of each
     automorphism (``AutGroup.inverses``).
 
@@ -76,7 +76,6 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
     results = []
     nodes = 0
     exhausted = False
-    budget_val = -1 if budget is None else int(budget)
     key0 = [0] + [-1] * (n - 1)
 
     def rec(gens: list[tuple[int, int]]) -> None:
@@ -112,7 +111,7 @@ def search_regular(n, na, nmul, amul, act, allowed, budget, closable, ainv):
         rf = root[f]
         for phi in allowed[f]:
             nodes += 1
-            if budget_val >= 0 and nodes > budget_val:
+            if nodes > budget:
                 exhausted = True
                 return
             # A fiber whose orbit is not free rejects every x over it.

@@ -24,7 +24,7 @@ from .errors import HoloscreenError
 from .holomorph import (DEFAULT_NODE_BUDGET, HOL_ORDER_CAP,
                         enumerate_regular_subgroups, holomorph)
 from .lattice import SUBGROUP_CAP
-from .numbers import (WIEFERICH_CAP, classify_order, default_table,
+from .numbers import (ELL_CAP, WIEFERICH_CAP, classify_order, default_table,
                       doubling_family_conditions, suzuki_exponent_check,
                       suzuki_order, wieferich_scan)
 from .screening import render_report, screen_order
@@ -53,12 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise HoloscreenError(message)
 
 
-def _emit(text: str, path: str | None) -> None:
-    sys.stdout.write(text)
-    if path:
-        Path(path).write_text(text)
-
-
 def _load_target(target: str):
     """A group given either as a file path or a constructor expression."""
     if "(" in target:
@@ -70,9 +64,8 @@ def _load_target(target: str):
 
 def cmd_screen(args) -> int:
     report = screen_order(args.corpus, args.order, jobs=args.jobs,
-                          skip_outer=args.skip_outer,
                           subgroup_cap=args.subgroup_cap, timings=args.timings)
-    _emit(render_report(report), args.out)
+    sys.stdout.write(render_report(report))
     if args.json:
         Path(args.json).write_text(report.to_json())
     if report.verdict == "holds":
@@ -147,7 +140,7 @@ def cmd_direct(args) -> int:
                   node_budget=args.budget) if r.is_solvable() else None)
              for r in manifest.records)
     text, doc, code = render_direct(manifest.order, manifest.complete, bases)
-    _emit(text, None)
+    sys.stdout.write(text)
     if args.json:
         Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
     return code
@@ -168,7 +161,7 @@ def cmd_classify(args) -> int:
         n0, r = result.doubling_family
         lines.append(f"doubling family: 2^{r} * {n0}")
     lines.append(f"verdict: {result.verdict} ({gloss[result.verdict]})")
-    _emit("\n".join(lines) + "\n", None)
+    print("\n".join(lines))
     return EXIT_UNDECIDED if result.verdict == "needs-screening" else EXIT_HOLDS
 
 
@@ -262,7 +255,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    report = validate_corpus(args.directory, strict=not args.lax)
+    report = validate_corpus(args.directory)
     print(f"corpus {report.directory}")
     if report.order is not None:
         print(f"order {report.order}, {report.count} groups, "
@@ -306,11 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the stages after Fitting; "
                         "the pool starts only when two or more groups pass "
                         "the Fitting stage (default %(default)s)")
-    p.add_argument("--skip-outer", action="store_true",
-                   help="skip the gcd(n, |Out|) filter")
     p.add_argument("--subgroup-cap", type=positive_int, default=SUBGROUP_CAP,
                    help=bounds["subgroup"])
-    p.add_argument("--out", default=None, help="also write the text report here")
     p.add_argument("--json", default=None, help="write a JSON report here")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock fields (not deterministic)")
@@ -339,11 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
                         f"most {WIEFERICH_CAP}")
     q = nt.add_parser("suzuki", help="order of a Suzuki group")
     q.add_argument("--ell", type=int, required=True,
-                   help="print the order of Sz(2^ell), for odd ell >= 3")
+                   help="print the order of Sz(2^ell), for odd ell >= 3 "
+                        f"and at most {ELL_CAP}")
     q = nt.add_parser("base-check", help="check a Suzuki base exponent")
     q.add_argument("--ell", type=int, required=True,
                    help="check whether 2^ell gives a usable Suzuki base "
-                        "order")
+                        f"order, for ell >= 3 and at most {ELL_CAP}")
     q = nt.add_parser("solvable", help="whether n is a solvable number")
     q.add_argument("n", type=int, help="the order to test")
     q = nt.add_parser("conditions",
@@ -376,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = p.add_subparsers(dest="corpus_command", required=True)
     q = c.add_parser("validate", help="check a corpus directory")
     q.add_argument("directory", help="the corpus directory to check")
-    q.add_argument("--lax", action="store_true",
-                   help="skip the pairwise isomorphism scan")
     p.set_defaults(func=cmd_corpus)
 
     return parser

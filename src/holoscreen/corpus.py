@@ -212,13 +212,18 @@ def _generated_record(name: str, order: int, degree: int, gens: list[Perm],
                        elements=tuple(elements), provenance=provenance)
 
 
+def _read(path: Path, what: str) -> str:
+    """The text of ``path``; a file that cannot be read or is not valid
+    text is a CorpusError that names it."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail(f"cannot read {what}: {exc}", str(path))
+
+
 def load_group(path) -> GroupRecord:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        _fail(f"cannot read group file: {exc}", str(path))
-    return parse_group_text(text, source=str(path))
+    return parse_group_text(_read(path, "group file"), source=str(path))
 
 
 def serialize_group(record: GroupRecord) -> str:
@@ -613,7 +618,8 @@ def load_manifest(directory) -> CorpusManifest:
     order = None
     complete = None
     files: list[str] = []
-    for lineno, raw in enumerate(index.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read(index, "index").splitlines(),
+                                 start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -688,12 +694,12 @@ class CorpusReport:
         return not self.errors
 
 
-def validate_corpus(directory, *, strict: bool = True) -> CorpusReport:
+def validate_corpus(directory) -> CorpusReport:
     """Load and validate a corpus directory; collect problems.
 
     Errors are collected into the report rather than raised, a load error
-    included.  At the strict level every pair of records is tested for
-    isomorphism and duplicates are reported as errors.
+    included.  Every pair of records is tested for isomorphism, and each
+    isomorphic pair is an error.
     """
     report = CorpusReport(directory=str(directory))
     try:
@@ -706,15 +712,14 @@ def validate_corpus(directory, *, strict: bool = True) -> CorpusReport:
     report.count = len(manifest.records)
     report.hash = corpus_hash(manifest)
 
-    if strict:
-        for i in range(len(manifest.records)):
-            for j in range(i + 1, len(manifest.records)):
-                same, _ = are_isomorphic(manifest.records[i].table,
-                                         manifest.records[j].table)
-                if same:
-                    report.errors.append(
-                        f"{manifest.files[i]} and {manifest.files[j]} are "
-                        f"isomorphic")
+    for i in range(len(manifest.records)):
+        for j in range(i + 1, len(manifest.records)):
+            same, _ = are_isomorphic(manifest.records[i].table,
+                                     manifest.records[j].table)
+            if same:
+                report.errors.append(
+                    f"{manifest.files[i]} and {manifest.files[j]} are "
+                    f"isomorphic")
 
     if manifest.complete:
         if not manifest.records:

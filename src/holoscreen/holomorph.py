@@ -407,17 +407,18 @@ def subgroup_table(hol: HolomorphGroup, codes: Sequence[int]) -> GroupTable:
 def enumerate_regular_subgroups(
     hol: HolomorphGroup,
     *,
-    node_budget: int | None = DEFAULT_NODE_BUDGET,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> RegularEnumeration:
     """All regular subgroups of the holomorph, by fiber backtracking.
 
-    When the node budget runs out the result carries ``exhausted=True`` and
+    ``node_budget`` caps the search nodes (closure attempts); every search
+    has one.  When it runs out the result carries ``exhausted=True`` and
     possibly a partial record list; callers must treat that as undecided,
     never as proof of absence.  A negative budget is a ``ValueError``.
     """
     import numpy as np
 
-    if node_budget is not None and node_budget < 0:
+    if node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
     n, na = hol.n, hol.na
     orders = hol.element_orders().reshape(n, na)

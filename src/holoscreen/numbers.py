@@ -62,9 +62,14 @@ __all__ = [
 
 TRIAL_BOUND = 10**7
 # Curves per split, with sympy's default stage bounds B1 = 10**4 and
-# B2 = 10**5.  They find the 39-43-bit factors behind ell = 101 and 139;
-# a give-up costs about 4 s at ell = 401 and 12 s at ell = 1009.
+# B2 = 10**5.  They find the 39-43-bit factors behind ell = 101 and 139.
+# They bound the curves, not the time, which grows with ell, so ELL_CAP
+# bounds ell.  On a 2-core VM a give-up took about 3 s at ell = 401, 9-10 s
+# at ell = 1009, 32 s at ell = 2003 and 73 s at ell = 3001.
 ECM_CURVES = 10
+# The largest Suzuki exponent ell that suzuki_order and
+# suzuki_exponent_check accept, checked before any big-integer work.
+ELL_CAP = 1009
 WIEFERICH_CAP = 10**7
 _SEGMENT = 1 << 16
 
@@ -165,6 +170,8 @@ def suzuki_order(ell: int) -> int:
     """
     if ell < 3 or ell % 2 == 0:
         raise ValueError(f"Suzuki groups need an odd exponent >= 3, got {ell}")
+    if ell > ELL_CAP:
+        raise ValueError(f"exponent capped at {ELL_CAP}, got {ell}")
     q = 1 << (2 * ell)
     return q * (q + 1) * ((1 << ell) - 1)
 
@@ -299,6 +306,8 @@ def suzuki_exponent_check(ell: int) -> SuzukiExponentCheck:
 
     if ell < 3:
         raise ValueError(f"exponent must be at least 3, got {ell}")
+    if ell > ELL_CAP:
+        raise ValueError(f"exponent capped at {ELL_CAP}, got {ell}")
     if not isprime(ell):
         return SuzukiExponentCheck(ell, "ineligible", f"{ell} is not prime")
     lo, hi = _split_four_power_plus_one(ell)

@@ -54,7 +54,7 @@ __all__ = [
     "render_report",
 ]
 
-REPORT_SCHEMA = "holoscreen.screen/1"
+REPORT_SCHEMA = "holoscreen.screen/2"
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class GroupTrace:
     """Stage-by-stage outcome for one solvable group; see ``STAGES``.
 
     Later fields are None when an earlier stage already dropped the
-    group, when the outer test was skipped, or when an error occurred.
+    group, or when an error occurred.
     """
 
     name: str
@@ -165,8 +165,7 @@ class Stage:
     ``passed_key``; text reports show ``label=value`` and, for a stage
     without ``drop``, ``name=yes/no``.  Failing a stage with a ``drop``
     reason ends the trace.  Failing a ``conditional`` stage reduces the
-    question to order n/2.  ``skippable`` stages are left out under
-    skip_outer.
+    question to order n/2.
     """
 
     name: str
@@ -177,7 +176,6 @@ class Stage:
     test: Callable
     drop: str | None = None
     conditional: bool = False
-    skippable: bool = False
 
     def evaluate(self, candidate: Candidate) -> tuple[object, bool]:
         """(value, whether N survives) for ``candidate``."""
@@ -204,8 +202,7 @@ STAGES = (
     Stage("outer-gcd", "outer_order", "passed_outer_gcd", "|Out|",
           lambda c: inner_and_outer(c.record.table, c.aut)[1],
           lambda c, outer: not is_solvable_number(
-              math.gcd(c.record.order, outer)),
-          skippable=True),
+              math.gcd(c.record.order, outer))),
 )
 
 
@@ -230,13 +227,11 @@ def _past_fitting(candidate: Candidate) -> bool:
 
 
 def _trace_one(args) -> GroupTrace:
-    candidate, skip_outer, timed = args
+    candidate, timed = args
     start = time.monotonic() if timed else None
     trace = GroupTrace(name=candidate.record.name)
     try:
         for entry in STAGES:
-            if skip_outer and entry.skippable:
-                continue
             value, passed = entry.evaluate(candidate)
             if entry.value_key:
                 setattr(trace, entry.value_key, value)
@@ -262,7 +257,6 @@ class ScreenReport:
     insolvable_names: tuple[str, ...]
     order_sets: SubgroupOrderSets | None
     traces: tuple[GroupTrace, ...]
-    skip_outer: bool
     verdict: str
     problems: tuple[str, ...] = ()
     seconds: float | None = None
@@ -270,11 +264,10 @@ class ScreenReport:
     def stage_names(self, stage: str) -> tuple[str, ...]:
         """Names past one stage of ``STAGES`` and the gates before it, or
         past every stage (``conditional``) or every unconditional one
-        (``unconditional``); a skipped stage passes only in those two."""
+        (``unconditional``)."""
         if stage in ("unconditional", "conditional"):
             wanted = [s for s in STAGES
-                      if not (self.skip_outer and s.skippable)
-                      and (stage == "conditional" or not s.conditional)]
+                      if stage == "conditional" or not s.conditional]
         else:
             last = STAGES.index(get_stage(stage))
             wanted = [s for s in STAGES[:last] if s.drop] + [STAGES[last]]
@@ -292,7 +285,6 @@ class ScreenReport:
             "insolvable_groups": list(self.insolvable_names),
             "order_sets": None,
             "traces": [],
-            "skip_outer": self.skip_outer,
             "survivors_unconditional": list(self.stage_names("unconditional")),
             "survivors_conditional": list(self.stage_names("conditional")),
             "verdict": self.verdict,
@@ -321,7 +313,7 @@ class ScreenReport:
 
 
 def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
-                 skip_outer: bool = False, subgroup_cap: int = SUBGROUP_CAP,
+                 subgroup_cap: int = SUBGROUP_CAP,
                  timings: bool = False) -> ScreenReport:
     """Run the screening pipeline over a complete corpus of order n.
 
@@ -329,9 +321,8 @@ def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
     claim must be true, since the verdict quantifies over all groups of
     the order.  ``jobs`` runs the stages after Fitting in a process pool
     without affecting the output; the Fitting stage runs in process, and
-    the pool starts only when at least two groups pass it.
-    ``skip_outer`` disables the gcd(n, |Out|) filter, leaving the
-    remaining (still sound) tests.
+    the pool starts only when at least two groups pass it.  Every stage of
+    ``STAGES`` runs on every group that reaches it.
     """
     start = time.monotonic() if timings else None
     manifest = corpus if isinstance(corpus, CorpusManifest) else load_manifest(corpus)
@@ -365,7 +356,7 @@ def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
                        for r in solvable_groups)
     else:
         candidates = [Candidate(r, sets) for r in solvable_groups]
-        work = [(c, skip_outer, timings) for c in candidates]
+        work = [(c, timings) for c in candidates]
         # Only a group past Fitting reaches Aut(N), the one stage worth a
         # process; the pool starts all its workers at once, so no more
         # than those groups.
@@ -390,8 +381,8 @@ def screen_order(corpus, n: int | None = None, *, jobs: int = 1,
         n=n, corpus_dir=str(manifest.directory), corpus_hash=digest,
         complete=manifest.complete, solvable_number=solvable_number,
         insolvable_names=tuple(r.name for r in insolvable_groups),
-        order_sets=sets, traces=traces, skip_outer=skip_outer,
-        verdict="undecided", problems=tuple(problems))
+        order_sets=sets, traces=traces, verdict="undecided",
+        problems=tuple(problems))
     if not problems:
         if not report.stage_names("unconditional"):
             report.verdict = "holds"
@@ -444,9 +435,6 @@ def render_report(report: ScreenReport) -> str:
             parts.append(f"t={t.seconds:.3f}s")
         lines.append(f"  {t.name:<{width}} " + "  ".join(parts))
     for entry in STAGES:
-        if report.skip_outer and entry.skippable:
-            lines.append(f"past {entry.name}: skipped")
-            continue
         names = report.stage_names(entry.name)
         lines.append(f"past {entry.name} ({len(names)}): "
                      + (", ".join(names) or "-"))

@@ -820,7 +820,7 @@ def pairwise_search_regular(n, na, nmul, amul, act, allowed, budget,
         f = fiber_elem.index(-1)
         for phi in allowed[f]:
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > budget:
                 exhausted = True
                 return
             added = close_with(f * na + phi)

@@ -1,5 +1,6 @@
 """Corpus file format, constructor expressions, manifests, validation."""
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -367,8 +368,27 @@ def test_validate_flags_duplicates(tmp_path):
     report = validate_corpus(tmp_path)
     assert not report.ok
     assert any("isomorphic" in e for e in report.errors)
-    lax = validate_corpus(tmp_path, strict=False)
-    assert lax.ok
+
+
+@pytest.mark.parametrize("name", ["index.txt", "c2c2.grp"])
+def test_validate_names_a_file_that_is_not_text(tmp_path, capsys, name):
+    # Byte 0xff is no UTF-8: the report's one error names the file, and
+    # every command that reads the corpus fails with that name.
+    shutil.copytree(CORPORA / "o4", tmp_path / "o4")
+    path = tmp_path / "o4" / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    report = validate_corpus(tmp_path / "o4")
+    assert not report.ok
+    assert len(report.errors) == 1
+    assert report.errors[0].startswith(f"{path}: cannot read ")
+    assert "can't decode byte 0xff" in report.errors[0]
+    assert main(["corpus", "validate", str(tmp_path / "o4")]) == 1
+    out = capsys.readouterr().out
+    assert f"error: {path}: cannot read " in out
+    assert out.endswith("result: failed\n")
+    for command in ("screen", "direct"):
+        assert main([command, "--corpus", str(tmp_path / "o4")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_validate_warns_on_suspicious_completeness(tmp_path):
@@ -394,11 +414,11 @@ def test_shipped_corpora_shapes():
 
 def test_shipped_corpora_validate():
     for dirname in ("o4", "o5", "o8", "o12", "o60"):
-        report = validate_corpus(CORPORA / dirname, strict=True)
+        report = validate_corpus(CORPORA / dirname)
         assert report.ok, (dirname, report.errors)
         assert not report.warnings
     for dirname in ("o120", "o168"):
-        report = validate_corpus(CORPORA / dirname, strict=True)
+        report = validate_corpus(CORPORA / dirname)
         assert report.ok
 
 

@@ -466,13 +466,24 @@ def test_budget_exhaustion_is_reported():
 
 
 def test_negative_budget_is_refused(monkeypatch):
-    # The kernel reads -1 as no budget at all, so a negative budget must
-    # fail before any search starts.
+    # A negative budget means nothing, so it fails before any search starts.
     monkeypatch.setattr(_kernel, "search_regular", None)
     hol = holomorph(T("dihedral(12)"))
     for budget in (-1, -5):
         with pytest.raises(ValueError, match="node budget must be >= 0"):
             enumerate_regular_subgroups(hol, node_budget=budget)
+
+
+def test_every_search_has_a_budget(monkeypatch):
+    # There is no unlimited search: None is no budget, and it is refused
+    # before any search starts.
+    def started(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(_kernel, "search_regular", started)
+    with pytest.raises(TypeError):
+        enumerate_regular_subgroups(holomorph(T("cyclic(4)")),
+                                    node_budget=None)
 
 
 def test_order_cap():

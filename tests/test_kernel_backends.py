@@ -26,7 +26,8 @@ import holoscreen
 from holoscreen import _kernel
 from holoscreen._kernel import pure
 from holoscreen.corpus import construct, load_manifest
-from holoscreen.holomorph import enumerate_regular_subgroups, holomorph
+from holoscreen.holomorph import (DEFAULT_NODE_BUDGET,
+                                  enumerate_regular_subgroups, holomorph)
 from oracles import pairwise_search_regular, record_rows
 
 HOLOMORPH_BASES = [
@@ -61,7 +62,7 @@ def base_table(name):
                 if r.name == group)
 
 
-def both_searches(hol, budget=None):
+def both_searches(hol, budget=DEFAULT_NODE_BUDGET):
     """(kernel result, reference result) on the same holomorph."""
     kernel = enumerate_regular_subgroups(hol, node_budget=budget)
     with pytest.MonkeyPatch.context() as mp:

@@ -103,6 +103,10 @@ def test_suzuki_order():
         suzuki_order(2)
     with pytest.raises(ValueError):
         suzuki_order(4)
+    # The cap is an exponent the order is still given for.
+    assert suzuki_order(numbers.ELL_CAP).bit_length() == 5 * 1009
+    with pytest.raises(ValueError, match="exponent capped at 1009"):
+        suzuki_order(numbers.ELL_CAP + 2)
 
 
 def test_square_free_status(monkeypatch):
@@ -201,6 +205,10 @@ def test_suzuki_exponent_check():
 
     with pytest.raises(ValueError):
         suzuki_exponent_check(1)
+    # Past the cap the check refuses before it factors any part.
+    for ell in (1013, 1014, 4423):
+        with pytest.raises(ValueError, match="exponent capped at 1009"):
+            suzuki_exponent_check(ell)
 
 
 def test_suzuki_exponents_frozen():

@@ -83,7 +83,6 @@ def test_stage_table():
     assert [s.name for s in STAGES] == ["fitting", "aut", "half-index",
                                         "char-orders", "outer-gcd"]
     assert [s.name for s in STAGES if s.drop] == ["fitting", "aut"]
-    assert [s.name for s in STAGES if s.skippable] == ["outer-gcd"]
     assert [s.name for s in STAGES if s.conditional] == ["half-index"]
 
 
@@ -152,13 +151,6 @@ def test_screen_rejects_incomplete_corpus():
 def test_screen_rejects_wrong_order(o60):
     with pytest.raises(ValueError, match="corpus has order 60"):
         screen_order(o60, 30)
-
-
-def test_screen_skip_outer(o60):
-    report = screen_order(o60, skip_outer=True)
-    assert report.skip_outer
-    assert report.verdict == "holds"
-    assert "past outer-gcd: skipped" in render_report(report)
 
 
 @pytest.fixture
@@ -291,8 +283,8 @@ def test_pair_test_char_orders_exclusion():
 #
 # No shipped complete corpus gets a solvable group past the Fitting stage,
 # so these cases replace the order sets with synthetic ones.  Frozen from
-# this package: each case names the verdict and the SHA-256 of the text
-# report and of the JSON report, with skip_outer False and True.
+# this package: each case names the SHA-256 of the text report and of the
+# JSON report.  Every verdict is "holds", since each case fails outer-gcd.
 
 
 def divisor_sets(n, drop=()):
@@ -339,42 +331,29 @@ def screen_with_sets(monkeypatch, corpus, sets, **kwargs):
 
 
 STAGE_GOLDEN = [
-    ("o8", False, "holds",
+    ("o8",
      "c941b5ee1522f16d44a94b089a9daa327a0e34f5d24d9c5513a5eafc0c9a3cdc",
-     "fe9cc9d9844003a51fc59079f4387a32234cdf2681f927396de384947f4513e0"),
-    ("o8", True, "undecided",
-     "c9f1b695dfa2b254fe43df1bc615ca607a38bc60822d7335995c7bd55d0faad3",
-     "3068208ea15d5b9e385479f9ecadc80e6ae97e61a53e393fb8612c8f810db406"),
-    ("c2c2c2xc3", False, "holds",
+     "74821421b6c4056061b09c5c119c9935d807f4038d1ad5e55d7f466191bdd2f6"),
+    ("c2c2c2xc3",
      "9ecdc14f52c1526de5a8fd8b81d305c3a5c53d13005c0e9d251c4d41f5ea90f9",
-     "5c14ac983a6dc76aea1dec95907aecfe79f930e6c00a8c4b689b5bb39ca17088"),
-    ("c2c2c2xc3", True, "undecided",
-     "4b5009cc2fc99af44a5d920c4b5f77f1e5aa45d3fcacf922053ecfa5d16b2326",
-     "ab1302a117ba7946df35fa9f07d606be5640f25121d4f2b55bbbc251e58e65f9"),
-    ("c2c2c2xc3-no-3", False, "holds",
+     "a3b10526566fa7800ecf12644e590613a36e811b44d279842eb6302e393a8fba"),
+    ("c2c2c2xc3-no-3",
      "1f14982cd5f13e86da40fe3e1ec7806e3db9ac629f5db2e0b5e794c118b9e2d5",
-     "e9b63769834bf427aa504402b070100663e167a6a839a7d72e3bad4e546077b3"),
-    ("c2c2c2xc3-no-3", True, "holds",
-     "80ad66cc77937961150b3edcfce4678e0518c90514045e386320ff4d0bd1403b",
-     "890dc86757033c8e0142748d45c8fb9757744e404640a4f505f19306333c8166"),
-    ("c2c2c2xc4", False, "holds",
+     "76267adda7ad19dc31e5681ee7e9b06e75b5061b2ab39df682414a86598d647f"),
+    ("c2c2c2xc4",
      "16aa8053f40dc15a5a285952e55e81ac851c6c633186212b357578438c56d28f",
-     "168eccf992477e97ccc77d50c3d6815c32b4b51dcb70599d1254b3401b2f4f9e"),
-    ("c2c2c2xc4", True, "holds-conditional-on(16)",
-     "6d0c7ce40f2e2ca9d1fcd523fa5390ae670af1600e7657a968586bedeef7cd9f",
-     "16646f882406ee1103fce7a01e4e345c0b3571d26968306b0a9030e871edb3c6"),
+     "b3f1451f296a1fffdfc773b3ee3669444abee2180218ea558caf4dc42a0c492c"),
 ]
 
 
 @pytest.mark.parametrize(
-    "case,skip_outer,verdict,text_sha,json_sha", STAGE_GOLDEN,
-    ids=[f"{g[0]}-{'skip-outer' if g[1] else 'outer'}" for g in STAGE_GOLDEN])
-def test_every_stage_reports_frozen(monkeypatch, stage_cases, case,
-                                    skip_outer, verdict, text_sha, json_sha):
+    "case,text_sha,json_sha", STAGE_GOLDEN,
+    ids=[f"{g[0]}-outer" for g in STAGE_GOLDEN])
+def test_every_stage_reports_frozen(monkeypatch, stage_cases, case, text_sha,
+                                    json_sha):
     corpus, sets = stage_cases[case]
-    report = screen_with_sets(monkeypatch, corpus, sets,
-                              skip_outer=skip_outer)
-    assert report.verdict == verdict
+    report = screen_with_sets(monkeypatch, corpus, sets)
+    assert report.verdict == "holds"
     assert not report.problems
     assert sha256(render_report(report)) == text_sha
     assert sha256(report.to_json()) == json_sha
@@ -384,16 +363,13 @@ def test_screen_parallel_matches_serial(monkeypatch, stage_cases, pool_sizes):
     # Every group of order 8 passes the Fitting stage here, so jobs=2
     # really starts a pool of two and runs the later stages in it.
     corpus, sets = stage_cases["o8"]
-    for skip_outer in (False, True):
-        serial = screen_with_sets(monkeypatch, corpus, sets,
-                                  skip_outer=skip_outer)
-        parallel = screen_with_sets(monkeypatch, corpus, sets, jobs=2,
-                                    skip_outer=skip_outer)
-        assert render_report(parallel) == render_report(serial)
-        assert parallel.to_json() == serial.to_json()
-        golden = next(g for g in STAGE_GOLDEN if g[:2] == ("o8", skip_outer))
-        assert sha256(render_report(parallel)) == golden[3]
-        assert sha256(parallel.to_json()) == golden[4]
+    serial = screen_with_sets(monkeypatch, corpus, sets)
+    parallel = screen_with_sets(monkeypatch, corpus, sets, jobs=2)
+    assert render_report(parallel) == render_report(serial)
+    assert parallel.to_json() == serial.to_json()
+    _, text_sha, json_sha = next(g for g in STAGE_GOLDEN if g[0] == "o8")
+    assert sha256(render_report(parallel)) == text_sha
+    assert sha256(parallel.to_json()) == json_sha
     # a4 (|Fit| = 4) stops at Fitting in process, between groups that go
     # on in the pool; the traces still come back in corpus order.
     corpus = load_manifest(CORPORA / "o12")
@@ -406,14 +382,14 @@ def test_screen_parallel_matches_serial(monkeypatch, stage_cases, pool_sizes):
         True, True, True, False, True]
     assert render_report(parallel) == render_report(serial)
     assert parallel.to_json() == serial.to_json()
-    assert pool_sizes == [2, 2, 2]
+    assert pool_sizes == [2, 2]
 
 
 def test_every_stage_trace_facts(stage_cases):
-    def trace(case, name, skip_outer=False):
+    def trace(case, name):
         corpus, sets = stage_cases[case]
         record = next(r for r in corpus.records if r.name == name)
-        return _trace_one((Candidate(record, sets), skip_outer, False))
+        return _trace_one((Candidate(record, sets), False))
 
     for case, name, aut, char in [("o8", "c2c2c2", 168, (1, 8)),
                                   ("c2c2c2xc3", "c2c2c2xc3", 336,
@@ -425,9 +401,6 @@ def test_every_stage_trace_facts(stage_cases):
         assert t.passed_half_index and t.passed_char_orders
         assert (t.outer_order, t.passed_outer_gcd) == (aut, False)
         assert t.error is None
-        skipped = trace(case, name, skip_outer=True)
-        assert (skipped.outer_order, skipped.passed_outer_gcd) == (None, None)
-        assert skipped.passed_char_orders
     t = trace("o8", "q8")
     assert (t.aut_order, t.aut_insolvable, t.char_orders) == (24, False, None)
     t = trace("c2c2c2xc3-no-3", "c2c2c2xc3")
@@ -458,6 +431,24 @@ def test_every_stage_o8_report_text(monkeypatch, stage_cases):
     ]
 
 
+def test_conditional_verdict(monkeypatch, stage_cases):
+    # No case here passes outer-gcd, so this one lets every group pass it.
+    # c2c2c2xc4 then survives every unconditional stage and fails only
+    # half-index, which reduces the question to order 16.
+    outer = dataclasses.replace(get_stage("outer-gcd"),
+                                test=lambda c, outer: True)
+    monkeypatch.setattr(screening, "STAGES", STAGES[:-1] + (outer,))
+    report = screen_with_sets(monkeypatch, *stage_cases["c2c2c2xc4"])
+    assert report.verdict == "holds-conditional-on(16)"
+    assert report.stage_names("unconditional") == ("c2c2c2xc4",)
+    assert report.stage_names("conditional") == ()
+    assert render_report(report).splitlines()[-3:] == [
+        "survivors, unconditional path (1): c2c2c2xc4",
+        "survivors, conditional path (0): -",
+        "verdict: holds-conditional-on(16)",
+    ]
+
+
 def test_every_stage_aut_cap_error(monkeypatch, stage_cases):
     # n * |Aut| passes 24 for every group of order 8: |Aut(C8)| = 4 > 3.
     monkeypatch.setattr(automorphisms, "AUT_LIST_CAP", 24)
@@ -481,7 +472,7 @@ def test_aut_stage_caps_the_automorphism_count():
     # |Aut(C2^5)| = 9,999,360: with order sets that pass the Fitting
     # stage, the Aut stage stops at n * |Aut| = AUT_LIST_CAP.
     record = construct("abelian(2,2,2,2,2)", name="c2^5")
-    trace = _trace_one((Candidate(record, divisor_sets(32)), False, False))
+    trace = _trace_one((Candidate(record, divisor_sets(32)), False))
     assert trace.passed_fitting is True
     assert trace.aut_order is None
     assert trace.error == ("|Aut| exceeds automorphism order cap %d"
