@@ -11,13 +11,14 @@ them, not just generators).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import CapExceeded
 from .isomorphism import _matching_candidates, morphism_images
 from .perms import Perm, compose, inverse
-from .tables import GroupTable, Subgroup, commutator_series, normal_closure
+from .tables import GroupTable, Subgroup, commutator_series
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,8 +39,8 @@ class AutIndex:
     the listed automorphism with given generator images by binary search
     over the sorted keys, so a composition costs d <= log2(n) gathers and
     one search, and no |Aut|^2 table is stored.  Build it through
-    ``AutGroup.table``, which checks that the list is a group; on a list
-    that is not, a lookup would silently return a wrong index."""
+    ``AutGroup.table``, which checks that the list is the group its
+    generators generate; otherwise a lookup could return a wrong index."""
 
     def __init__(self, elements: np.ndarray, gens: list[int]):
         import numpy as np
@@ -74,10 +75,9 @@ class AutIndex:
         return self.order.take(np.searchsorted(self.keys, self._key(images)),
                                mode="clip")
 
-    def compose(self, f, g=slice(None)) -> np.ndarray:
+    def compose(self, f, g) -> np.ndarray:
         """Index of ``compose(elements[f], elements[g])``, elementwise over
-        broadcast index arrays; ``g`` defaults to every element in list
-        order."""
+        broadcast index arrays."""
         import numpy as np
 
         f = np.asarray(f, dtype=np.intp)[..., None] * self.n
@@ -87,37 +87,39 @@ class AutIndex:
 class AutGroup:
     """The automorphism group of a base table, with every element listed.
 
-    ``table`` is the composition structure that the holomorph search
-    reads: an ``AutIndex`` over the listed elements, built on first use.
-    ``rows`` composes a row only for the automorphisms a caller asks for."""
+    ``generators`` must generate the list, at list indices
+    ``table_generators``; only ``table`` checks this.  ``table``, built on
+    first use, is the ``AutIndex`` the holomorph search reads; ``rows``
+    composes a row only for the automorphisms a caller asks for."""
 
-    def __init__(self, base: GroupTable, elements: list[Perm]):
+    def __init__(self, base: GroupTable, elements: list[Perm],
+                 generators: list[Perm]):
+        """``generators`` must generate ``elements`` (see the class)."""
         self.base = base
         self.elements: tuple[Perm, ...] = tuple(sorted(elements))
         if not self.elements or self.elements[0] != tuple(range(base.n)):
             raise ValueError("automorphism list must contain the identity")
+        self.generators: tuple[Perm, ...] = tuple(generators)
+        self.table_generators: tuple[int, ...] = tuple(
+            bisect_left(self.elements, g) for g in self.generators)
+        for g, s in zip(self.generators, self.table_generators):
+            if self.elements[s:s + 1] != (g,):
+                raise ValueError("a generator is not a listed automorphism")
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     @cached_property
-    def generators(self) -> tuple[Perm, ...]:
-        """A reduced generating set, chosen greedily: each listed element
-        outside the group generated by the earlier ones is adjoined."""
-        gens, _ = normal_closure(self.elements[1:], (), compose, inverse,
-                                 self.elements[0])
-        return tuple(gens)
-
-    @cached_property
     def table(self) -> AutIndex:
         """The composition of Aut(N) as an ``AutIndex``, after a check that
-        the list is a group.  Index 0 is the identity (the list is sorted).
+        ``generators`` generate the list.  Index 0 is the identity (sorted).
 
-        The check composes in full only the rows of a small set S.  The
-        first index not yet reached joins S, and the reached set grows by
-        ``row_s[reached]`` for each s in S until it is closed, which makes
-        it the group S generates.  C7xC7 composes 4 of its 2016 rows (Holt,
+        The check composes in full only the rows of ``table_generators``,
+        S, in order.  Each joins the walk, and the reached set grows by
+        ``row_s[reached]`` for each s joined until it is closed, which
+        makes it the group they generate; a listed map left unreached
+        raises ``ValueError``.  C7xC7 composes 4 of its 2016 rows (Holt,
         Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
         section 4.1).  The walk is kept as a Schreier tree for ``rows``:
         each element e but the identity was first reached as s o p, with s
@@ -125,7 +127,7 @@ class AutGroup:
         kept.
 
         A row s is composed as ``E[s][E]`` and looked up by generator key;
-        the greedy generating sequence has at most log2(n) terms, so the
+        N's greedy generating sequence has at most log2(n) terms, so the
         key fits an int64 for every base of order below 256.  Each row of S
         is compared in full with its composed maps, so a bad key raises
         ``ValueError``, never mis-indexes.  That shows that s o L lies in
@@ -158,15 +160,12 @@ class AutGroup:
         parent = np.zeros(na, dtype=np.intp)
         via = np.zeros(na, dtype=np.intp)
         rounds = [np.zeros(1, dtype=np.intp)]
-        looked_up: list[int] = []
         rows: list[np.ndarray] = []
-        while not reached.all():
-            s = int(reached.argmin())
+        for s in self.table_generators:
             composed = E[s][E]
             row = index.lookup(composed[:, gens])
             if not np.array_equal(E[row], composed):
                 raise ValueError("a composed map is not a listed automorphism")
-            looked_up.append(s)
             rows.append(row)
             # Every reached element meets the new s, and each new one
             # meets all of S.
@@ -181,17 +180,10 @@ class AutGroup:
                     parent[e], via[e] = frontier[fresh], i
                 frontier = np.flatnonzero(new)
                 rounds.append(frontier)
-        self._table_generators = tuple(looked_up)
+        if not reached.all():
+            raise ValueError("the generators leave a listed map unreached")
         self._tree = np.array(rows, dtype=np.int16), parent, via, rounds
         return index
-
-    @property
-    def table_generators(self) -> tuple[int, ...]:
-        """Indices of the rows S that ``table`` composed in full, in the
-        order found.  S generates Aut(N): ``table`` reaches every element
-        from the identity by composing with elements of S."""
-        self.table  # records S while it checks the list
-        return self._table_generators
 
     def rows(self, fs) -> np.ndarray:
         """The composition rows of the automorphisms ``fs``, an int16
@@ -238,10 +230,9 @@ class AutGroup:
         return index.lookup(inv[:, index.gens])
 
     def is_solvable(self) -> bool:
-        """Solvability, from the derived series of ``generators`` under
-        composition; ``table`` is not built."""
+        """Solvability from the derived series; ``table`` is not built."""
         series = commutator_series(self.generators, compose, inverse,
-                                   self.elements[0])
+                                   self.elements[0], elements=self.elements)
         return len(series[-1]) == 1
 
     def __repr__(self) -> str:
@@ -264,6 +255,15 @@ def automorphism_group(N: GroupTable, *,
     element of A_(k-1) is u o a for one u of the transversal and one a in
     A_k (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
     2005, section 4.6).
+
+    The witnesses, in the order found, are ``AutGroup.generators``: each
+    is the first listed map outside the group the earlier ones generate.
+    N's tower generators g_1 < ... < g_d are its greedy sequence, so every
+    index below g_k lies in <g_1, ..., g_(k-1)>, the list order is the
+    order of (phi(g_1), ..., phi(g_d)), and a map fixing g_1, ..., g_(k-1)
+    sorts before every map that does not.  So the first listed map outside
+    the group generated so far is the first that ``morphism_images``
+    yields for the least orbit point c not yet reached: the next witness.
 
     ``order_cap`` bounds |Aut(N)|: the orbit sizes bound it from below
     while the chain grows, so the cap fires before any automorphism is
@@ -306,7 +306,7 @@ def automorphism_group(N: GroupTable, *,
     for transversal in transversals:
         elements = [tuple(map(u.__getitem__, x))
                     for u in transversal for x in elements]
-    return AutGroup(N, elements)
+    return AutGroup(N, elements, witnesses)
 
 
 def inner_and_outer(N: GroupTable, aut: AutGroup) -> tuple[int, int]:

@@ -188,23 +188,22 @@ def cmd_numtheory(args) -> int:
             print(f"{args.n} is non-solvable (divisible by the simple group "
                   f"order {witness})")
         return EXIT_HOLDS
-    if args.nt_command == "conditions":
-        conditions = doubling_family_conditions(args.n0, r_max=args.r_max)
-        flag = {True: "yes", False: "no", None: "unknown"}
-        print(f"base order {conditions.n0}, doubling exponents up to "
-              f"{conditions.r_checked}")
-        print(f"no doubled order is simple: "
-              f"{flag[conditions.no_simple_doubled_order]}")
-        print(f"half is a solvable number: {flag[conditions.half_solvable]}")
-        print(f"odd-prime quotients solvable: "
-              f"{flag[conditions.prime_quotients_solvable]}")
-        if conditions.failure:
-            print(f"failure: {conditions.failure}")
-        print(f"all hold: {'yes' if conditions.all_hold else 'no'}")
-        if conditions.all_hold or conditions.failure:
-            return EXIT_HOLDS
-        return EXIT_UNDECIDED
-    raise HoloscreenError(f"unknown numtheory command {args.nt_command!r}")
+    # "conditions", the last name the parser accepts.
+    conditions = doubling_family_conditions(args.n0, r_max=args.r_max)
+    flag = {True: "yes", False: "no", None: "unknown"}
+    print(f"base order {conditions.n0}, doubling exponents up to "
+          f"{conditions.r_checked}")
+    print(f"no doubled order is simple: "
+          f"{flag[conditions.no_simple_doubled_order]}")
+    print(f"half is a solvable number: {flag[conditions.half_solvable]}")
+    print(f"odd-prime quotients solvable: "
+          f"{flag[conditions.prime_quotients_solvable]}")
+    if conditions.failure:
+        print(f"failure: {conditions.failure}")
+    print(f"all hold: {'yes' if conditions.all_hold else 'no'}")
+    if conditions.all_hold or conditions.failure:
+        return EXIT_HOLDS
+    return EXIT_UNDECIDED
 
 
 def cmd_group(args) -> int:
@@ -238,20 +237,19 @@ def cmd_group(args) -> int:
         print(f"|Hol| = {table.n * aut.order} (= {table.n} * {aut.order})")
         print(f"Hol solvable: {'yes' if solvable else 'no'}")
         return EXIT_HOLDS
-    if args.group_command == "regulars":
-        hol = holomorph(table, order_cap=args.order_cap)
-        enum = enumerate_regular_subgroups(hol, node_budget=args.budget)
-        print(f"|Hol| = {hol.order}")
-        note = "search budget exhausted" if enum.exhausted else "complete"
-        print(f"regular subgroups: {len(enum.records)} "
-              f"({note}, nodes={enum.nodes})")
-        for i, cls in enumerate(enum.classify()):
-            spectrum = " ".join(f"{o}^{c}" for o, c in cls.table.order_spectrum)
-            solvable = "solvable" if cls.solvable else "insolvable"
-            print(f"  class {i}: {cls.count} subgroups, {solvable}, "
-                  f"element orders {spectrum}")
-        return EXIT_UNDECIDED if enum.exhausted else EXIT_HOLDS
-    raise HoloscreenError(f"unknown group command {args.group_command!r}")
+    # "regulars", the last name the parser accepts.
+    hol = holomorph(table, order_cap=args.order_cap)
+    enum = enumerate_regular_subgroups(hol, node_budget=args.budget)
+    print(f"|Hol| = {hol.order}")
+    note = "search budget exhausted" if enum.exhausted else "complete"
+    print(f"regular subgroups: {len(enum.records)} "
+          f"({note}, nodes={enum.nodes})")
+    for i, cls in enumerate(enum.classify()):
+        spectrum = " ".join(f"{o}^{c}" for o, c in cls.table.order_spectrum)
+        solvable = "solvable" if cls.solvable else "insolvable"
+        print(f"  class {i}: {cls.count} subgroups, {solvable}, "
+              f"element orders {spectrum}")
+    return EXIT_UNDECIDED if enum.exhausted else EXIT_HOLDS
 
 
 def cmd_corpus(args) -> int:

@@ -291,8 +291,8 @@ def _orbit_labels(hol: HolomorphGroup, records: np.ndarray,
 
     A node is a regular subgroup as the row of its automorphism parts,
     ``psi[b]`` for its code over fiber b; the records are the first nodes.
-    Every node is mapped under each generator s in
-    ``AutGroup.table_generators`` and under iota, unless N is abelian, when
+    Every node is mapped under each chain witness s, at its list index in
+    ``AutGroup.table_generators``, and under iota, unless N is abelian, when
     iota lies in Aut(N), one generator at a time over int32 rows.  Images
     are matched to nodes by the bytes of their rows, an exact key.  An
     image that is no node, which happens only under an exhausted budget,

@@ -70,7 +70,7 @@ class PermutationGroup:
                 gens.append(p)
         self.generators: tuple[Perm, ...] = tuple(gens)
 
-    def listing(self, cap: int | None = None
+    def listing(self, cap: int
                 ) -> tuple[list[Perm], list[list[int]], list[tuple[int, int]]]:
         """Breadth-first closure over the generators, with its Schreier tree.
 
@@ -94,7 +94,7 @@ class PermutationGroup:
                 y = tuple(map(x.__getitem__, g))  # compose(x, g)
                 j = index.get(y)
                 if j is None:
-                    if cap is not None and len(out) >= cap:
+                    if len(out) >= cap:
                         raise CapExceeded(
                             "group has more than %d elements" % (cap,)
                         )

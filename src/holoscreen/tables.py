@@ -6,7 +6,8 @@ elements in breadth-first closure order (identity first, then products with
 generators in listed order), which makes every derived table reproducible
 byte for byte.
 
-``normal_closure`` is the one closure routine for tables and Aut(N).
+``normal_closure`` is the one closure routine for tables and for the
+derived series of Aut(N); Aut(N) itself is listed by a stabiliser chain.
 ``PermutationGroup.listing`` keeps its own loop because its element order
 fixes table indices and report bytes.  ``isomorphism.GeneratorTower``
 keeps its own because it records a factorization u*v of each element and

@@ -143,7 +143,7 @@ def test_criterion_05_translations_found_and_holomorph_order():
             # independent of the coded order n * |Aut|.
             perms = PermutationGroup(
                 table.n, right_regular(table).generators + hol.aut.generators)
-            assert len(perms.listing()[0]) == hol.order, record.name
+            assert len(perms.listing(cap=hol.order)[0]) == hol.order, record.name
             enum = enumerate_regular_subgroups(hol)
             assert not enum.exhausted
             codes = set(record_rows(enum))

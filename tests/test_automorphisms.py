@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holoscreen import automorphisms
+from holoscreen import automorphisms, tables
 from holoscreen.automorphisms import (AutGroup, AutIndex, automorphism_group,
                                       characteristic_subgroups,
                                       inner_and_outer)
@@ -16,7 +16,7 @@ from holoscreen.corpus import construct, load_manifest
 from holoscreen.errors import CapExceeded
 from holoscreen.holomorph import HOL_AUT_CAP
 from holoscreen.lattice import all_subgroups
-from holoscreen.perms import PermutationGroup, inverse
+from holoscreen.perms import PermutationGroup, compose, inverse
 from holoscreen.tables import GroupTable, Homomorphism
 
 from oracles import (aut_index, automorphism_images, composition_reference,
@@ -86,7 +86,7 @@ def test_elements_are_verified_automorphisms():
 def test_generators_generate():
     aut = automorphism_group(T("abelian(2,2,2)"))
     assert aut.order == 168
-    assert len(PermutationGroup(8, aut.generators).listing()[0]) == 168
+    assert len(PermutationGroup(8, aut.generators).listing(cap=168)[0]) == 168
     assert len(aut.generators) <= 4
     assert not aut.is_solvable()
 
@@ -95,14 +95,18 @@ def test_generators_are_greedy_from_the_element_list():
     # By definition: generator i is the first listed automorphism outside
     # the group the earlier ones generate, and together they list Aut(N).
     bases = shipped_tables()
-    bases.append(T("abelian(2,2,2,2)"))
+    bases += [T(expr) for expr in (
+        "abelian(2,2,2,2)", "abelian(3,3,3)", "abelian(2,4,8)",
+        "dihedral(64)", "semidirect(cyclic(7),cyclic(3),[[0,2,4,6,1,3,5]])")]
     for table in bases:
         aut = automorphism_group(table)
         gens = aut.generators
         for i, g in enumerate(gens):
-            listed = set(PermutationGroup(table.n, gens[:i]).listing()[0])
+            listed = set(PermutationGroup(table.n, gens[:i]).listing(
+                cap=aut.order)[0])
             assert g == next(p for p in aut.elements if p not in listed)
-        assert len(PermutationGroup(table.n, gens).listing()[0]) == aut.order
+        assert len(PermutationGroup(table.n, gens).listing(
+            cap=aut.order)[0]) == aut.order
 
 
 def test_aut_table_matches_composition():
@@ -130,6 +134,16 @@ def test_aut_table_matches_reference_on_shipped_bases():
     assert aut.order == 480
 
 
+def greedy_generators(elements):
+    """The greedy sequence of a list through the identity, in list order:
+    each element outside the group generated by the earlier ones.  It
+    generates the group the list generates, so ``AutGroup.table`` composes
+    only these rows and still rejects a list that is not a group."""
+    listed = sorted(elements)
+    return tables.normal_closure(listed[1:], (), compose, inverse,
+                                 listed[0])[0]
+
+
 def test_aut_table_rejects_lists_that_are_not_groups():
     base = T("abelian(2,2)")
     aut = automorphism_group(base)
@@ -138,23 +152,24 @@ def test_aut_table_rejects_lists_that_are_not_groups():
     for dropped in range(1, 6):
         elements = aut.elements[:dropped] + aut.elements[dropped + 1:]
         with pytest.raises(ValueError, match="not a listed automorphism"):
-            AutGroup(base, list(elements)).table
+            AutGroup(base, list(elements), greedy_generators(elements)).table
     # Two maps that agree on the generators cannot both be automorphisms.
     c4 = T("cyclic(4)")
     assert c4.generating_sequence() == (1,)
     with pytest.raises(ValueError, match="agree on the generators"):
-        AutGroup(c4, [(0, 1, 2, 3), (0, 1, 3, 2)]).table
+        AutGroup(c4, [(0, 1, 2, 3), (0, 1, 3, 2)], [(0, 1, 3, 2)]).table
     # C2^8 has 8 generators, and 256**8 does not fit an int64 key.
     c2_8 = T("abelian(2,2,2,2,2,2,2,2)")
     assert len(c2_8.generating_sequence()) == 8
     with pytest.raises(ValueError, match="do not fit an int64 key"):
-        AutGroup(c2_8, [tuple(range(256))]).table
+        AutGroup(c2_8, [tuple(range(256))], []).table
 
 
 def test_aut_table_refuses_more_indices_than_int16_holds():
     # All 8! = 40,320 permutations of C2^3's points: past 2**15, so the
     # table raises on the length alone, before it builds any array.
-    aut = AutGroup(T("abelian(2,2,2)"), list(permutations(range(8))))
+    aut = AutGroup(T("abelian(2,2,2)"), list(permutations(range(8))),
+                   [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)])
     assert aut.order == 40_320
     tracemalloc.start()
     try:
@@ -213,12 +228,16 @@ def test_aut_table_rejects_what_the_per_row_oracle_rejects():
     rng = random.Random(5)
     lists = [[aut.elements[0]] + rng.sample(aut.elements[1:], size - 1)
              for size in (2, 3, 6, 7, 8, 21, 24, 56, 84, 167)]
-    lists += [PermutationGroup(8, rng.sample(aut.elements[1:], k)).listing()[0]
-              for k in (1, 1, 1, 2, 2, 2)]
+    lists += [PermutationGroup(8, rng.sample(aut.elements[1:], k))
+              .listing(cap=aut.order)[0] for k in (1, 1, 1, 2, 2, 2)]
     outcomes = []
     for elements in lists:
-        expected = outcome(per_row_aut_table, AutGroup(base, elements))
-        assert outcome(full_grid, AutGroup(base, elements)) == expected
+        # S leaves out some rows of every list longer than three, so the
+        # table's check must reject non-groups from a few rows alone.
+        gens = greedy_generators(elements)
+        assert len(gens) < len(elements) - 1 or len(elements) <= 3
+        expected = outcome(per_row_aut_table, AutGroup(base, elements, gens))
+        assert outcome(full_grid, AutGroup(base, elements, gens)) == expected
         outcomes.append(expected[0])
     assert "table" in outcomes and "error" in outcomes
 
@@ -307,7 +326,7 @@ def test_cap_fires_before_anything_is_listed(monkeypatch):
     # so AutGroup is never built.  |Aut(C2^5)| = 9,999,360 against 65,536
     # by default, |Aut(C2^4)| = 20,160 against 2,048, |Aut(C8)| = 4 against
     # 31 // 8 = 3.
-    def refuse(self, base, elements):
+    def refuse(self, base, elements, generators):
         raise AssertionError("AutGroup built past the cap")
 
     monkeypatch.setattr(AutGroup, "__init__", refuse)
@@ -352,3 +371,72 @@ def test_generators_are_the_looked_up_rows():
         aut = automorphism_group(base)
         assert aut.generators == tuple(
             aut.elements[s] for s in aut.table_generators), base.name
+
+
+def test_generators_must_be_listed():
+    base = T("abelian(2,2)")
+    aut = automorphism_group(base)
+    with pytest.raises(ValueError, match="is not a listed automorphism"):
+        AutGroup(base, aut.elements[:1], aut.generators[:1])
+    with pytest.raises(ValueError, match="is not a listed automorphism"):
+        AutGroup(base, aut.elements[:3], [(0, 3, 2, 1)])
+
+
+def test_table_raises_when_the_generators_leave_a_map_unreached():
+    # All six automorphisms of C2^2, with one generator of order 2 or 3.
+    base = T("abelian(2,2)")
+    aut = automorphism_group(base)
+    for s in range(1, aut.order):
+        partial = AutGroup(base, aut.elements, aut.elements[s:s + 1])
+        with pytest.raises(ValueError, match="leave a listed map unreached"):
+            partial.table
+
+
+def test_only_the_table_checks_that_the_generators_generate():
+    # GL(3,2) with one of its generators: __init__ accepts it, since the
+    # map is listed, and the table's walk finds the maps it leaves out.
+    # is_solvable reads the generators unchecked, so its answer on such an
+    # AutGroup is not asserted here.
+    base = T("abelian(2,2,2)")
+    aut = automorphism_group(base)
+    partial = AutGroup(base, aut.elements, aut.generators[:1])
+    assert partial.order == 168 and partial.table_generators == (
+        aut.table_generators[0],)
+    with pytest.raises(ValueError, match="leave a listed map unreached"):
+        partial.table
+
+
+def count_closures(monkeypatch):
+    """Record the size of each closure ``normal_closure`` returns, wherever
+    the package imports it from."""
+    sizes = []
+    closure = tables.normal_closure
+
+    def counted(*args, **kwargs):
+        gens, elements = closure(*args, **kwargs)
+        sizes.append(len(elements))
+        return gens, elements
+
+    monkeypatch.setattr(tables, "normal_closure", counted)
+    monkeypatch.setattr(automorphisms, "normal_closure", counted,
+                        raising=False)
+    return sizes
+
+
+def test_generators_close_nothing(monkeypatch):
+    # The stabiliser chain's witnesses are the generators; reading them
+    # closes no group.
+    aut = automorphism_group(T("abelian(2,2,2,2)"))
+    sizes = count_closures(monkeypatch)
+    assert len(aut.generators) == 6
+    assert sizes == []
+
+
+def test_is_solvable_does_not_list_aut_again(monkeypatch):
+    # The derived series starts from the listed elements, so only its
+    # proper terms are closed, each smaller than Aut(N).
+    aut = automorphism_group(T("abelian(2,4,8)"))
+    assert aut.order == 2048
+    sizes = count_closures(monkeypatch)
+    assert aut.is_solvable()
+    assert sizes and max(sizes) < aut.order

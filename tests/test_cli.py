@@ -83,6 +83,9 @@ def test_every_argument_has_help():
     ["screen", "--corpus", CORPORA / "o8", "--skip-outer"],
     ["corpus", "validate", CORPORA / "o4", "--lax"],
     ["screen", "--corpus", CORPORA / "o4", "--out", os.devnull],
+    # Command names the parser does not know; no fallback behind it.
+    ["numtheory", "bogus"],
+    ["group", "bogus", "cyclic(4)"],
 ])
 def test_bad_option_is_a_usage_error(argv, capsys):
     code, out, err = run(argv, capsys)

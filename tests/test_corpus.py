@@ -273,7 +273,7 @@ def test_regular_generators():
     degree, gens = regular_generators(dic3.table)
     assert degree == 12
     group = PermutationGroup(degree, gens)
-    assert len(group.listing()[0]) == 12
+    assert len(group.listing(cap=12)[0]) == 12
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -97,9 +97,10 @@ def test_translations():
 def test_regular_representations():
     n = T("symmetric(3)")
     lam, rho = left_regular(n), right_regular(n)
-    assert len(lam.listing()[0]) == 6 and len(rho.listing()[0]) == 6
-    assert is_regular_subgroup(lam.listing()[0], 6)
-    assert is_regular_subgroup(rho.listing()[0], 6)
+    assert len(lam.listing(cap=6)[0]) == 6
+    assert len(rho.listing(cap=6)[0]) == 6
+    assert is_regular_subgroup(lam.listing(cap=6)[0], 6)
+    assert is_regular_subgroup(rho.listing(cap=6)[0], 6)
 
 
 def test_holomorph_orders():

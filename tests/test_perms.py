@@ -78,11 +78,11 @@ def test_compose_inverse_identities(pair):
 
 def test_group_order_symmetric_and_alternating():
     s4 = PermutationGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
-    assert len(s4.listing()[0]) == 24
+    assert len(s4.listing(cap=24)[0]) == 24
     s5 = PermutationGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
-    assert len(s5.listing()[0]) == 120
+    assert len(s5.listing(cap=120)[0]) == 120
     a5 = PermutationGroup(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
-    assert len(a5.listing()[0]) == 60
+    assert len(a5.listing(cap=60)[0]) == 60
 
 
 def test_group_order_frozen_differential_cases():
@@ -100,15 +100,15 @@ def test_group_order_frozen_differential_cases():
     ]
     for degree, gens, order in cases:
         group = PermutationGroup(degree, [tuple(g) for g in gens])
-        assert len(group.listing()[0]) == order
+        assert len(group.listing(cap=order)[0]) == order
 
 
 def test_membership():
     s5 = PermutationGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
     a5 = PermutationGroup(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
-    members = set(a5.listing()[0])
+    members = set(a5.listing(cap=60)[0])
     evens = odds = 0
-    for p in s5.listing()[0]:
+    for p in s5.listing(cap=120)[0]:
         if p in members:
             evens += 1
         else:
@@ -120,7 +120,7 @@ def test_membership():
 
 def test_elements_listing():
     c6 = PermutationGroup(6, [(1, 2, 3, 4, 5, 0)])
-    elems = c6.listing()[0]
+    elems = c6.listing(cap=6)[0]
     assert len(elems) == 6
     assert len(set(elems)) == 6
     assert identity_perm(6) in elems
@@ -130,15 +130,15 @@ def test_elements_listing():
 
 def test_trivial_group():
     t = PermutationGroup(3, [])
-    assert len(t.listing()[0]) == 1
-    assert t.listing()[0] == [identity_perm(3)]
+    assert len(t.listing(cap=1)[0]) == 1
+    assert t.listing(cap=1)[0] == [identity_perm(3)]
 
 
 def test_with_generators_extends():
     c3 = PermutationGroup(3, [(1, 2, 0)])
-    assert len(c3.listing()[0]) == 3
+    assert len(c3.listing(cap=3)[0]) == 3
     s3 = PermutationGroup(3, c3.generators + ((1, 0, 2),))
-    assert len(s3.listing()[0]) == 6
+    assert len(s3.listing(cap=6)[0]) == 6
 
 
 def series_orders(degree, gens):
@@ -155,5 +155,5 @@ def test_derived_subgroup_and_solvability():
 
 def test_frobenius_group_of_order_20():
     gens = [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)]
-    assert len(PermutationGroup(5, gens).listing()[0]) == 20
+    assert len(PermutationGroup(5, gens).listing(cap=20)[0]) == 20
     assert series_orders(5, gens) == [20, 5, 1]
