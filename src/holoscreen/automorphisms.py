@@ -295,7 +295,7 @@ def automorphism_group(N: GroupTable, *,
                 for s in witnesses:
                     q = s[p]
                     if q not in orbit:
-                        orbit[q] = tuple(map(s.__getitem__, orbit[p]))
+                        orbit[q] = compose(s, orbit[p])
                         points.append(q)
             if size * len(orbit) > order_cap:
                 raise CapExceeded("|Aut| exceeds automorphism order cap %d"
@@ -304,8 +304,7 @@ def automorphism_group(N: GroupTable, *,
         size *= len(orbit)
     elements = [identity]
     for transversal in transversals:
-        elements = [tuple(map(u.__getitem__, x))
-                    for u in transversal for x in elements]
+        elements = [compose(u, x) for u in transversal for x in elements]
     return AutGroup(N, elements, witnesses)
 
 

@@ -14,9 +14,10 @@ keeps its own because it records a factorization u*v of each element and
 the segment of elements each generator adds, and ``normal_closure``
 returns neither.  ``from_permutation_group`` reads its table
 off the Schreier tree that ``PermutationGroup.listing`` records and
-multiplies no permutations of its own: if E_j = E_k * g_s, then column j
-is column k mapped through the right multiplication by g_s, which is exact
-because E_i * E_j = (E_i * E_k) * g_s by associativity.
+multiplies no group elements of its own: if E_j = E_k * g_s, then column j
+is ``compose(right[s], cols[k])``, column k mapped through the
+right-multiplication column of g_s, which is exact because
+E_i * E_j = (E_i * E_k) * g_s by associativity.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from operator import itemgetter
 from typing import (TYPE_CHECKING, Callable, Hashable, Iterable, Sequence,
                     TypeVar)
 
-from .perms import PermutationGroup, Perm
+from .perms import PermutationGroup, Perm, compose
 
 if TYPE_CHECKING:
     from .isomorphism import GeneratorTower
@@ -348,11 +349,12 @@ def from_permutation_group(group: PermutationGroup, *, cap: int = TABLE_CAP,
     time, with no permutation product beyond those of the listing.  Column 0
     is the identity column.  If element j was reached as E_j = E_k * g_s,
     then E_i * E_j = (E_i * E_k) * g_s for every i, by associativity, so
-    column j is column k mapped through the right-multiplication column of
-    g_s.  Since k < j, column k is already built.
+    column j is ``compose(right[s], cols[k])``: column k mapped through the
+    right-multiplication column of g_s.  Since k < j, column k is already
+    built.
     """
     elements, right, parents = group.listing(cap=cap)
     cols: list[Sequence[int]] = [range(len(elements))]
     for k, s in parents:
-        cols.append(list(map(right[s].__getitem__, cols[k])))
+        cols.append(compose(right[s], cols[k]))
     return GroupTable(tuple(zip(*cols)), validate=False, name=name), elements

@@ -44,10 +44,13 @@ whether Fit(G) = G.  ``doubling_conditions_by_loop`` is
 ``doubling_family_conditions`` as the package ran it before its
 straight-line rewrite.  ``is_associative`` tests every triple of a
 table, the cubic check that ``GroupTable`` ran before it took Light's
-test over its generating sequence.  ``compose_table`` lists a
-permutation group with its own breadth-first loop and fills the table by
-n^2 permutation products, where ``from_permutation_group`` reads it off
-the Schreier tree of the listing.  The subgroup predicates check their definitions over every
+test over its generating sequence.  ``map_listing`` is
+``PermutationGroup.listing`` with its products inlined as
+``tuple(map(x.__getitem__, g))``, the form the package used before
+``compose`` became ``itemgetter``; its element order fixes table indices.
+``compose_table`` fills the table of that listing by n^2 permutation
+products, where ``from_permutation_group`` reads it off the Schreier tree
+of the listing.  The subgroup predicates check their definitions over every
 element.  ``has_regular_embedding`` is the crossed-map search, a second
 exact route to the regular subgroups of Hol(N) that the tests hold
 against enumeration; it draws the homomorphisms G -> Aut(N) from
@@ -65,13 +68,14 @@ import numpy as np
 
 from holoscreen import isomorphism
 from holoscreen.automorphisms import automorphism_group
+from holoscreen.errors import CapExceeded
 from holoscreen.holomorph import HOL_AUT_CAP
 from holoscreen.isomorphism import GeneratorTower, _matching_candidates
 from holoscreen.numbers import (DoublingFamilyConditions, default_table,
                                 is_solvable_number)
 from holoscreen.perms import (PermutationGroup, check_perm, compose,
                               identity_perm, inverse)
-from holoscreen.tables import GroupTable, Subgroup
+from holoscreen.tables import TABLE_CAP, GroupTable, Subgroup
 
 
 def cycles(p, include_fixed=False):
@@ -175,20 +179,37 @@ def is_associative(mul):
     return all(np.array_equal(m[m[a], :], m[a][m]) for a in range(len(m)))
 
 
-def compose_table(group):
-    """(rows, elements) of a permutation group: the elements by
-    breadth-first closure, each multiplied on the right by every generator
-    in listed order, and row i, column j the index of the product
-    ``compose(elements[i], elements[j])``."""
+def map_listing(group, cap):
+    """``PermutationGroup.listing`` as the package ran it before every
+    product went through ``compose``: each product is
+    ``tuple(map(x.__getitem__, g))``.  Returns (elements, right, parents)
+    in the same form, and raises CapExceeded on the first new element once
+    ``cap`` are listed."""
     ident = identity_perm(group.degree)
     elements = [ident]
-    seen = {ident}
-    for x in elements:  # grows while it is walked
-        for g in group.generators:
-            y = compose(x, g)
-            if y not in seen:
-                seen.add(y)
+    index = {ident: 0}
+    right = [[] for _ in group.generators]
+    parents = []
+    for k, x in enumerate(elements):  # grows while it is walked
+        for s, g in enumerate(group.generators):
+            y = tuple(map(x.__getitem__, g))
+            j = index.get(y)
+            if j is None:
+                if len(elements) >= cap:
+                    raise CapExceeded("group has more than %d elements"
+                                      % (cap,))
+                j = index[y] = len(elements)
                 elements.append(y)
+                parents.append((k, s))
+            right[s].append(j)
+    return elements, right, parents
+
+
+def compose_table(group):
+    """(rows, elements) of a permutation group: the elements as
+    ``map_listing`` lists them, and row i, column j the index of the
+    product ``compose(elements[i], elements[j])``."""
+    elements = map_listing(group, TABLE_CAP)[0]
     index = {p: i for i, p in enumerate(elements)}
     rows = tuple(tuple(index[compose(p, q)] for q in elements)
                  for p in elements)

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -668,3 +669,51 @@ def test_only_holomorphs_load_numpy():
     # The corpus commands hash the corpus and build no holomorph.
     assert loaded[k:-1] == [{"hashlib"}] * len(corpus_side)
     assert "numpy" in loaded[-1]
+
+
+# One process, one parser: each call, in this order, after calls with other
+# flags, prints what the same command prints as the first call of a fresh
+# process.  The --budget 100 run is undecided, so a budget carried into the
+# next direct call would change its bytes.
+REUSED = [
+    (["direct", "--corpus", "corpora/o12", "--budget", "0"], None),
+    (["--version"], None),
+    (["direct", "--corpus", "corpora/o12", "--budget", "5000"],
+     DIRECT_GOLDEN[0][2]),
+    (["direct", "--corpus", "corpora/o12", "--budget", "100"], None),
+    (["direct", "--corpus", "corpora/o12"], DIRECT_GOLDEN[0][2]),
+    (["screen", "--corpus", "corpora/o12", "--timings"], None),
+    (["screen", "--corpus", "corpora/o12"], SCREEN_GOLDEN["o12"]),
+]
+
+
+def untimed(text):
+    """``text`` with its wall-clock fields (``t=0.001s``, ``elapsed:
+    0.004s``) masked."""
+    return re.sub(r"\b\d+\.\d{3}s\b", "#s", text)
+
+
+def test_reused_parser_carries_nothing_over(monkeypatch, capsys):
+    monkeypatch.chdir(CORPORA.parent)
+    env = dict(os.environ, PYTHONPATH=str(CORPORA.parent / "src"))
+    before = cli.build_parser.cache_info()
+    outcomes = []
+    for argv, _ in REUSED:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --version
+            code = exc.code
+        captured = capsys.readouterr()
+        outcomes.append((code, untimed(captured.out), captured.err))
+    after = cli.build_parser.cache_info()
+    assert after.hits - before.hits >= len(REUSED) - 1
+    assert after.misses <= 1
+    assert [code for code, _, _ in outcomes] == [1, 0, 0, 3, 0, 0, 0]
+    for (argv, golden), outcome in zip(REUSED, outcomes):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "holoscreen.cli", *argv], env=env,
+            cwd=CORPORA.parent, capture_output=True, text=True)
+        assert outcome == (fresh.returncode, untimed(fresh.stdout),
+                           fresh.stderr), argv
+        if golden is not None:
+            assert sha256(outcome[1]) == golden, argv

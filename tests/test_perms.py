@@ -1,14 +1,19 @@
 """Permutation primitives and permutation groups listed by closure."""
 
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from holoscreen.corpus import load_group, load_manifest, regular_generators
 from holoscreen.errors import CapExceeded
 from holoscreen.perms import (PermutationGroup, check_perm, compose,
                               identity_perm, inverse, is_identity)
 from holoscreen.tables import commutator_series
-from oracles import cycles, perm_from_cycles, perm_order
+from oracles import cycles, map_listing, perm_from_cycles, perm_order
+
+CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
 
 def test_identity_perm():
@@ -34,6 +39,28 @@ def test_compose_applies_right_argument_first():
     # compose(p, q)[x] = p[q[x]]
     assert compose(p, q) == (1, 0, 2)
     assert compose(q, p) == (2, 1, 0)
+
+
+@given(st.integers(0, 70).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+@example(((), ()))
+@example(((0,), (0,)))
+@settings(max_examples=60, deadline=None)
+def test_compose_is_image_of_image(pair):
+    """Degrees 0 and 1 included: there ``itemgetter`` with one index would
+    return a scalar, so ``compose`` returns ``p`` as a tuple."""
+    p, q = tuple(pair[0]), tuple(pair[1])
+    r = compose(p, q)
+    assert type(r) is tuple
+    assert r == tuple(p[q[x]] for x in range(len(p)))
+    assert compose(list(p), list(q)) == r
+
+
+@pytest.mark.parametrize("p,q", [((0,), ()), ((), (0,)), ((1, 0), (0,)),
+                                 ((0, 1, 2), (1, 0))])
+def test_compose_rejects_a_degree_mismatch(p, q):
+    with pytest.raises(ValueError, match="degree mismatch"):
+        compose(p, q)
 
 
 def test_inverse():
@@ -157,3 +184,34 @@ def test_frobenius_group_of_order_20():
     gens = [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)]
     assert len(PermutationGroup(5, gens).listing(cap=20)[0]) == 20
     assert series_orders(5, gens) == [20, 5, 1]
+
+
+# -- the listing against the map-based reference ---------------------------
+
+LISTED = ([pytest.param(path, id=f"{path.parent.name}/{path.stem}")
+           for path in sorted(CORPORA.rglob("*.grp"))]
+          + [pytest.param(record.name, id=f"o60/{record.name}/regular")
+             for record in load_manifest(CORPORA / "o60").records])
+
+
+@pytest.mark.parametrize("source", LISTED)
+def test_listing_matches_map_reference(source):
+    """Every shipped corpus member on its own generators, and every o60
+    base on its degree-60 left regular representation: the same elements
+    in the same order, the same right-multiplication columns and the same
+    Schreier tree, and the same cap refusal one element short."""
+    if isinstance(source, Path):
+        record = load_group(source)
+        group = PermutationGroup(record.degree, record.generators)
+    else:
+        record = next(r for r in load_manifest(CORPORA / "o60").records
+                      if r.name == source)
+        group = PermutationGroup(*regular_generators(record.table))
+        assert group.degree == 60
+    listed = group.listing(record.order)
+    assert listed == map_listing(group, record.order)
+    assert len(listed[0]) == record.order
+    if record.order > 1:
+        for lister in (group.listing, lambda cap: map_listing(group, cap)):
+            with pytest.raises(CapExceeded):
+                lister(record.order - 1)
